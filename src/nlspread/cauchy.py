@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import INFINITE, Kernel, exp_moment, tail_mass
-from .nonlocal_ops import GridFunction, check_mesh
-from .freeboundary import Instability, _check_box, _interior_rate
-from .reactions import ReactionModel, lipschitz_bound, positive_equilibrium
+from .kernels import INFINITE, exp_moment, tail_mass
+from .nonlocal_ops import GridFunction
+from .freeboundary import Instability, _check_box, _interior_rate, _Problem
+from .reactions import ReactionModel, positive_equilibrium
 
 GROW_BLOCK = 64        # nodes added per widening, per side
 EDGE_BAND = 0.05       # fraction of nodes inspected at each edge
@@ -28,7 +28,7 @@ class InvalidLevel(ValueError):
 
 
 @dataclass
-class CauchyConfig:
+class CauchyConfig(_Problem):
     model: ReactionModel
     kernels: tuple
     h0: float
@@ -45,22 +45,7 @@ class CauchyConfig:
     _lips: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.kernels, Kernel):
-            self.kernels = (self.kernels,) * self.model.m0
-        else:
-            self.kernels = tuple(self.kernels)
-        if len(self.kernels) != self.model.m0:
-            raise ValueError(
-                f"need one kernel per dispersing component: {self.model.m0}, "
-                f"got {len(self.kernels)}")
-        if not (self.h0 > 0 and self.dx > 0 and self.t_end >= 0):
-            raise ValueError("need h0 > 0, dx > 0, t_end >= 0")
-        for kern in self.kernels:
-            check_mesh(kern, self.dx)
-        if self.initial_profiles is not None:
-            self.initial_profiles = tuple(self.initial_profiles)
-            if len(self.initial_profiles) != self.model.m:
-                raise ValueError("need one initial profile per component")
+        self._check_shared()
         u_star = positive_equilibrium(self.model)
         if self.eps_edge is None:
             self.eps_edge = 1e-8 * float(np.min(u_star))
@@ -73,20 +58,6 @@ class CauchyConfig:
                     f"level {lam} for component {i} must lie in (0, {u_star[i]})")
         if self.x_max is not None and self.x_max < self.h0:
             raise ValueError("window cap must cover the initial data")
-        self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
-
-    def lipschitz(self) -> float:
-        if self._lips is None:
-            self._lips = lipschitz_bound(self.model)
-        return self._lips
-
-    def stability_limit(self) -> float:
-        return 0.5 / (float(np.max(self.model.d)) + self.lipschitz())
-
-    def timestep(self) -> float:
-        if self._dt is None:
-            self._dt = self.dt if self.dt is not None else 0.9 * self.stability_limit()
-        return self._dt
 
 
 @dataclass
@@ -152,15 +123,7 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
 def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
     """Default data: half-equilibrium wedges on [-h0, h0], zero outside."""
     model = cfg.model
-    profiles = cfg.initial_profiles
-    if profiles is None:
-        u_star = positive_equilibrium(model)
-        amps = 0.5 * u_star
-
-        def wedge(amp):
-            return lambda x: amp * np.maximum(0.0, 1.0 - np.abs(x) / cfg.h0)
-
-        profiles = tuple(wedge(a) for a in amps)
+    profiles = cfg._profiles()
     half = int(math.ceil(cfg.h0 / cfg.dx)) + GROW_BLOCK
     k_min, k_max = _cap_indices(cfg)
     if k_max is not None:

@@ -1,8 +1,10 @@
 """Command line driver: scenario files in, CSV and JSON artifacts out.
 
-Every subcommand reads one scenario file (see config.SCENARIO_SCHEMA and the
-published scenarios/schema.json), runs the requested computation, and writes
-fixed-format artifacts into the output directory.  Floats in CSV files carry
+Every subcommand reads one scenario file (validated against
+scenarios/schema.json, the one copy of the schema, which config loads as
+SCENARIO_SCHEMA), runs the requested computation, and writes fixed-format
+artifacts into the output directory.  The four single-scenario subcommands
+and every run of a sweep go through ``_dispatch``.  Floats in CSV files carry
 17 significant digits so that a reread reproduces the binary values exactly;
 identical config and seed give byte-identical files.
 
@@ -166,7 +168,8 @@ def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
     if sp.get("cstar", False):
         est = estimate_cstar(model, kernels,
                              lengths=sp.get("lengths"),
-                             rel_tol=sp.get("rel_tol", 1e-2))
+                             rel_tol=sp.get("rel_tol", 1e-2),
+                             dx=sp.get("dx"))
         result["cstar"] = _json_speed(est.value)
         if est.note:
             result["cstar_note"] = est.note
@@ -237,8 +240,10 @@ def _cmd_verify(suite: str, out: Path, seed: int) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _dispatch(task: str, config_path: Path, out: Path, seed: int) -> int:
+def _dispatch(task: str, config_path: Path, out: Path | None, seed: int) -> int:
+    """Run one scenario subcommand; ``out`` defaults to the scenario name."""
     scenario = load_scenario(config_path)
+    out = out or Path(scenario["name"])
     out.mkdir(parents=True, exist_ok=True)
     if task == "simulate-fb":
         return _cmd_simulate_fb(scenario, out, seed)
@@ -331,20 +336,11 @@ def main(argv=None) -> int:
             out = args.out or Path("verify-reports")
             out.mkdir(parents=True, exist_ok=True)
             return _cmd_verify(args.suite, out, args.seed)
-        scenario = load_scenario(args.config)
-        out = args.out or Path(scenario["name"])
         if args.command == "sweep":
-            return _cmd_sweep(scenario, out, args.seed, args.config, args.jobs)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate-fb":
-            return _cmd_simulate_fb(scenario, out, args.seed)
-        if args.command == "simulate-cauchy":
-            return _cmd_simulate_cauchy(scenario, out, args.seed)
-        if args.command == "speeds":
-            return _cmd_speeds(scenario, out, args.seed)
-        if args.command == "fit":
-            return _cmd_fit(scenario, out, args.seed, args.config)
-        raise AssertionError(args.command)
+            scenario = load_scenario(args.config)
+            return _cmd_sweep(scenario, args.out or Path(scenario["name"]),
+                              args.seed, args.config, args.jobs)
+        return _dispatch(args.command, args.config, args.out, args.seed)
     except ConfigError as e:
         print(f"config error at {e}", file=sys.stderr)
         return 2

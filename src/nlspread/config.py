@@ -1,11 +1,15 @@
 """Scenario files: JSON schema, pointer-carrying validation, config builders.
 
 A scenario is one JSON object shared by every subcommand; each driver reads
-the sections it needs.  Validation happens in two passes: structural checks
-against SCENARIO_SCHEMA, then semantic checks the schema language cannot
-express (m0 against the expression count, level bounds, mesh admissibility).
-Every rejection raises ConfigError carrying a JSON pointer to the offending
-field so the CLI can print actionable diagnostics.
+the sections it needs.  SCENARIO_SCHEMA is the shipped scenarios/schema.json,
+parsed at import; that file is the only copy of the schema.  Validation
+happens in two passes: structural checks against it, then semantic checks
+the schema language cannot express (m0 against the expression count, level
+bounds, mesh admissibility).  Kernels are built by kernels.kernel_from_json,
+and the per-component rules (kernel and mu broadcasting, time step, mesh
+check) belong to the simulator configs.  Every rejection raises ConfigError
+carrying a JSON pointer to the offending field so the CLI can print
+actionable diagnostics.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import jsonschema
 import numpy as np
 
 from .cauchy import CauchyConfig
-from .freeboundary import FBConfig, Thresholds
-from .kernels import KernelError, KernelSpec, make_kernel
+from .freeboundary import FBConfig, Thresholds, _wedges
+from .kernels import kernel_from_json
 from .reactions import ReactionError, model_from_json, positive_equilibrium
 
 
@@ -30,155 +34,12 @@ class ConfigError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
+def scenario_dir() -> Path:
+    """Directory holding the bundled scenario presets."""
+    return Path(__file__).resolve().parent / "scenarios"
 
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"enum": ["uniform", "laplace", "gaussian", "powerlaw", "table"]},
-        "radius": _POS,
-        "scale": _POS,
-        "sigma": _POS,
-        "gamma": {"type": "number", "exclusiveMinimum": 1.0},
-        "core_width": _POS,
-        "x": {"type": "array", "items": _NUM, "minItems": 2},
-        "values": {"type": "array", "items": {"type": "number", "minimum": 0}},
-    },
-    "required": ["family"],
-    "additionalProperties": False,
-}
 
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": {"enum": ["wnv", "cholera", "concave", "custom"]},
-        "params": {"type": "object"},
-        "f": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "m0": {"type": "integer", "minimum": 1},
-        "d": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "u_ceiling": {"type": "array", "items": _POS},
-    },
-    "required": ["model"],
-    "additionalProperties": False,
-}
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "model": _MODEL_SCHEMA,
-        "kernels": {
-            "anyOf": [
-                _KERNEL_SCHEMA,
-                {"type": "array", "items": _KERNEL_SCHEMA, "minItems": 1},
-            ]
-        },
-        "mu": {
-            "anyOf": [
-                {"type": "number", "minimum": 0},
-                {"type": "array", "items": {"type": "number", "minimum": 0},
-                 "minItems": 1},
-            ]
-        },
-        "h0": _POS,
-        "initial": {
-            "type": "object",
-            "properties": {
-                "amplitude": {
-                    "anyOf": [_POS, {"type": "array", "items": _POS, "minItems": 1}]
-                },
-            },
-            "additionalProperties": False,
-        },
-        "numerics": {
-            "type": "object",
-            "properties": {
-                "dx": _POS,
-                "dt": _POS,
-                "t_end": {"type": "number", "minimum": 0},
-                "snapshot_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
-                "sample_stride": {"type": "integer", "minimum": 1},
-                "scheme": {"enum": ["euler", "heun"]},
-                "x_max": _POS,
-            },
-            "additionalProperties": False,
-        },
-        "thresholds": {
-            "type": "object",
-            "properties": {
-                "growth_factor": _POS,
-                "interior_frac": _POS,
-                "vanish_amp_frac": _POS,
-                "vanish_creep_frac": _POS,
-            },
-            "additionalProperties": False,
-        },
-        "levels": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {"component": {"type": "integer", "minimum": 1},
-                               "level": _POS},
-                "required": ["component", "level"],
-                "additionalProperties": False,
-            },
-        },
-        "speeds": {
-            "type": "object",
-            "properties": {
-                "mu_sweep": {"type": "array", "items": _POS, "minItems": 1},
-                "cstar": {"type": "boolean"},
-                "tol_c": _POS,
-                "length": _POS,
-                "lengths": {"type": "array", "items": _POS, "minItems": 1},
-                "rel_tol": _POS,
-                "dx": _POS,
-            },
-            "additionalProperties": False,
-        },
-        "fit": {
-            "type": "object",
-            "properties": {
-                "input": {"type": "string", "minLength": 1},
-                "signals": {"type": "array",
-                            "items": {"enum": ["h", "neg_g"]}, "minItems": 1},
-                "law": {"enum": ["auto", "linear", "tlogt", "power"]},
-                "window": {"type": "array", "items": _NUM,
-                           "minItems": 2, "maxItems": 2},
-            },
-            "required": ["input"],
-            "additionalProperties": False,
-        },
-        "sweep": {
-            "type": "object",
-            "properties": {
-                "runs": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "config": {"type": "string", "minLength": 1},
-                            "task": {"enum": ["simulate-fb", "simulate-cauchy",
-                                              "speeds", "fit"]},
-                        },
-                        "required": ["config", "task"],
-                        "additionalProperties": False,
-                    },
-                },
-            },
-            "required": ["runs"],
-            "additionalProperties": False,
-        },
-        "outputs": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["name"],
-    "additionalProperties": False,
-}
-
+SCENARIO_SCHEMA = json.loads((scenario_dir() / "schema.json").read_text(encoding="utf-8"))
 _VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 
 
@@ -255,14 +116,9 @@ def build_kernels(scenario: dict, m0: int) -> tuple:
         raise ConfigError("/kernels", f"need {m0} kernels, got {len(items)}")
     kerns = []
     for i, item in enumerate(items):
-        spec = dict(item)
-        if "x" in spec:
-            spec["x"] = tuple(spec["x"])
-        if "values" in spec:
-            spec["values"] = tuple(spec["values"])
         try:
-            kerns.append(make_kernel(KernelSpec(**spec)))
-        except (KernelError, TypeError) as e:
+            kerns.append(kernel_from_json(item))
+        except (ValueError, TypeError) as e:
             where = "/kernels" if isinstance(raw, dict) else f"/kernels/{i}"
             raise ConfigError(where, str(e)) from e
     return tuple(kerns)
@@ -284,11 +140,7 @@ def _initial_profiles(scenario: dict, model, h0: float):
         raise ConfigError("/initial/amplitude",
                           f"component {bad[0] + 1} amplitude exceeds the "
                           f"equilibrium {u_star[bad[0]]:.6g}")
-
-    def wedge(a):
-        return lambda x: a * np.maximum(0.0, 1.0 - np.abs(x) / h0)
-
-    return tuple(wedge(a) for a in amps)
+    return _wedges(amps, h0)
 
 
 def _builder_pointer(e: ValueError) -> str:
@@ -319,64 +171,43 @@ def _numerics(scenario: dict) -> dict:
     return num
 
 
-def build_fb_config(scenario: dict) -> FBConfig:
+def _shared_fields(scenario: dict) -> dict:
+    """The FBConfig and CauchyConfig fields read the same way for both."""
     model = build_model(scenario)
     kernels = build_kernels(scenario, model.m0)
     num = _numerics(scenario)
     h0 = float(_require(scenario, "h0"))
+    return dict(model=model, kernels=kernels, h0=h0, dx=num["dx"],
+                t_end=num["t_end"], dt=num.get("dt"),
+                initial_profiles=_initial_profiles(scenario, model, h0),
+                snapshot_times=tuple(num.get("snapshot_times", ())),
+                sample_stride=num.get("sample_stride"))
+
+
+def _construct(cls, fields: dict):
     try:
-        return FBConfig(
-            model=model,
-            kernels=kernels,
-            mu=_require(scenario, "mu"),
-            h0=h0,
-            dx=num["dx"],
-            t_end=num["t_end"],
-            dt=num.get("dt"),
-            initial_profiles=_initial_profiles(scenario, model, h0),
-            snapshot_times=tuple(num.get("snapshot_times", ())),
-            sample_stride=num.get("sample_stride"),
-            scheme=num.get("scheme", "euler"),
-            thresholds=_thresholds(scenario),
-        )
-    except ConfigError:
-        raise
+        return cls(**fields)
     except ValueError as e:
         raise ConfigError(_builder_pointer(e), str(e)) from e
+
+
+def build_fb_config(scenario: dict) -> FBConfig:
+    fields = _shared_fields(scenario)
+    return _construct(FBConfig, dict(
+        fields, mu=_require(scenario, "mu"),
+        scheme=scenario["numerics"].get("scheme", "euler"),
+        thresholds=_thresholds(scenario)))
 
 
 def build_cauchy_config(scenario: dict) -> CauchyConfig:
-    model = build_model(scenario)
-    kernels = build_kernels(scenario, model.m0)
-    num = _numerics(scenario)
-    h0 = float(_require(scenario, "h0"))
+    fields = _shared_fields(scenario)
+    m = fields["model"].m
     levels = []
     for j, entry in enumerate(scenario.get("levels", [])):
         comp = entry["component"]
-        if not 1 <= comp <= model.m:
+        if not 1 <= comp <= m:
             raise ConfigError(f"/levels/{j}/component",
-                              f"must name a component in 1..{model.m}")
+                              f"must name a component in 1..{m}")
         levels.append((comp - 1, entry["level"]))
-    try:
-        return CauchyConfig(
-            model=model,
-            kernels=kernels,
-            h0=h0,
-            dx=num["dx"],
-            t_end=num["t_end"],
-            dt=num.get("dt"),
-            initial_profiles=_initial_profiles(scenario, model, h0),
-            x_max=num.get("x_max"),
-            levels=levels,
-            snapshot_times=tuple(num.get("snapshot_times", ())),
-            sample_stride=num.get("sample_stride"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(_builder_pointer(e), str(e)) from e
-
-
-def scenario_dir() -> Path:
-    """Directory holding the bundled scenario presets."""
-    return Path(__file__).resolve().parent / "scenarios"
+    return _construct(CauchyConfig, dict(
+        fields, x_max=scenario["numerics"].get("x_max"), levels=levels))

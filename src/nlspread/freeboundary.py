@@ -6,6 +6,11 @@ moves the edges outward in proportion, activates newly covered nodes at
 zero, then advances the interior explicitly.  Mirror-symmetric data stays
 mirror-symmetric to the last bit: edge fluxes and convolutions are
 evaluated with reversal-invariant reductions.
+
+The rules that read one problem description (F, J_i, mu_i) are defined here
+once: how kernels and mu map onto the dispersing components, the time step,
+the shared field and mesh checks, and the default wedge data.  The
+whole-line simulator and the semi-wave solvers use the same definitions.
 """
 
 from __future__ import annotations
@@ -37,8 +42,88 @@ class Thresholds:
     vanish_creep_frac: float = 1e-4   # late width creep ceiling, fraction of h0
 
 
+def _component_kernels(kernels, m0: int) -> tuple:
+    """One kernel per dispersing component; a single Kernel serves all m0."""
+    if isinstance(kernels, Kernel):
+        return (kernels,) * m0
+    kernels = tuple(kernels)
+    if len(kernels) != m0:
+        raise ValueError(
+            f"need one kernel per dispersing component: {m0}, got {len(kernels)}")
+    return kernels
+
+
+def _component_mu(mu, m: int, m0: int) -> np.ndarray:
+    """Expansion rates of the m0 dispersing components.
+
+    A scalar applies to every dispersing component; a length-m vector is
+    accepted when it vanishes on the non-dispersing ones.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.size == 1:
+        mu = np.full(m0, float(mu[0]))
+    if mu.size == m and m > m0:
+        if np.any(mu[m0:] != 0):
+            raise ValueError("expansion coefficients apply to dispersing components only")
+        mu = mu[:m0]
+    if mu.shape != (m0,):
+        raise ValueError(f"mu must have {m0} entries, got {mu.size}")
+    if np.any(mu < 0) or not np.sum(mu) > 0:
+        raise ValueError("expansion coefficients must be nonnegative with positive sum")
+    return mu
+
+
+def _wedges(amps, h0: float) -> tuple:
+    """Profiles a * (1 - |x|/h0)+ on [-h0, h0], one per amplitude."""
+
+    def wedge(a):
+        return lambda x: a * np.maximum(0.0, 1.0 - np.abs(x) / h0)
+
+    return tuple(wedge(a) for a in amps)
+
+
+class _Problem:
+    """Rules both simulator configs share: the reaction, the kernels, the mesh.
+
+    Subclasses are dataclasses with the fields model, kernels, h0, dx,
+    t_end, dt, initial_profiles, snapshot_times, _dt and _lips; they call
+    ``_check_shared`` first thing in ``__post_init__``.
+    """
+
+    def _check_shared(self):
+        self.kernels = _component_kernels(self.kernels, self.model.m0)
+        if not (self.h0 > 0 and self.dx > 0 and self.t_end >= 0):
+            raise ValueError("need h0 > 0, dx > 0, t_end >= 0")
+        if self.initial_profiles is not None:
+            self.initial_profiles = tuple(self.initial_profiles)
+            if len(self.initial_profiles) != self.model.m:
+                raise ValueError("need one initial profile per component")
+        self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
+        for kern in self.kernels:
+            check_mesh(kern, self.dx)
+
+    def _profiles(self) -> tuple:
+        """The configured initial profiles, or half-equilibrium wedges."""
+        if self.initial_profiles is not None:
+            return self.initial_profiles
+        return _wedges(0.5 * positive_equilibrium(self.model), self.h0)
+
+    def lipschitz(self) -> float:
+        if self._lips is None:
+            self._lips = lipschitz_bound(self.model)
+        return self._lips
+
+    def stability_limit(self) -> float:
+        return 0.5 / (float(np.max(self.model.d)) + self.lipschitz())
+
+    def timestep(self) -> float:
+        if self._dt is None:
+            self._dt = self.dt if self.dt is not None else 0.9 * self.stability_limit()
+        return self._dt
+
+
 @dataclass
-class FBConfig:
+class FBConfig(_Problem):
     model: ReactionModel
     kernels: tuple
     mu: np.ndarray
@@ -55,52 +140,12 @@ class FBConfig:
     _lips: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.kernels, Kernel):
-            self.kernels = (self.kernels,) * self.model.m0
-        else:
-            self.kernels = tuple(self.kernels)
-        if len(self.kernels) != self.model.m0:
-            raise ValueError(
-                f"need one kernel per dispersing component: {self.model.m0}, "
-                f"got {len(self.kernels)}")
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if mu.size == 1:
-            mu = np.full(self.model.m0, float(mu[0]))
-        if mu.size == self.model.m and self.model.m > self.model.m0:
-            if np.any(mu[self.model.m0:] != 0):
-                raise ValueError("expansion coefficients apply to dispersing components only")
-            mu = mu[:self.model.m0]
-        if mu.shape != (self.model.m0,):
-            raise ValueError(f"mu must have {self.model.m0} entries, got {mu.size}")
-        if np.any(mu < 0) or not np.sum(mu) > 0:
-            raise ValueError("expansion coefficients must be nonnegative with positive sum")
-        self.mu = mu
-        if not (self.h0 > 0 and self.dx > 0 and self.t_end >= 0):
-            raise ValueError("need h0 > 0, dx > 0, t_end >= 0")
+        self._check_shared()
+        self.mu = _component_mu(self.mu, self.model.m, self.model.m0)
         if self.scheme not in ("euler", "heun"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.initial_profiles is not None:
-            self.initial_profiles = tuple(self.initial_profiles)
-            if len(self.initial_profiles) != self.model.m:
-                raise ValueError("need one initial profile per component")
-        self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
-        for kern in self.kernels:
-            check_mesh(kern, self.dx)
         # a dt above the stability bound is allowed here; the run will
         # surface it as Instability rather than silently producing garbage
-
-    def lipschitz(self) -> float:
-        if self._lips is None:
-            self._lips = lipschitz_bound(self.model)
-        return self._lips
-
-    def stability_limit(self) -> float:
-        return 0.5 / (float(np.max(self.model.d)) + self.lipschitz())
-
-    def timestep(self) -> float:
-        if self._dt is None:
-            self._dt = self.dt if self.dt is not None else 0.9 * self.stability_limit()
-        return self._dt
 
 
 @dataclass
@@ -151,15 +196,7 @@ def _embed(src: np.ndarray, src_klo: int, dst_klo: int, dst_n: int) -> np.ndarra
 def make_initial_state(cfg: FBConfig) -> FBState:
     """Initial state on (-h0, h0); default profiles are half-equilibrium wedges."""
     model = cfg.model
-    profiles = cfg.initial_profiles
-    if profiles is None:
-        u_star = positive_equilibrium(model)
-        amps = 0.5 * u_star
-
-        def wedge(amp):
-            return lambda x: amp * (1.0 - np.abs(x) / cfg.h0)
-
-        profiles = tuple(wedge(a) for a in amps)
+    profiles = cfg._profiles()
     k_lo, k_hi = _active_range(-cfg.h0, cfg.h0, cfg.dx)
     xs = np.arange(k_lo, k_hi + 1) * cfg.dx
     vals = np.empty((model.m, xs.size))

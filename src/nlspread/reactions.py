@@ -450,26 +450,6 @@ def _strongly_connected(A: np.ndarray, tol: float) -> bool:
     return reach(pattern) and reach(pattern.T)
 
 
-def _principal_eigenvalue(A: np.ndarray, iterations: int = 2000) -> float:
-    """Largest-real-part eigenvalue via power iteration on a positive shift."""
-    shift = float(max(0.0, -np.min(np.diag(A)))) + 1.0
-    B = A + shift * np.eye(A.shape[0])
-    v = np.ones(A.shape[0]) / math.sqrt(A.shape[0])
-    lam = 0.0
-    for _ in range(iterations):
-        w = B @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return -shift
-        v_new = w / norm
-        lam_new = float(v_new @ (B @ v_new))
-        if abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        v, lam = v_new, lam_new
-    return lam - shift
-
-
 def verify_assumptions(model: ReactionModel, n_samples: int = 256,
                        seed: int = 0) -> AssumptionReport:
     """Sampled structural checks of the cooperative monostable assumptions.
@@ -524,7 +504,7 @@ def verify_assumptions(model: ReactionModel, n_samples: int = 256,
     # --- irreducible, unstable origin
     J0 = jacobian(model, np.zeros(model.m))
     irreducible = _strongly_connected(J0, 1e-12 * max(1.0, float(np.max(np.abs(J0)))))
-    lam0 = _principal_eigenvalue(J0)
+    lam0 = float(np.max(np.linalg.eigvals(J0).real))
     if irreducible and lam0 > 0:
         results["irreducible_unstable_origin"] = CheckResult(
             "pass", f"principal eigenvalue at origin {lam0:.6g} > 0, pattern irreducible")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from .freeboundary import _component_kernels, _component_mu
 from .kernels import INFINITE, Kernel, classify, two_sided_exp_moment
 from .nonlocal_ops import check_mesh, kernel_weights
 from .reactions import (ReactionModel, eval_F, jacobian, lipschitz_bound,
@@ -93,30 +94,6 @@ class SemiWaveSolution:
     mid_saturation: float
 
 
-def _broadcast_kernels(kernels, m0: int) -> tuple:
-    if isinstance(kernels, Kernel):
-        return (kernels,) * m0
-    kerns = tuple(kernels)
-    if len(kerns) != m0:
-        raise ValueError(f"need one kernel per dispersing component: {m0}, got {len(kerns)}")
-    return kerns
-
-
-def _mu_vector(mu, m: int, m0: int) -> np.ndarray:
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size == 1:
-        mu = np.full(m0, float(mu[0]))
-    if mu.size == m and m > m0:
-        if np.any(mu[m0:] != 0):
-            raise ValueError("expansion coefficients apply to dispersing components only")
-        mu = mu[:m0]
-    if mu.shape != (m0,):
-        raise ValueError(f"mu must have {m0} entries, got {mu.size}")
-    if np.any(mu < 0) or not np.sum(mu) > 0:
-        raise ValueError("expansion coefficients must be nonnegative with positive sum")
-    return mu
-
-
 def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   dx: float | None = None, tol: float = 1e-8,
                   max_iter: int = 60_000, strict: bool = True) -> SemiWaveSolution:
@@ -136,7 +113,7 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     """
     if not (c >= 0 and math.isfinite(c)):
         raise ValueError("profile speed must be finite and nonnegative")
-    kerns = _broadcast_kernels(kernels, model.m0)
+    kerns = _component_kernels(kernels, model.m0)
     scale = max(k.core_scale for k in kerns)
     if not L >= 20.0 * scale:
         raise ValueError(f"window length {L} too short; need at least 20 kernel scales")
@@ -226,7 +203,7 @@ def flux_functional(sol: SemiWaveSolution, mu) -> float:
     """Weighted boundary flux of a profile: sum_i mu_i * flux_integrals[i]."""
     m = sol.phi.shape[0]
     m0 = sol.flux_integrals.size
-    mu_vec = _mu_vector(mu, m, m0)
+    mu_vec = _component_mu(mu, m, m0)
     return float(np.dot(mu_vec, sol.flux_integrals))
 
 
@@ -258,8 +235,8 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     speeds to their profiles and may be shared between calls that use the
     same model, kernels, window and mesh.
     """
-    kerns = _broadcast_kernels(kernels, model.m0)
-    mu_vec = _mu_vector(mu, model.m, model.m0)
+    kerns = _component_kernels(kernels, model.m0)
+    mu_vec = _component_mu(mu, model.m, model.m0)
     for i, k in enumerate(kerns):
         if mu_vec[i] > 0 and not classify(k).finite_first_moment:
             raise FirstMomentDiverges(
@@ -363,7 +340,7 @@ def linearized_front_speed(model: ReactionModel, kernels) -> float:
     diagnostic is the minimum over admissible lam.  INFINITE when some
     dispersing kernel has no finite exponential moment.
     """
-    kerns = _broadcast_kernels(kernels, model.m0)
+    kerns = _component_kernels(kernels, model.m0)
     lam_hi = min(_lam_sup(k) for k in kerns)
     if lam_hi <= 0.0:
         return INFINITE
@@ -411,7 +388,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
     c*dx/2, which biases the threshold up by a few percent at the
     default mesh; halve ``dx`` to tighten it.
     """
-    kerns = _broadcast_kernels(kernels, model.m0)
+    kerns = _component_kernels(kernels, model.m0)
     heavy = [i for i, k in enumerate(kerns) if not classify(k).finite_exponential_moment]
     if heavy:
         return MinimalSpeedResult(

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import best_growth_law, compare_orderings, fit_front
 from .cauchy import CauchyConfig, run_cauchy
 from .config import build_cauchy_config, build_fb_config, load_scenario, scenario_dir
-from .freeboundary import FBConfig, classify_outcome, run
+from .freeboundary import FBConfig, _wedges, classify_outcome, run
 from .kernels import KernelSpec, classify, make_kernel
 from .nonlocal_ops import convolve_values
 from .reactions import (NoPositiveRoot, cholera, positive_equilibrium,
@@ -301,9 +301,7 @@ def suite_dichotomy(seed: int = 0) -> list[CriterionResult]:
     kern = make_kernel(KernelSpec.laplace(1.0))
 
     def amp_run(scale):
-        star_amp = 0.5 * positive_equilibrium(model) * scale
-        profs = tuple((lambda a: lambda x: a * np.maximum(0, 1 - np.abs(x) / 5.0))(a)
-                      for a in star_amp)
+        profs = _wedges(0.5 * positive_equilibrium(model) * scale, 5.0)
         return run(FBConfig(model=model, kernels=kern, mu=1.0, h0=5.0,
                             dx=0.25, t_end=8.0, initial_profiles=profs,
                             snapshot_times=(4.0, 8.0)))

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlspread import cli
 from nlspread.cli import main
 from nlspread.config import scenario_dir
+from nlspread.semiwave import MinimalSpeedResult
 
 WNV_MODEL = {"model": "wnv",
              "params": {"a1": 1.0, "a2": 1.0, "b1": 0.5, "b2": 0.5,
@@ -150,6 +152,24 @@ class TestSpeeds:
         assert lines[1] == "x,phi_1,phi_2"
         first = lines[2].split(",")
         assert float(first[1]) == pytest.approx(0.5, abs=1e-6)
+
+    def test_cstar_uses_the_scenario_mesh(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_cstar(model, kernels, **kw):
+            seen.append(kw)
+            return MinimalSpeedResult(value=1.7, linearized=1.665,
+                                      bracket=(1.69, 1.71), trace=(),
+                                      lengths=(50.0,), note="")
+
+        monkeypatch.setattr(cli, "estimate_cstar", fake_cstar)
+        cfgp = write_scenario(tmp_path, "mesh", {
+            "mu": 1.0, "numerics": {"dx": 0.25, "t_end": 0.0},
+            "speeds": {"dx": 0.25, "cstar": True, "length": 40.0,
+                       "tol_c": 0.002}})
+        assert main(["speeds", "--config", str(cfgp),
+                     "--out", str(tmp_path / "sp")]) == 0
+        assert len(seen) == 1 and seen[0]["dx"] == 0.25
 
     def test_heavy_tail_reports_infinite_with_reason(self, tmp_path):
         cfgp = write_scenario(tmp_path, "heavy", {

@@ -6,9 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlspread.cauchy import CauchyConfig
 from nlspread.config import (SCENARIO_SCHEMA, ConfigError, build_cauchy_config,
-                             build_fb_config, load_scenario, scenario_dir,
-                             validate_scenario)
+                             build_fb_config, build_kernels, load_scenario,
+                             scenario_dir, validate_scenario)
+from nlspread.freeboundary import FBConfig
+from nlspread.kernels import KernelSpec, make_kernel
+from nlspread.reactions import custom, wnv
+from nlspread.semiwave import find_c0
 
 
 def minimal_fb():
@@ -28,9 +33,17 @@ class TestValidation:
     def test_minimal_scenario_accepted(self):
         validate_scenario(minimal_fb())
 
-    def test_published_schema_file_matches_module(self):
-        published = json.loads((scenario_dir() / "schema.json").read_text())
-        assert published == SCENARIO_SCHEMA
+    def test_schema_is_the_shipped_file_and_enforced(self):
+        shipped = json.loads((scenario_dir() / "schema.json").read_text())
+        assert SCENARIO_SCHEMA == shipped
+        numerics = shipped["properties"]["numerics"]
+        assert numerics["additionalProperties"] is False
+        assert "substeps" not in numerics["properties"]
+        obj = minimal_fb()
+        obj["numerics"]["substeps"] = 4
+        with pytest.raises(ConfigError) as e:
+            validate_scenario(obj)
+        assert e.value.pointer == "/numerics/substeps"
 
     def test_unknown_top_level_key_rejected_with_pointer(self):
         obj = minimal_fb()
@@ -157,3 +170,53 @@ class TestBuilders:
         with pytest.raises(ConfigError) as e:
             build_fb_config(obj)
         assert e.value.pointer == "/numerics/t_end"
+
+    def test_stray_kernel_parameter_rejected(self):
+        obj = minimal_fb()
+        obj["kernels"] = {"family": "laplace", "scale": 1.0, "radius": 7.0, "gamma": 9}
+        validate_scenario(obj)          # the schema lists every family's parameters
+        with pytest.raises(ConfigError) as e:
+            build_kernels(obj, 2)
+        assert e.value.pointer == "/kernels"
+        assert "radius" in str(e.value)
+        obj["kernels"] = [{"family": "laplace", "scale": 1.0},
+                          {"family": "gaussian", "sigma": 1.0, "scale": 2.0}]
+        with pytest.raises(ConfigError) as e:
+            build_kernels(obj, 2)
+        assert e.value.pointer == "/kernels/1"
+
+
+LAPLACE = make_kernel(KernelSpec.laplace(1.0))
+WNV = wnv(1.0, 1.0, 0.5, 0.5, 1.0, 1.0)
+ONE_DISPERSER = custom(["u2 - u1", "u1 - u2"], {}, m0=1)
+
+
+class TestSharedRules:
+    """Both simulator configs and the semi-wave solver read (F, J_i, mu_i) alike."""
+
+    @pytest.mark.parametrize("model,kernels,mu,message", [
+        (WNV, (LAPLACE,) * 3, 1.0, "one kernel per dispersing component: 2, got 3"),
+        (WNV, LAPLACE, [1.0, 1.0, 1.0], "mu must have 2 entries, got 3"),
+        (WNV, LAPLACE, [0.0, 0.0], "nonnegative with positive sum"),
+        (ONE_DISPERSER, LAPLACE, [1.0, 1.0], "dispersing components only"),
+    ], ids=["kernel_count", "mu_length", "mu_all_zero", "mu_non_dispersing"])
+    def test_same_input_same_error(self, model, kernels, mu, message):
+        shared = dict(model=model, kernels=kernels, h0=5.0, dx=0.25, t_end=1.0)
+        calls = [lambda: FBConfig(mu=mu, **shared),
+                 lambda: find_c0(model, kernels, mu)]
+        if message.startswith("one kernel"):    # CauchyConfig has no mu
+            calls.append(lambda: CauchyConfig(**shared))
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError, match=message) as e:
+                call()
+            messages.add(str(e.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("dt", [None, 0.05])
+    def test_simulators_share_time_step(self, dt):
+        shared = dict(model=WNV, kernels=LAPLACE, h0=5.0, dx=0.25, t_end=1.0, dt=dt)
+        fb, cauchy = FBConfig(mu=1.0, **shared), CauchyConfig(**shared)
+        assert fb.stability_limit() == cauchy.stability_limit()
+        assert fb.timestep() == cauchy.timestep()
+        assert fb.timestep() == (0.05 if dt else 0.9 * fb.stability_limit())

@@ -246,6 +246,14 @@ class TestAssumptionChecks:
         report = rx.verify_assumptions(model, n_samples=128, seed=2)
         assert "cooperative_offdiagonal" in report.failures
 
+    def test_principal_eigenvalue_of_rotating_jacobian(self):
+        # J0 = [[1, -4], [1, 1]] has eigenvalues 1 +- 2i: the origin is
+        # unstable with largest real part 1
+        report = rx.verify_assumptions(rx.custom(["u1 - 4*u2", "u1 + u2"], {}))
+        check = report.results["irreducible_unstable_origin"]
+        assert check.status == "pass"
+        assert "principal eigenvalue at origin 1 > 0" in check.detail
+
     def test_superhomogeneous_detected(self):
         model = rx.custom(["u1*u1*(1 - u1)"], {})
         report = rx.verify_assumptions(model, n_samples=128, seed=3)
