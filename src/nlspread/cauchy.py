@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import INFINITE, exp_moment, tail_mass
-from .nonlocal_ops import GridFunction
+from .nonlocal_ops import DispersalOperator, GridFunction
 from .freeboundary import Instability, _check_box, _interior_rate, _Problem
 from .reactions import ReactionModel, positive_equilibrium
 
@@ -25,6 +25,10 @@ EDGE_BAND = 0.05       # fraction of nodes inspected at each edge
 
 class InvalidLevel(ValueError):
     """Level must lie strictly between 0 and the component's equilibrium."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index        # position in CauchyConfig.levels, when known
 
 
 @dataclass
@@ -43,6 +47,7 @@ class CauchyConfig(_Problem):
     eps_edge: float | None = None
     _dt: float | None = field(default=None, repr=False)
     _lips: float | None = field(default=None, repr=False)
+    _op: DispersalOperator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_shared()
@@ -50,12 +55,13 @@ class CauchyConfig(_Problem):
         if self.eps_edge is None:
             self.eps_edge = 1e-8 * float(np.min(u_star))
         self.levels = tuple((int(i), float(lam)) for i, lam in self.levels)
-        for i, lam in self.levels:
+        # components are 0-based here and 1-based in scenarios and messages
+        for j, (i, lam) in enumerate(self.levels):
             if not 0 <= i < self.model.m:
-                raise ValueError(f"level component {i} out of range")
+                raise ValueError(f"level component {i + 1} out of range")
             if not 0.0 < lam < u_star[i]:
                 raise InvalidLevel(
-                    f"level {lam} for component {i} must lie in (0, {u_star[i]})")
+                    f"level {lam} for component {i + 1} must lie in (0, {u_star[i]})", j)
         if self.x_max is not None and self.x_max < self.h0:
             raise ValueError("window cap must cover the initial data")
 
@@ -177,7 +183,7 @@ def level_set(state: CauchyState, component: int, level: float,
     """
     if u_star is not None and not 0.0 < level < u_star[component]:
         raise InvalidLevel(
-            f"level {level} for component {component} must lie in "
+            f"level {level} for component {component + 1} must lie in "
             f"(0, {u_star[component]})")
     v = state.u.values[component]
     xs = state.u.x

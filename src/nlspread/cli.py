@@ -38,10 +38,11 @@ def _f(x) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row tuple; "%.17g" % x is format(x, ".17g") for every double."""
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_f(v) for v in row) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -51,10 +52,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _snapshot_rows(snapshots):
+    """(t, x, u_1..u_m) per node, converted to Python floats 4096 nodes at a time."""
     for t, gf in snapshots:
         xs = (gf.k_lo + np.arange(gf.values.shape[1])) * gf.dx
-        for j, x in enumerate(xs):
-            yield (t, x, *gf.values[:, j])
+        for a in range(0, xs.size, 4096):
+            for x, u in zip(xs[a:a + 4096].tolist(), gf.values[:, a:a + 4096].T.tolist()):
+                yield (t, x, *u)
 
 
 def _numerics_echo(cfg) -> dict:

@@ -15,12 +15,13 @@ actionable diagnostics.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from .cauchy import CauchyConfig
+from .cauchy import CauchyConfig, InvalidLevel
 from .freeboundary import FBConfig, Thresholds, _wedges
 from .kernels import kernel_from_json
 from .reactions import ReactionError, model_from_json, positive_equilibrium
@@ -143,19 +144,25 @@ def _initial_profiles(scenario: dict, model, h0: float):
     return _wedges(amps, h0)
 
 
+# constructor complaints -> scenario fields, matched on whole words in order
+_POINTERS = (
+    (re.compile(r"\bwindow cap\b"), "/numerics/x_max"),
+    (re.compile(r"\b(mu|expansion)\b"), "/mu"),
+    (re.compile(r"\b(mesh|dx)\b"), "/numerics/dx"),
+    (re.compile(r"\bkernels?\b"), "/kernels"),
+    (re.compile(r"\blevel\b"), "/levels"),
+    (re.compile(r"\binitial\b"), "/initial"),
+)
+
+
 def _builder_pointer(e: ValueError) -> str:
     """Map a constructor complaint back onto the scenario field it came from."""
+    if isinstance(e, InvalidLevel) and e.index is not None:
+        return f"/levels/{e.index}/level"
     msg = str(e).lower()
-    if "mu" in msg or "expansion" in msg:
-        return "/mu"
-    if "mesh" in msg or "dx" in msg:
-        return "/numerics/dx"
-    if "kernel" in msg:
-        return "/kernels"
-    if "level" in msg:
-        return "/levels"
-    if "initial" in msg:
-        return "/initial"
+    for pattern, pointer in _POINTERS:
+        if pattern.search(msg):
+            return pointer
     return "/numerics"
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import Kernel
-from .nonlocal_ops import GridFunction, boundary_flux, check_mesh, convolve_values
+from .nonlocal_ops import DispersalOperator, GridFunction, boundary_flux, check_mesh
+from .nonlocal_ops import convolve_values  # noqa: F401 -- perfbench --trace 1 wraps it here
 from .reactions import ReactionModel, eval_F, lipschitz_bound, positive_equilibrium
 
 
@@ -86,8 +87,8 @@ class _Problem:
     """Rules both simulator configs share: the reaction, the kernels, the mesh.
 
     Subclasses are dataclasses with the fields model, kernels, h0, dx,
-    t_end, dt, initial_profiles, snapshot_times, _dt and _lips; they call
-    ``_check_shared`` first thing in ``__post_init__``.
+    t_end, dt, initial_profiles, snapshot_times, _dt, _lips and _op; they
+    call ``_check_shared`` first thing in ``__post_init__``.
     """
 
     def _check_shared(self):
@@ -121,6 +122,12 @@ class _Problem:
             self._dt = self.dt if self.dt is not None else 0.9 * self.stability_limit()
         return self._dt
 
+    def operator(self) -> DispersalOperator:
+        """The dispersal operator of the m0 kernels on this mesh, built once."""
+        if self._op is None:
+            self._op = DispersalOperator(self.kernels, self.dx)
+        return self._op
+
 
 @dataclass
 class FBConfig(_Problem):
@@ -138,6 +145,7 @@ class FBConfig(_Problem):
     thresholds: Thresholds = field(default_factory=Thresholds)
     _dt: float | None = field(default=None, repr=False)
     _lips: float | None = field(default=None, repr=False)
+    _op: DispersalOperator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_shared()
@@ -218,29 +226,30 @@ def make_initial_state(cfg: FBConfig) -> FBState:
 
 def _edge_fluxes(state: FBState, cfg: FBConfig) -> tuple[float, float]:
     """Outward dispersal rates (left, right); equal bitwise for mirror states."""
+    left = np.empty(cfg.model.m0)
+    right = np.empty(cfg.model.m0)
+    for kern, rows in cfg.operator().groups:
+        left[rows] = boundary_flux(kern, state.u, rows, "left", state.g, state.h)
+        right[rows] = boundary_flux(kern, state.u, rows, "right", state.g, state.h)
     gp = 0.0
     hp = 0.0
     for i in range(cfg.model.m0):
         if cfg.mu[i] == 0.0:
             continue
-        gp += cfg.mu[i] * boundary_flux(cfg.kernels[i], state.u, i, "left",
-                                        state.g, state.h)
-        hp += cfg.mu[i] * boundary_flux(cfg.kernels[i], state.u, i, "right",
-                                        state.g, state.h)
+        gp += cfg.mu[i] * left[i]
+        hp += cfg.mu[i] * right[i]
     return gp, hp
 
 
 def _interior_rate(vals: np.ndarray, cfg: FBConfig) -> np.ndarray:
     """du/dt on a value array (zero-extended exterior implied)."""
     model = cfg.model
+    m0 = model.m0
     f_vals = eval_F(model, vals, validate=False)
     rate = np.empty_like(vals)
-    for i in range(model.m):
-        if i < model.m0:
-            conv = convolve_values(cfg.kernels[i], vals[i], cfg.dx)
-            rate[i] = model.d[i] * (conv - vals[i]) + f_vals[i]
-        else:
-            rate[i] = f_vals[i]
+    conv = cfg.operator().convolve(vals)
+    rate[:m0] = model.d[:m0, None] * (conv - vals[:m0]) + f_vals[:m0]
+    rate[m0:] = f_vals[m0:]
     return rate
 
 

@@ -1,16 +1,31 @@
-"""Grid containers and quadrature for nonlocal dispersal operators.
+"""Grid containers, quadrature and the dispersal operator for nonlocal dispersal.
 
 Values live on a fixed global lattice x_k = k*dx.  A GridFunction stores
 the active index range and per-component values; everything outside the
 active range is treated as zero.  The two workhorse operations are the
 kernel convolution (trapezoid weights, direct or FFT path) and the
-dispersal flux across a range edge (tail-function quadrature).
+dispersal flux across a range edge (tail-function quadrature).  Both take
+a row block, an (m, n) array of the components that share one kernel, and
+treat every row alike.
+
+DispersalOperator is what the simulators hold, one per problem.  It groups
+the dispersing rows whose kernels are equal (same spec and eps_tail), so
+each group is convolved in one call, and it keeps one stencil and one
+weight spectrum per group.  Either is rebuilt only when the half-width or
+the FFT length changes, i.e. when the window grows, not on every step.
+
+FFT length: the circular transform has length L >= n + W (and >= 2W + 1),
+which is enough for the n kept outputs.  Output i < n reads v[i - j] for
+|j| <= W; negative indices wrap to L - W or above, at least n, where the
+zero-padded input is zero, and indices up to n - 1 + W never wrap.
 
 Symmetry note: simulations must preserve mirror symmetry of symmetric
 data to roundoff over thousands of steps.  The direct convolution path
-accumulates the j and -j contributions as a single elementwise sum, and
-edge fluxes reduce arrays with a center-pairing sum, so both produce
-bitwise-mirrored results for bitwise-mirrored inputs.
+accumulates in a fixed order, the center term first and then the j and -j
+contributions for j = 1..W, each pair formed by a single elementwise sum,
+so it produces bitwise-mirrored results for bitwise-mirrored inputs, and
+a row block gives bitwise the per-row results.  Edge fluxes reduce arrays
+with a center-pairing sum for the same reason.
 """
 
 from __future__ import annotations
@@ -18,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import as_strided
+from scipy import fft
 
 from .kernels import Kernel
 
 FFT_WINDOW_THRESHOLD = 512      # direct summation up to this half-width
+_STACK_BYTES = 1 << 22          # cap on the direct path's stack of pair terms
 
 
 class MeshTooCoarse(ValueError):
@@ -74,6 +91,13 @@ def check_mesh(kernel: Kernel, dx: float) -> None:
             f"dx={dx} exceeds a quarter of the kernel core scale {kernel.core_scale}")
 
 
+def _half_width(kernel: Kernel, dx: float, max_half_width: int | None) -> tuple[int, int]:
+    """(W, full W): the stencil half-width and the one covering the cutoff radius."""
+    full_w = int(np.ceil(kernel.cutoff_radius / dx - 1e-12))
+    W = full_w if max_half_width is None else min(full_w, int(max_half_width))
+    return max(W, 1), full_w
+
+
 def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None) -> np.ndarray:
     """Trapezoid weights w_j = J(j*dx)*dx on |j| <= W, normalized mass.
 
@@ -85,9 +109,7 @@ def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None)
     convolution would exceed max(f) for constant data.
     """
     check_mesh(kernel, dx)
-    full_w = int(np.ceil(kernel.cutoff_radius / dx - 1e-12))
-    W = full_w if max_half_width is None else min(full_w, int(max_half_width))
-    W = max(W, 1)
+    W, full_w = _half_width(kernel, dx, max_half_width)
     j = np.arange(0, W + 1, dtype=float)
     w_half = np.asarray(kernel.density(j * dx), dtype=float) * dx
     support = kernel.compact_support
@@ -108,31 +130,79 @@ def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None)
 
 
 def _convolve_direct(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Windowed summation, accumulating the +-j pair in one elementwise add."""
+    """Windowed summation of a row block, in the fixed order of the module note.
+
+    The terms w_j * (v[k-j] + v[k+j]) of a block of offsets are stacked
+    behind the running sum and reduced along the stack axis.  numpy reduces
+    a non-innermost axis one slice at a time, so this is the plain loop
+    ``out += w_j * (...)`` for j = 1..W with fewer interpreter round trips.
+    Zero weights are dropped, as the loop would skip them, and the sum
+    starts from -0.0, the exact identity (numpy's default +0.0 would turn
+    a sum of -0.0 terms into +0.0).
+    """
+    values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     W = (len(weights) - 1) // 2
-    center = weights[W]
-    padded = np.zeros(n + 2 * W)
-    padded[W:W + n] = values
-    out = center * values
-    for j in range(1, W + 1):
-        wj = weights[W + j]
-        if wj == 0.0:
-            continue
-        out += wj * (padded[W - j:W - j + n] + padded[W + j:W + j + n])
-    return out
+    rows = values.reshape(-1, n)
+    m = rows.shape[0]
+    padded = np.zeros((m, n + 2 * W))
+    padded[:, W:W + n] = rows
+    step = padded.strides[1]
+    shifted = as_strided(padded, (m, 2 * W + 1, n), (padded.strides[0], step, step),
+                         writeable=False)               # [:, s] = padded[:, s:s+n]
+    block = max(1, _STACK_BYTES // (8 * m * n))
+    out = weights[W] * rows
+    for j0 in range(1, W + 1, block):
+        j1 = min(W + 1, j0 + block)                      # offsets j0..j1-1
+        wj = weights[W + j0:W + j1, None]
+        stack = np.empty((m, j1 - j0 + 1, n))
+        stack[:, 0] = out
+        np.add(shifted[:, W - j1 + 1:W - j0 + 1][:, ::-1], shifted[:, W + j0:W + j1],
+               out=stack[:, 1:])
+        stack[:, 1:] *= wj
+        if not wj.all():
+            stack = stack[:, np.concatenate(([True], wj[:, 0] != 0.0))]
+        out = np.add.reduce(stack, axis=1, initial=-0.0)
+    return out.reshape(values.shape)
 
 
-def _convolve_fft(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return signal.fftconvolve(values, weights, mode="same")
+def _fft_length(n: int, W: int) -> int:
+    return fft.next_fast_len(max(n + W, 2 * W + 1), real=True)
+
+
+def _weight_spectrum(weights: np.ndarray, L: int) -> np.ndarray:
+    """Real FFT of the stencil laid out circularly, w_j at index j mod L."""
+    W = (len(weights) - 1) // 2
+    circular = np.zeros(L)
+    circular[:W + 1] = weights[W:]
+    circular[L - W:] = weights[:W]
+    return fft.rfft(circular)
+
+
+def _convolve_fft(values: np.ndarray, weights: np.ndarray,
+                  spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Circular convolution of a row block at length L >= n + W (module note).
+
+    ``spectrum`` is ``_weight_spectrum(weights, _fft_length(n, W))`` when
+    the caller keeps it; otherwise it is computed here.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    L = _fft_length(n, (len(weights) - 1) // 2)
+    if spectrum is None:
+        spectrum = _weight_spectrum(weights, L)
+    product = fft.rfft(values, L)
+    product *= spectrum
+    return fft.irfft(product, L)[..., :n]
 
 
 def convolve_values(kernel: Kernel, values: np.ndarray, dx: float,
                     path: str = "auto", weights: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid approximation of the kernel convolution of one component.
+    """Trapezoid approximation of the kernel convolution of a row block.
 
-    Values are zero-extended outside the array.  path: "auto" picks the
-    direct windowed sum up to a 512-node half-width and FFT beyond.
+    ``values`` is one row or an (m, n) block; values are zero-extended
+    outside the array.  path: "auto" picks the direct windowed sum up to a
+    512-node half-width and FFT beyond.
     """
     values = np.asarray(values, dtype=float)
     if weights is None:
@@ -155,43 +225,99 @@ def convolve(kernel: Kernel, f: GridFunction, component: int = 0,
     return convolve_values(kernel, f.values[component], f.dx, path=path)
 
 
-def mirror_stable_sum(a: np.ndarray) -> float:
-    """Sum whose value is invariant under reversing the array.
+class DispersalOperator:
+    """The convolutions J_i * u_i of one problem's dispersing rows.
+
+    Build it once per problem from the m0 kernels and the mesh; see the
+    module note for the groups and the cached stencils and spectra.
+    ``groups`` holds (kernel, row indices) pairs in first-row order.
+    """
+
+    def __init__(self, kernels, dx: float):
+        self.dx = float(dx)
+        self.m0 = len(kernels)
+        rows: dict = {}
+        for i, kern in enumerate(kernels):
+            rows.setdefault((kern.spec, kern.eps_tail), []).append(i)
+        self.groups = tuple((kernels[r[0]], np.array(r)) for r in rows.values())
+        self._stencils = [None] * len(self.groups)      # (W, weights)
+        self._spectra = [None] * len(self.groups)       # (L, W, spectrum)
+
+    def _stencil(self, group: int, n: int) -> np.ndarray:
+        """The group's stencil for an n-node window, rebuilt when W changes."""
+        kern = self.groups[group][0]
+        W, _ = _half_width(kern, self.dx, n - 1)
+        cached = self._stencils[group]
+        if cached is None or cached[0] != W:
+            cached = (W, kernel_weights(kern, self.dx, max_half_width=n - 1))
+            self._stencils[group] = cached
+        return cached[1]
+
+    def _spectrum(self, group: int, weights: np.ndarray, n: int) -> np.ndarray:
+        W = (len(weights) - 1) // 2
+        L = _fft_length(n, W)
+        cached = self._spectra[group]
+        if cached is None or cached[:2] != (L, W):
+            cached = (L, W, _weight_spectrum(weights, L))
+            self._spectra[group] = cached
+        return cached[2]
+
+    def convolve(self, vals: np.ndarray) -> np.ndarray:
+        """(m0, n) array of J_i * u_i for the first m0 rows of vals."""
+        n = vals.shape[-1]
+        out = np.empty((self.m0, n))
+        for group, (_, rows) in enumerate(self.groups):
+            weights = self._stencil(group, n)
+            if (len(weights) - 1) // 2 <= FFT_WINDOW_THRESHOLD:
+                out[rows] = _convolve_direct(vals[rows], weights)
+            else:
+                out[rows] = _convolve_fft(vals[rows], weights,
+                                          self._spectrum(group, weights, n))
+        return out
+
+
+def mirror_stable_sum(a: np.ndarray) -> float | np.ndarray:
+    """Sum over the last axis whose value is invariant under reversing it.
 
     Pairs entries symmetric about the center first (addition of two floats
     is commutative), then reduces the pair array; reversing the input
     produces the identical pair array, hence the identical rounded sum.
+    One row gives a float, a row block one sum per row.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     half = n // 2
-    pairs = a[:half] + a[:n - half - 1:-1]
-    s = float(np.sum(pairs))
+    pairs = a[..., :half] + a[..., :n - half - 1:-1]
+    s = np.sum(pairs, axis=-1)
     if n % 2:
-        s += float(a[half])
-    return s
+        s = s + a[..., half]
+    return float(s) if a.ndim == 1 else s
 
 
-def boundary_flux(kernel: Kernel, f: GridFunction, component: int,
-                  side: str, g: float, h: float) -> float:
+def boundary_flux(kernel: Kernel, f: GridFunction, component,
+                  side: str, g: float, h: float) -> float | np.ndarray:
     """Dispersal mass crossing a range edge, per unit time.
 
     Right side: integral over (g, h) of tail(h - x) * f(x) dx, the mass the
     kernel carries from the occupied range past the right edge.  Left side
     mirrors the formula.  Trapezoid rule on the active nodes; in the partial
     cells next to the exact edges f is linearly interpolated to 0.
+
+    ``component`` is one row index, giving a float, or a sequence of rows
+    that share the kernel, giving one flux per row.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if not (g < h):
         raise ValueError("need g < h")
-    if not (0 <= component < f.m):
+    rows = np.atleast_1d(component)
+    if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= f.m:
         raise IndexError(f"component {component} out of range for m={f.m}")
-    v = f.values[component]
+    v = f.values[rows]
     xs = f.x
     if side == "left":
         # mirror: reverse values, negate coordinates, swap edges
-        v = v[::-1]
+        v = v[:, ::-1]
         xs = -xs[::-1]
         g, h = -h, -g
     if xs[0] < g - 1e-9 * f.dx or xs[-1] > h + 1e-9 * f.dx:
@@ -200,8 +326,8 @@ def boundary_flux(kernel: Kernel, f: GridFunction, component: int,
         raise ValueError("edges must align with the active range within one cell")
     integrand = np.asarray(kernel.tail(np.maximum(h - xs, 0.0)), dtype=float) * v
     dx = f.dx
-    core = mirror_stable_sum(integrand) - 0.5 * (integrand[0] + integrand[-1])
+    core = mirror_stable_sum(integrand) - 0.5 * (integrand[:, 0] + integrand[:, -1])
     flux = dx * core
-    flux += 0.5 * integrand[0] * (xs[0] - g)      # partial cell at the far edge
-    flux += 0.5 * integrand[-1] * (h - xs[-1])    # partial cell at the near edge
-    return float(flux)
+    flux += 0.5 * integrand[:, 0] * (xs[0] - g)      # partial cell at the far edge
+    flux += 0.5 * integrand[:, -1] * (h - xs[-1])    # partial cell at the near edge
+    return float(flux[0]) if np.ndim(component) == 0 else flux

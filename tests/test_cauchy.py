@@ -36,6 +36,17 @@ class TestConfig:
         cfg = base_cfg(levels=((0, 0.25), (1, 0.25)))
         assert cfg.levels == ((0, 0.25), (1, 0.25))
 
+    def test_level_messages_count_components_from_one(self):
+        # scenarios and levels.csv number components 1..m; so do the messages
+        with pytest.raises(cy.InvalidLevel, match="component 2 ") as e:
+            base_cfg(levels=((0, 0.25), (1, 0.7)))
+        assert e.value.index == 1
+        with pytest.raises(ValueError, match="level component 6 out of range"):
+            base_cfg(levels=((5, 0.2),))
+        state = cy.CauchyState(0.0, GridFunction(0.25, -2, np.zeros((2, 5))))
+        with pytest.raises(cy.InvalidLevel, match="component 2 "):
+            cy.level_set(state, 1, 0.7, u_star=np.array([0.5, 0.5]))
+
     def test_eps_edge_default(self):
         assert base_cfg().eps_edge == pytest.approx(1e-8 * 0.5)
 

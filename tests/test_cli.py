@@ -54,6 +54,20 @@ class TestSimulateFB:
             for tok in line.split(","):
                 assert format(float(tok), ".17g") == tok
 
+    def test_csv_rows_are_the_per_float_format(self, tmp_path):
+        # the row format string must print every double as format(x, ".17g")
+        rng = np.random.default_rng(41)
+        specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                    np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, 2.0, 123456789012345678.0]
+        bits = rng.integers(0, 2 ** 63, size=3000, dtype=np.int64).view(np.float64)
+        values = np.concatenate([specials, bits, rng.normal(size=3000)])
+        rows = [(float(t), 7, *v) for t, v in zip(values[::3], values.reshape(-1, 3))]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, "a,b,c,d,e", rows)
+        expected = "a,b,c,d,e\n" + "".join(
+            ",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+        assert path.read_text() == expected
+
     def test_m0_violation_exits_2_with_field_path(self, tmp_path, capsys):
         cfgp = scenario_dir() / "invalid" / "bad_m0_exceeds_m.json"
         code = main(["simulate-fb", "--config", str(cfgp),

@@ -157,6 +157,24 @@ class TestBuilders:
             build_cauchy_config(obj)
         assert e.value.pointer == "/levels/0/component"
 
+    def test_level_outside_equilibrium_points_at_its_entry(self):
+        # "must" contains "mu": the pointer rules match whole words
+        obj = minimal_fb()
+        obj["levels"] = [{"component": 1, "level": 0.25},
+                         {"component": 2, "level": 0.7}]     # u* = (0.5, 0.5)
+        with pytest.raises(ConfigError) as e:
+            build_cauchy_config(obj)
+        assert e.value.pointer == "/levels/1/level"
+        assert "component 2 must lie in (0, 0.5)" in str(e.value)
+
+    def test_window_cap_below_initial_data_points_at_x_max(self):
+        obj = minimal_fb()
+        obj["numerics"]["x_max"] = 1.5       # h0 = 2
+        with pytest.raises(ConfigError) as e:
+            build_cauchy_config(obj)
+        assert e.value.pointer == "/numerics/x_max"
+        assert "window cap must cover" in str(e.value)
+
     def test_mesh_too_coarse_surfaces_as_config_error(self):
         obj = minimal_fb()
         obj["numerics"]["dx"] = 5.0

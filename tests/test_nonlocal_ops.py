@@ -1,13 +1,21 @@
 """Convolution and edge-flux quadrature against brute-force and closed-form oracles."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from nlspread import nonlocal_ops
+from nlspread.config import build_kernels
 from nlspread.kernels import KernelSpec, make_kernel
 from nlspread.nonlocal_ops import (
+    DispersalOperator,
     GridFunction,
     MeshTooCoarse,
+    _convolve_direct,
     boundary_flux,
     convolve,
     convolve_values,
@@ -287,3 +295,140 @@ class TestProfileLowerBounds:
         kern = make_kernel(KernelSpec.laplace(1.0))
         _, phi, conv = _hat_and_conv(kern, lambda x: 15.0 - np.abs(x), 15.0, self.DX)
         assert not np.all(conv >= (1.0 - self.EPS) * phi - 1e-12)
+
+
+# ----------------------------------------------------------------------
+# row blocks and the dispersal operator, as properties over random meshes
+
+def loop_convolve(values, weights):
+    """The per-row direct loop the row-block path must reproduce bit for bit."""
+    n = values.shape[-1]
+    W = (len(weights) - 1) // 2
+    padded = np.zeros(n + 2 * W)
+    padded[W:W + n] = values
+    out = weights[W] * values
+    for j in range(1, W + 1):
+        wj = weights[W + j]
+        if wj == 0.0:
+            continue
+        out += wj * (padded[W - j:W - j + n] + padded[W + j:W + j + n])
+    return out
+
+
+SPECS = {"laplace": KernelSpec.laplace(1.0), "gaussian": KernelSpec.gaussian(1.0),
+         "uniform": KernelSpec.uniform(1.1),      # radius off the lattice: zero end weights
+         "powerlaw": KernelSpec.powerlaw(1.5, 1.0)}
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def blocks(draw, min_n=2, max_n=60):
+    """(kernel, dx, values) with 1-3 rows; dx resolves every kernel core."""
+    kern = make_kernel(SPECS[draw(st.sampled_from(sorted(SPECS)))])
+    dx = draw(st.floats(0.05, 0.25))
+    n = draw(st.integers(min_n, max_n))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return kern, dx, np.random.default_rng(seed).uniform(0.0, 2.0, size=(m, n))
+
+
+class TestRowBlocks:
+    @PROPERTY
+    @given(blocks(), st.integers(1, 80))
+    def test_direct_block_is_the_per_row_loop_bitwise(self, block, half_width):
+        kern, dx, vals = block
+        w = kernel_weights(kern, dx, max_half_width=half_width)
+        got = _convolve_direct(vals, w)
+        assert np.array_equal(got, np.stack([loop_convolve(v, w) for v in vals]))
+        assert np.array_equal(_convolve_direct(vals[0], w), got[0])
+
+    @PROPERTY
+    @given(blocks(), st.integers(1, 80))
+    def test_direct_block_mirrors_bitwise(self, block, half_width):
+        kern, dx, vals = block
+        w = kernel_weights(kern, dx, max_half_width=half_width)
+        assert np.array_equal(_convolve_direct(vals[:, ::-1], w),
+                              _convolve_direct(vals, w)[:, ::-1])
+
+    def test_zero_weights_are_skipped_to_the_bit(self):
+        # uniform(1.1) at dx = 0.25: w_5 = 0.  A node whose window holds
+        # only -0.0 keeps the sign of zero, as the loop leaves it
+        w = kernel_weights(make_kernel(SPECS["uniform"]), 0.25)
+        assert len(w) == 11 and w[0] == w[-1] == 0.0
+        vals = np.full((2, 21), -0.0)
+        vals[:, [5, 15]] = 1.0
+        got = _convolve_direct(vals, w)
+        ref = np.stack([loop_convolve(v, w) for v in vals])
+        assert np.signbit(ref[:, 10]).all()
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @PROPERTY
+    @given(blocks(min_n=1))
+    def test_mirror_stable_sum_of_a_block(self, block):
+        _, _, vals = block
+        sums = mirror_stable_sum(vals)
+        assert np.array_equal(sums, [mirror_stable_sum(v) for v in vals])
+        assert np.array_equal(sums, mirror_stable_sum(vals[:, ::-1]))
+
+    @PROPERTY
+    @given(blocks(min_n=3), st.floats(0.01, 1.0))
+    def test_block_flux_is_per_row_and_mirror_exact(self, block, gap):
+        kern, dx, vals = block
+        K = (vals.shape[1] - 1) // 2
+        vals = vals[:, :2 * K + 1]                  # nodes -K..K: a symmetric lattice
+        h = (K + gap) * dx
+        gf = GridFunction(dx=dx, k_lo=-K, values=vals)
+        mirror = GridFunction(dx=dx, k_lo=-K, values=vals[:, ::-1])
+        rows = np.arange(vals.shape[0])
+        for side in ("left", "right"):
+            got = boundary_flux(kern, gf, rows, side, -h, h)
+            per_row = [boundary_flux(kern, gf, i, side, -h, h) for i in rows]
+            assert np.array_equal(got, per_row)
+        assert np.array_equal(boundary_flux(kern, gf, rows, "left", -h, h),
+                              boundary_flux(kern, mirror, rows, "right", -h, h))
+
+    @PROPERTY
+    @given(blocks(min_n=5, max_n=40), st.lists(st.integers(5, 40), min_size=2, max_size=4))
+    def test_operator_fft_tracks_window_changes(self, block, widths):
+        # every step width ≠ the last one must rebuild the stencil and the
+        # spectrum; a stale one would miss brute_convolve by far more than 1e-12
+        kern, dx, vals = block
+        op = DispersalOperator((kern,) * vals.shape[0], dx)
+        rng = np.random.default_rng(widths[0])
+        with patch.object(nonlocal_ops, "FFT_WINDOW_THRESHOLD", 0):
+            for n in [vals.shape[1], *widths, widths[-1]]:
+                v = rng.uniform(0.0, 2.0, size=(vals.shape[0], n))
+                w = kernel_weights(kern, dx, max_half_width=n - 1)
+                got = op.convolve(v)
+                for row, out in zip(v, got):
+                    assert np.max(np.abs(out - brute_convolve(row, w))) < 1e-12
+
+
+class TestDispersalOperator:
+    def test_equal_kernels_from_separate_objects_share_one_group(self):
+        scenario = {"kernels": [{"family": "laplace", "scale": 1.0},
+                                {"family": "gaussian", "sigma": 1.0},
+                                {"family": "laplace", "scale": 1.0}]}
+        kernels = build_kernels(scenario, 3)
+        assert kernels[0] is not kernels[2]
+        op = DispersalOperator(kernels, 0.25)
+        assert [list(rows) for _, rows in op.groups] == [[0, 2], [1]]
+
+    def test_one_stencil_build_per_half_width(self):
+        kern = make_kernel(KernelSpec.laplace(1.0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("max_half_width"))
+            return kernel_weights(*args, **kwargs)
+
+        op = DispersalOperator((kern, kern), 0.25)
+        rng = np.random.default_rng(1)
+        with patch.object(nonlocal_ops, "kernel_weights", counted):
+            for n in (200, 200, 260, 300, 40, 40, 41):
+                v = rng.uniform(0, 1, size=(2, n))
+                got = op.convolve(v)
+                w = kernel_weights(kern, 0.25, max_half_width=n - 1)
+                assert np.array_equal(got, np.stack([loop_convolve(r, w) for r in v]))
+        # full half-width 72 for n = 200, 260, 300; truncated to 39, then 40
+        assert calls == [199, 39, 40]
