@@ -10,14 +10,14 @@ kernels can cap the window instead and get an auditable leak bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import INFINITE, exp_moment, tail_mass
-from .nonlocal_ops import DispersalOperator, GridFunction
-from .freeboundary import Instability, _check_box, _interior_rate, _Problem
-from .reactions import ReactionModel, positive_equilibrium
+from .nonlocal_ops import GridFunction
+from .freeboundary import _check_box, _integrate, _interior_rate, _Problem
+from .reactions import positive_equilibrium
 
 GROW_BLOCK = 64        # nodes added per widening, per side
 EDGE_BAND = 0.05       # fraction of nodes inspected at each edge
@@ -33,21 +33,9 @@ class InvalidLevel(ValueError):
 
 @dataclass
 class CauchyConfig(_Problem):
-    model: ReactionModel
-    kernels: tuple
-    h0: float
-    dx: float
-    t_end: float
-    dt: float | None = None
-    initial_profiles: tuple | None = None
     x_max: float | None = None            # hard window cap (heavy tails)
     levels: tuple = ()                    # (component, level) pairs to track
-    snapshot_times: tuple = ()
-    sample_stride: int | None = None
     eps_edge: float | None = None
-    _dt: float | None = field(default=None, repr=False)
-    _lips: float | None = field(default=None, repr=False)
-    _op: DispersalOperator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_shared()
@@ -128,7 +116,6 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
 
 def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
     """Default data: half-equilibrium wedges on [-h0, h0], zero outside."""
-    model = cfg.model
     profiles = cfg._profiles()
     half = int(math.ceil(cfg.h0 / cfg.dx)) + GROW_BLOCK
     k_min, k_max = _cap_indices(cfg)
@@ -145,10 +132,7 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
         half += GROW_BLOCK
         if k_max is not None:
             half = min(half, k_max)
-    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("initial profiles must be finite and nonnegative")
-    if model.u_ceiling is not None and np.any(vals > model.u_ceiling[:, None] * (1 + 1e-12)):
-        raise ValueError("initial profiles exceed the model ceiling")
+    cfg._check_initial(vals)
     return CauchyState(t=0.0, u=GridFunction(cfg.dx, -half, vals))
 
 
@@ -206,19 +190,12 @@ def _leak_reference(cfg: CauchyConfig, state: CauchyState, x_ref: float) -> floa
 
 def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
     """Integrate to t_end, tracking level sets and origin values."""
-    dt = cfg.timestep()
-    n_steps = int(math.ceil(cfg.t_end / dt - 1e-9)) if cfg.t_end > 0 else 0
-    stride = cfg.sample_stride
-    if stride is None:
-        stride = max(1, n_steps // 4000)
-    state = make_initial_cauchy_state(cfg)
     ts = []
     origin = []
     level_rows = {key: [] for key in cfg.levels}
-    snapshots = []
-    snap_idx = 0
     leak = 0.0
     capped = False
+    _, k_max = _cap_indices(cfg)
 
     def record(st: CauchyState):
         nonlocal leak
@@ -232,24 +209,19 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
                 x_ref = max(x_ref, abs(pair[0]), abs(pair[1]))
         leak = max(leak, _leak_reference(cfg, st, x_ref))
 
-    record(state)
-    while snap_idx < len(cfg.snapshot_times) and cfg.snapshot_times[snap_idx] <= 1e-12:
-        snapshots.append((state.t, state.u.copy()))
-        snap_idx += 1
-    k_min, k_max = _cap_indices(cfg)
-    if k_max is not None and state.u.k_hi >= k_max:
-        capped = any(_edges_hot(state.u.values, cfg.eps_edge))
-    for k in range(n_steps):
-        state = cstep(state, cfg)
-        if k_max is not None and state.u.k_hi >= k_max:
-            hot = _edges_hot(state.u.values, cfg.eps_edge)
-            capped = capped or hot[0] or hot[1]
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            record(state)
-        while (snap_idx < len(cfg.snapshot_times)
-               and state.t >= cfg.snapshot_times[snap_idx] - 0.5 * dt):
-            snapshots.append((state.t, state.u.copy()))
-            snap_idx += 1
+    def note_cap(st: CauchyState):
+        nonlocal capped
+        if k_max is not None and st.u.k_hi >= k_max:
+            capped = capped or any(_edges_hot(st.u.values, cfg.eps_edge))
+
+    def advance(st: CauchyState) -> CauchyState:
+        st = cstep(st, cfg)
+        note_cap(st)
+        return st
+
+    state = make_initial_cauchy_state(cfg)
+    note_cap(state)
+    state, snapshots = _integrate(cfg, state, advance, record)
     notes = []
     if capped:
         notes.append(f"window capped at |x| <= {cfg.x_max}; exterior leak bound {leak:.3e}")
@@ -262,6 +234,6 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
               for key, rows in level_rows.items()}
     return CauchySeries(t=np.asarray(ts), levels=levels,
                         origin=np.asarray(origin), snapshots=snapshots,
-                        final_state=state, dt=dt, leak_bound=leak,
+                        final_state=state, dt=cfg.timestep(), leak_bound=leak,
                         window_final=(state.x_left, state.x_right),
                         capped=capped, notes=tuple(notes))

@@ -29,8 +29,9 @@ from .cauchy import run_cauchy
 from .config import (ConfigError, build_cauchy_config, build_fb_config,
                      build_kernels, build_model, load_scenario)
 from .freeboundary import Instability, classify_outcome, run
-from .semiwave import (FirstMomentDiverges, SemiwaveError, estimate_cstar,
-                       find_c0, linearized_front_speed)
+from .nonlocal_ops import check_mesh
+from .semiwave import (FirstMomentDiverges, SemiwaveError, check_window,
+                       estimate_cstar, find_c0, linearized_front_speed)
 
 
 def _f(x) -> str:
@@ -128,17 +129,34 @@ def _json_speed(value: float):
     return "infinite" if math.isinf(value) else value
 
 
+def _check_speeds(sp: dict, kernels) -> None:
+    """Reject the mesh and the window lengths the profile solver would refuse."""
+
+    def reject(pointer, check, *args):
+        try:
+            check(*args)
+        except ValueError as e:
+            raise ConfigError(pointer, str(e)) from e
+
+    if "dx" in sp:
+        for kern in kernels:
+            reject("/speeds/dx", check_mesh, kern, sp["dx"])
+    if "length" in sp:
+        reject("/speeds/length", check_window, kernels, sp["length"])
+    if sp.get("cstar", False):
+        for L in sp.get("lengths", ()):
+            reject("/speeds/lengths", check_window, kernels, L)
+
+
 def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
     model = build_model(scenario)
     kernels = build_kernels(scenario, model.m0)
     sp = scenario.get("speeds", {})
+    _check_speeds(sp, kernels)
     mu = scenario.get("mu", 1.0)
     cache: dict = {}
-    kw = {"tol_c": sp.get("tol_c", 1e-3), "cache": cache}
-    if "length" in sp:
-        kw["L"] = sp["length"]
-    if "dx" in sp:
-        kw["dx"] = sp["dx"]
+    kw = {"tol_c": sp.get("tol_c", 1e-3), "cache": cache,
+          "L": sp.get("length"), "dx": sp.get("dx")}
     result: dict = {"name": scenario["name"], "seed": seed}
     brackets: dict = {}
 
@@ -302,6 +320,13 @@ def _cmd_sweep(scenario: dict, out: Path, seed: int, config_path: Path,
     return max(codes, default=0)
 
 
+def _worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
+    return jobs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlspread",
@@ -316,8 +341,8 @@ def main(argv=None) -> int:
                        help="output directory (default: scenario name)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed echoed into artifacts and used by sampling checks")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (sweep only)")
+        p.add_argument("--jobs", type=_worker_count, default=None,
+                       help="parallel workers, at least 1 (sweep only)")
 
     for name, hlp in (("simulate-fb", "integrate the moving-range problem"),
                       ("simulate-cauchy", "integrate on the whole line"),

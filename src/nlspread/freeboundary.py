@@ -1,16 +1,18 @@
 """Explicit time stepping for dispersal confined to a range with moving edges.
 
 State lives on the lattice nodes strictly inside (g, h) and is zero outside.
-Each step measures the dispersal mass that would land beyond each edge,
-moves the edges outward in proportion, activates newly covered nodes at
-zero, then advances the interior explicitly.  Mirror-symmetric data stays
-mirror-symmetric to the last bit: edge fluxes and convolutions are
-evaluated with reversal-invariant reductions.
+Each step measures the dispersal mass that would land beyond each edge
+(one two-sided flux call per kernel group), moves the edges outward in
+proportion, activates newly covered nodes at zero, then advances the
+interior explicitly.  Mirror-symmetric data stays mirror-symmetric to the
+last bit: edge fluxes and convolutions are evaluated with
+reversal-invariant reductions.
 
-The rules that read one problem description (F, J_i, mu_i) are defined here
-once: how kernels and mu map onto the dispersing components, the time step,
-the shared field and mesh checks, and the default wedge data.  The
-whole-line simulator and the semi-wave solvers use the same definitions.
+The moving range and the whole line differ only in the edge law, so the
+rules that read one problem description (F, J_i, mu_i) are defined here
+once: the ``_Problem`` fields, checks, time step and dispersal operator,
+and ``_integrate``, the time loop of both simulators.  The whole-line
+simulator and the semi-wave solvers use the same definitions.
 """
 
 from __future__ import annotations
@@ -83,13 +85,25 @@ def _wedges(amps, h0: float) -> tuple:
     return tuple(wedge(a) for a in amps)
 
 
+@dataclass
 class _Problem:
-    """Rules both simulator configs share: the reaction, the kernels, the mesh.
+    """The fields and rules both simulator configs share.
 
-    Subclasses are dataclasses with the fields model, kernels, h0, dx,
-    t_end, dt, initial_profiles, snapshot_times, _dt, _lips and _op; they
-    call ``_check_shared`` first thing in ``__post_init__``.
+    Subclasses call ``_check_shared`` first thing in ``__post_init__``.
     """
+
+    model: ReactionModel
+    kernels: tuple
+    h0: float
+    dx: float
+    t_end: float
+    dt: float | None = None
+    initial_profiles: tuple | None = None    # callables x -> value, one per component
+    snapshot_times: tuple = ()
+    sample_stride: int | None = None
+    _dt: float | None = field(default=None, init=False, repr=False)
+    _op: DispersalOperator | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def _check_shared(self):
         self.kernels = _component_kernels(self.kernels, self.model.m0)
@@ -109,13 +123,16 @@ class _Problem:
             return self.initial_profiles
         return _wedges(0.5 * positive_equilibrium(self.model), self.h0)
 
-    def lipschitz(self) -> float:
-        if self._lips is None:
-            self._lips = lipschitz_bound(self.model)
-        return self._lips
+    def _check_initial(self, vals: np.ndarray) -> None:
+        """Initial values must be finite, nonnegative and under the ceiling."""
+        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
+            raise ValueError("initial profiles must be finite and nonnegative")
+        ceiling = self.model.u_ceiling
+        if ceiling is not None and np.any(vals > ceiling[:, None] * (1 + 1e-12)):
+            raise ValueError("initial profiles exceed the model ceiling")
 
     def stability_limit(self) -> float:
-        return 0.5 / (float(np.max(self.model.d)) + self.lipschitz())
+        return 0.5 / (float(np.max(self.model.d)) + lipschitz_bound(self.model))
 
     def timestep(self) -> float:
         if self._dt is None:
@@ -131,21 +148,9 @@ class _Problem:
 
 @dataclass
 class FBConfig(_Problem):
-    model: ReactionModel
-    kernels: tuple
-    mu: np.ndarray
-    h0: float
-    dx: float
-    t_end: float
-    dt: float | None = None
-    initial_profiles: tuple | None = None    # callables x -> value, one per component
-    snapshot_times: tuple = ()
-    sample_stride: int | None = None
+    mu: np.ndarray = field(kw_only=True)
     scheme: str = "euler"                    # "euler" | "heun"
     thresholds: Thresholds = field(default_factory=Thresholds)
-    _dt: float | None = field(default=None, repr=False)
-    _lips: float | None = field(default=None, repr=False)
-    _op: DispersalOperator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_shared()
@@ -215,10 +220,7 @@ def make_initial_state(cfg: FBConfig) -> FBState:
         scale = max(1.0, float(np.max(np.abs(vals[i]))))
         if edge > 1e-9 * scale:
             raise ValueError(f"initial profile {i} must vanish at the range edges")
-    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("initial profiles must be finite and nonnegative")
-    if model.u_ceiling is not None and np.any(vals > model.u_ceiling[:, None] * (1 + 1e-12)):
-        raise ValueError("initial profiles exceed the model ceiling")
+    cfg._check_initial(vals)
     if not np.any(vals > 0):
         raise ValueError("initial profiles must be positive somewhere inside the range")
     return FBState(t=0.0, g=-cfg.h0, h=cfg.h0, u=GridFunction(cfg.dx, k_lo, vals))
@@ -229,8 +231,7 @@ def _edge_fluxes(state: FBState, cfg: FBConfig) -> tuple[float, float]:
     left = np.empty(cfg.model.m0)
     right = np.empty(cfg.model.m0)
     for kern, rows in cfg.operator().groups:
-        left[rows] = boundary_flux(kern, state.u, rows, "left", state.g, state.h)
-        right[rows] = boundary_flux(kern, state.u, rows, "right", state.g, state.h)
+        left[rows], right[rows] = boundary_flux(kern, state.u, rows, state.g, state.h)
     gp = 0.0
     hp = 0.0
     for i in range(cfg.model.m0):
@@ -312,39 +313,43 @@ def _track(state: FBState, h0: float) -> tuple[float, float]:
     return core_min, float(np.max(total))
 
 
-def run(cfg: FBConfig) -> FrontSeries:
-    """Integrate to t_end, sampling edges and amplitude along the way."""
+def _integrate(cfg: _Problem, state, advance, record) -> tuple:
+    """Step to t_end; record t = 0, every stride-th step and the last one.
+
+    Returns the final state and the snapshots, each taken at the first
+    step within half a step of its time.
+    """
     dt = cfg.timestep()
     n_steps = int(math.ceil(cfg.t_end / dt - 1e-9)) if cfg.t_end > 0 else 0
     stride = cfg.sample_stride
     if stride is None:
         stride = max(1, n_steps // 4000)
-    state = make_initial_state(cfg)
-    ts, gs, hs, core_mins, u_maxes = [0.0], [state.g], [state.h], [], []
-    cm, um = _track(state, cfg.h0)
-    core_mins.append(cm)
-    u_maxes.append(um)
+    times = cfg.snapshot_times
     snapshots = []
-    snap_idx = 0
-    while snap_idx < len(cfg.snapshot_times) and cfg.snapshot_times[snap_idx] <= 1e-12:
+    record(state)
+    while len(snapshots) < len(times) and times[len(snapshots)] <= 1e-12:
         snapshots.append((state.t, state.u.copy()))
-        snap_idx += 1
     for k in range(n_steps):
-        state = step(state, cfg)
+        state = advance(state)
         if (k + 1) % stride == 0 or k == n_steps - 1:
-            ts.append(state.t)
-            gs.append(state.g)
-            hs.append(state.h)
-            cm, um = _track(state, cfg.h0)
-            core_mins.append(cm)
-            u_maxes.append(um)
-        while (snap_idx < len(cfg.snapshot_times)
-               and state.t >= cfg.snapshot_times[snap_idx] - 0.5 * dt):
+            record(state)
+        while len(snapshots) < len(times) and state.t >= times[len(snapshots)] - 0.5 * dt:
             snapshots.append((state.t, state.u.copy()))
-            snap_idx += 1
-    return FrontSeries(t=np.asarray(ts), g=np.asarray(gs), h=np.asarray(hs),
-                       core_min=np.asarray(core_mins), u_max=np.asarray(u_maxes),
-                       snapshots=snapshots, final_state=state, dt=dt,
+    return state, snapshots
+
+
+def run(cfg: FBConfig) -> FrontSeries:
+    """Integrate to t_end, sampling edges and amplitude along the way."""
+    samples = []
+
+    def record(st: FBState):
+        samples.append((st.t, st.g, st.h, *_track(st, cfg.h0)))
+
+    state, snapshots = _integrate(cfg, make_initial_state(cfg),
+                                  lambda st: step(st, cfg), record)
+    t, g, h, core_min, u_max = (np.asarray(col) for col in zip(*samples))
+    return FrontSeries(t=t, g=g, h=h, core_min=core_min, u_max=u_max,
+                       snapshots=snapshots, final_state=state, dt=cfg.timestep(),
                        stability_bound=cfg.stability_limit(),
                        thresholds=cfg.thresholds, h0=cfg.h0, t_end=cfg.t_end)
 

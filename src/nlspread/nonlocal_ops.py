@@ -4,15 +4,18 @@ Values live on a fixed global lattice x_k = k*dx.  A GridFunction stores
 the active index range and per-component values; everything outside the
 active range is treated as zero.  The two workhorse operations are the
 kernel convolution (trapezoid weights, direct or FFT path) and the
-dispersal flux across a range edge (tail-function quadrature).  Both take
-a row block, an (m, n) array of the components that share one kernel, and
-treat every row alike.
+dispersal flux across the two range edges (tail-function quadrature).
+Both take a row block, an (m, n) array of the components that share one
+kernel, and treat every row alike; boundary_flux returns the left and the
+right flux of the block from one pass.
 
 DispersalOperator is what the simulators hold, one per problem.  It groups
 the dispersing rows whose kernels are equal (same spec and eps_tail), so
 each group is convolved in one call, and it keeps one stencil and one
 weight spectrum per group.  Either is rebuilt only when the half-width or
 the FFT length changes, i.e. when the window grows, not on every step.
+It is also the only place that chooses between the direct and the FFT
+path; convolve_values runs a one-off operator.
 
 FFT length: the circular transform has length L >= n + W (and >= 2W + 1),
 which is enough for the n kept outputs.  Output i < n reads v[i - j] for
@@ -25,7 +28,9 @@ accumulates in a fixed order, the center term first and then the j and -j
 contributions for j = 1..W, each pair formed by a single elementwise sum,
 so it produces bitwise-mirrored results for bitwise-mirrored inputs, and
 a row block gives bitwise the per-row results.  Edge fluxes reduce arrays
-with a center-pairing sum for the same reason.
+with a center-pairing sum for the same reason, and each edge adds its far
+partial cell before its near one, so the left flux of mirrored data is
+bitwise the right flux of the data.
 """
 
 from __future__ import annotations
@@ -196,33 +201,18 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
     return fft.irfft(product, L)[..., :n]
 
 
-def convolve_values(kernel: Kernel, values: np.ndarray, dx: float,
-                    path: str = "auto", weights: np.ndarray | None = None) -> np.ndarray:
+def convolve_values(kernel: Kernel, values: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoid approximation of the kernel convolution of a row block.
 
     ``values`` is one row or an (m, n) block; values are zero-extended
-    outside the array.  path: "auto" picks the direct windowed sum up to a
-    512-node half-width and FFT beyond.
+    outside the array.  The rows go through a DispersalOperator built for
+    this call, so the path is the operator's: the direct windowed sum up to
+    a 512-node half-width and FFT beyond.
     """
     values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = kernel_weights(kernel, dx, max_half_width=values.shape[-1] - 1)
-    W = (len(weights) - 1) // 2
-    if path == "auto":
-        path = "direct" if W <= FFT_WINDOW_THRESHOLD else "fft"
-    if path == "direct":
-        return _convolve_direct(values, weights)
-    if path == "fft":
-        return _convolve_fft(values, weights)
-    raise ValueError(f"unknown convolution path {path!r}")
-
-
-def convolve(kernel: Kernel, f: GridFunction, component: int = 0,
-             path: str = "auto") -> np.ndarray:
-    """Convolution of one component of a GridFunction; zero outside the range."""
-    if not (0 <= component < f.m):
-        raise IndexError(f"component {component} out of range for m={f.m}")
-    return convolve_values(kernel, f.values[component], f.dx, path=path)
+    block = values.reshape(-1, values.shape[-1])
+    op = DispersalOperator((kernel,) * block.shape[0], dx)
+    return op.convolve(block).reshape(values.shape)
 
 
 class DispersalOperator:
@@ -294,40 +284,34 @@ def mirror_stable_sum(a: np.ndarray) -> float | np.ndarray:
     return float(s) if a.ndim == 1 else s
 
 
-def boundary_flux(kernel: Kernel, f: GridFunction, component,
-                  side: str, g: float, h: float) -> float | np.ndarray:
-    """Dispersal mass crossing a range edge, per unit time.
+def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dispersal mass crossing the range edges per unit time, (left, right).
 
-    Right side: integral over (g, h) of tail(h - x) * f(x) dx, the mass the
-    kernel carries from the occupied range past the right edge.  Left side
-    mirrors the formula.  Trapezoid rule on the active nodes; in the partial
-    cells next to the exact edges f is linearly interpolated to 0.
-
-    ``component`` is one row index, giving a float, or a sequence of rows
-    that share the kernel, giving one flux per row.
+    Right edge: integral over (g, h) of tail(h - x) * f(x) dx, the mass the
+    kernel carries from the occupied range past h; the left edge weighs
+    f(x) by tail(x - g).  Trapezoid rule on the active nodes; in the
+    partial cells next to the exact edges f is linearly interpolated to 0.
+    ``rows`` are the indices of the rows that share the kernel; each edge
+    gets one flux per row.  Both sums pair nodes from the two ends and add
+    the partial cell at the far edge first, so the left flux of mirrored
+    data is bitwise the right flux of the data.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if not (g < h):
         raise ValueError("need g < h")
-    rows = np.atleast_1d(component)
+    rows = np.atleast_1d(rows)
     if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= f.m:
-        raise IndexError(f"component {component} out of range for m={f.m}")
-    v = f.values[rows]
+        raise IndexError(f"rows {rows} out of range for m={f.m}")
     xs = f.x
-    if side == "left":
-        # mirror: reverse values, negate coordinates, swap edges
-        v = v[:, ::-1]
-        xs = -xs[::-1]
-        g, h = -h, -g
     if xs[0] < g - 1e-9 * f.dx or xs[-1] > h + 1e-9 * f.dx:
         raise ValueError("active nodes must lie inside [g, h]")
-    if xs[0] - g > f.dx * (1 + 1e-9) or h - xs[-1] > f.dx * (1 + 1e-9):
+    lo, hi = xs[0] - g, h - xs[-1]          # partial cells at the left and right edge
+    if lo > f.dx * (1 + 1e-9) or hi > f.dx * (1 + 1e-9):
         raise ValueError("edges must align with the active range within one cell")
-    integrand = np.asarray(kernel.tail(np.maximum(h - xs, 0.0)), dtype=float) * v
-    dx = f.dx
-    core = mirror_stable_sum(integrand) - 0.5 * (integrand[:, 0] + integrand[:, -1])
-    flux = dx * core
-    flux += 0.5 * integrand[:, 0] * (xs[0] - g)      # partial cell at the far edge
-    flux += 0.5 * integrand[:, -1] * (h - xs[-1])    # partial cell at the near edge
-    return float(flux[0]) if np.ndim(component) == 0 else flux
+    tails = np.asarray(kernel.tail(np.maximum(np.stack((xs - g, h - xs)), 0.0)), dtype=float)
+    integrand = tails[:, None, :] * f.values[rows]          # (edge, row, node)
+    left, right = f.dx * (mirror_stable_sum(integrand)
+                          - 0.5 * (integrand[..., 0] + integrand[..., -1]))
+    left = left + 0.5 * integrand[0, :, -1] * hi + 0.5 * integrand[0, :, 0] * lo
+    right = right + 0.5 * integrand[1, :, 0] * lo + 0.5 * integrand[1, :, -1] * hi
+    return left, right

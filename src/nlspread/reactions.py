@@ -59,6 +59,7 @@ class ReactionModel:
     u_ceiling: np.ndarray | None = None
     _closed_form: Callable[[], np.ndarray] | None = field(default=None, repr=False)
     _u_star: np.ndarray | None = field(default=None, repr=False)
+    _lipschitz: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -618,7 +619,9 @@ def verify_assumptions(model: ReactionModel, n_samples: int = 256,
 
 
 def lipschitz_bound(model: ReactionModel) -> float:
-    """Safety-padded bound on the rate field's Lipschitz constant on its box."""
+    """Safety-padded Lipschitz bound of the rate field on its box, cached on the model."""
+    if model._lipschitz is not None:
+        return model._lipschitz
     u_star = None
     try:
         u_star = positive_equilibrium(model)
@@ -633,4 +636,5 @@ def lipschitz_bound(model: ReactionModel) -> float:
     for i in range(pts.shape[1]):
         J = jacobian(model, pts[:, i])
         worst = max(worst, float(np.max(np.sum(np.abs(J), axis=1))))
-    return 1.5 * worst
+    model._lipschitz = 1.5 * worst
+    return model._lipschitz

@@ -39,7 +39,7 @@ __all__ = [
     "SemiwaveError", "NoConvergence", "FirstMomentDiverges",
     "BracketNotFound", "ThresholdNotBracketed",
     "SemiWaveSolution", "FrontSpeedResult", "MinimalSpeedResult",
-    "solve_profile", "flux_functional", "find_c0",
+    "check_window", "solve_profile", "flux_functional", "find_c0",
     "linearized_front_speed", "estimate_cstar",
 ]
 
@@ -94,6 +94,13 @@ class SemiWaveSolution:
     mid_saturation: float
 
 
+def check_window(kernels, L: float) -> None:
+    """Reject a profile window shorter than 20 core scales of the widest kernel."""
+    scale = max(k.core_scale for k in kernels)
+    if not L >= 20.0 * scale:
+        raise ValueError(f"window length {L} too short; need at least 20 kernel scales")
+
+
 def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   dx: float | None = None, tol: float = 1e-8,
                   max_iter: int = 60_000, strict: bool = True) -> SemiWaveSolution:
@@ -114,9 +121,7 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     if not (c >= 0 and math.isfinite(c)):
         raise ValueError("profile speed must be finite and nonnegative")
     kerns = _component_kernels(kernels, model.m0)
-    scale = max(k.core_scale for k in kerns)
-    if not L >= 20.0 * scale:
-        raise ValueError(f"window length {L} too short; need at least 20 kernel scales")
+    check_window(kerns, L)
     if dx is None:
         dx = min(k.core_scale for k in kerns) / 8.0
     for k in kerns:
@@ -129,20 +134,17 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     d = model.d
     m = model.m
 
-    # per-kernel weight stencils; heavy tails are capped at a window that
-    # already carries all but ~1e-4 of the mass
-    weights = []
-    for k in kerns:
+    # per-kernel weight stencils, heavy tails capped at a window that already
+    # carries all but ~1e-4 of the mass, and extended buffers: saturated to
+    # the left of -L, empty to the right of 0
+    stencils = []
+    for i, k in enumerate(kerns):
         cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
-        weights.append(kernel_weights(k, dx, max_half_width=cap))
-
-    # extended buffers: saturated to the left of -L, empty to the right of 0
-    exts = []
-    for i, w in enumerate(weights):
+        w = kernel_weights(k, dx, max_half_width=cap)
         half = (w.size - 1) // 2
         ext = np.zeros(n + 2 * half)
         ext[:half] = u_star[i]
-        exts.append((half, ext))
+        stencils.append((w, half, ext))
 
     dtau = 0.9 / max(lipschitz_bound(model), 1e-12)
     denom = (1.0 + dtau * (d + c / dx))[:, None]
@@ -151,14 +153,18 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     phi[:, -1] = 0.0
 
     conv = np.zeros((m, n))
+
+    def convolve(u: np.ndarray) -> np.ndarray:
+        for i, (w, half, ext) in enumerate(stencils):
+            ext[half:half + n] = u[i]
+            conv[i] = np.convolve(ext, w, mode="valid")
+        return conv
+
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        for i, (w, (half, ext)) in enumerate(zip(weights, exts)):
-            ext[half:half + n] = phi[i]
-            conv[i] = np.convolve(ext, w, mode="valid")
         rate_in = eval_F(model, phi, validate=False)
-        rate_in += d[:, None] * conv
+        rate_in += d[:, None] * convolve(phi)
         rate_in[:, :-1] += (c / dx) * phi[:, 1:]
         phi_new = (phi + dtau * rate_in) / denom
         phi_new[:, 0] = u_star
@@ -174,11 +180,8 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
             f"profile relaxation at c={c:g}, L={L:g} still moving after {max_iter} sweeps")
 
     # stationary defect of the final iterate, interior nodes only
-    for i, (w, (half, ext)) in enumerate(zip(weights, exts)):
-        ext[half:half + n] = phi[i]
-        conv[i] = np.convolve(ext, w, mode="valid")
     defect = eval_F(model, phi, validate=False)
-    defect += d[:, None] * (conv - phi)
+    defect += d[:, None] * (convolve(phi) - phi)
     defect[:, :-1] += (c / dx) * (phi[:, 1:] - phi[:, :-1])
     residual = float(np.max(np.abs(defect[:, 1:-1]))) if n > 2 else 0.0
 

@@ -18,7 +18,7 @@ from .cauchy import CauchyConfig, run_cauchy
 from .config import build_cauchy_config, build_fb_config, load_scenario, scenario_dir
 from .freeboundary import FBConfig, _wedges, classify_outcome, run
 from .kernels import KernelSpec, classify, make_kernel
-from .nonlocal_ops import convolve_values
+from .nonlocal_ops import _convolve_direct, _convolve_fft, convolve_values, kernel_weights
 from .reactions import (NoPositiveRoot, cholera, positive_equilibrium,
                         verify_assumptions, wnv)
 from .semiwave import estimate_cstar, find_c0
@@ -314,8 +314,9 @@ def suite_dichotomy(seed: int = 0) -> list[CriterionResult]:
 
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.0, 1.0, size=1501)
-    direct = convolve_values(kern, vals, 0.25, path="direct")
-    fft = convolve_values(kern, vals, 0.25, path="fft")
+    weights = kernel_weights(kern, 0.25, max_half_width=vals.size - 1)
+    direct = _convolve_direct(vals, weights)
+    fft = _convolve_fft(vals, weights)
     conv_gap = float(np.max(np.abs(direct - fft)))
     rows.append(_row("fft_matches_direct_convolution", conv_gap < 1e-10,
                      {"max_abs_gap": conv_gap},

@@ -199,6 +199,23 @@ class TestSpeeds:
         assert doc["cstar_linearized_diagnostic"] == "infinite"
 
 
+    @pytest.mark.parametrize("speeds,pointer", [
+        ({"length": 10.0}, "/speeds/length"),
+        ({"dx": 0.5}, "/speeds/dx"),
+        ({"cstar": True, "lengths": [40.0, 10.0]}, "/speeds/lengths"),
+    ], ids=["length", "dx", "lengths"])
+    def test_bad_settings_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                    speeds, pointer):
+        solves = []
+        monkeypatch.setattr(cli, "find_c0", lambda *a, **kw: solves.append(a))
+        monkeypatch.setattr(cli, "estimate_cstar", lambda *a, **kw: solves.append(a))
+        cfgp = write_scenario(tmp_path, "bad", {
+            "mu": 1.0, "numerics": {"dx": 0.25, "t_end": 0.0}, "speeds": speeds})
+        assert main(["speeds", "--config", str(cfgp), "--out", str(tmp_path / "sp")]) == 2
+        assert f"config error at {pointer}:" in capsys.readouterr().err
+        assert solves == []
+
+
 class TestFit:
     def _fronts_csv(self, tmp_path):
         t = np.linspace(0.0, 100.0, 80)
@@ -294,6 +311,25 @@ class TestSweep:
         assert main(["sweep", "--config", str(sweep),
                      "--out", str(tmp_path / "o")]) == 2
         assert "/sweep/runs" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "name": "solo",
+            "sweep": {"runs": [{"config": str(scenario_dir() / "wnv_vanishing.json"),
+                                "task": "simulate-fb"}]}}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "o"),
+                  "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyCommand:

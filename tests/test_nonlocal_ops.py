@@ -17,7 +17,6 @@ from nlspread.nonlocal_ops import (
     MeshTooCoarse,
     _convolve_direct,
     boundary_flux,
-    convolve,
     convolve_values,
     kernel_weights,
     mirror_stable_sum,
@@ -37,6 +36,12 @@ def brute_convolve(values, weights):
                 acc += weights[W + j] * values[i]
         out[k] = acc
     return out
+
+
+def forced(path):
+    """Patch the direct/FFT switch so that every half-width takes ``path``."""
+    return patch.object(nonlocal_ops, "FFT_WINDOW_THRESHOLD",
+                        {"direct": 10 ** 9, "fft": 0}[path])
 
 
 class TestGridFunction:
@@ -92,7 +97,8 @@ class TestConvolve:
         w = kernel_weights(kern, dx, max_half_width=36)
         ref = brute_convolve(v, w)
         for path in ("direct", "fft"):
-            out = convolve_values(kern, v, dx, path=path)
+            with forced(path):
+                out = convolve_values(kern, v, dx)
             assert np.max(np.abs(out - ref)) < 1e-12, path
 
     def test_fft_equals_direct(self):
@@ -100,22 +106,25 @@ class TestConvolve:
         kern = make_kernel(KernelSpec.laplace(1.0))
         dx = 0.05
         v = rng.uniform(0, 1, size=2000)
-        d = convolve_values(kern, v, dx, path="direct")
-        f = convolve_values(kern, v, dx, path="fft")
+        with forced("direct"):
+            d = convolve_values(kern, v, dx)
+        with forced("fft"):
+            f = convolve_values(kern, v, dx)
         assert np.max(np.abs(d - f)) < 1e-10
 
     def test_auto_path_switches_on_window(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
         # cutoff ~ 17.7; dx=0.02 gives half-width ~ 886 > 512 so auto = fft
         v = np.linspace(0, 1, 4000)
-        out_auto = convolve_values(kern, v, 0.02, path="auto")
-        out_fft = convolve_values(kern, v, 0.02, path="fft")
+        out_auto = convolve_values(kern, v, 0.02)
+        with forced("fft"):
+            out_fft = convolve_values(kern, v, 0.02)
         assert np.array_equal(out_auto, out_fft)
 
     def test_zero_extension(self):
         kern = make_kernel(KernelSpec.uniform(1.0))
         gf = GridFunction(dx=0.1, k_lo=-10, values=np.ones((1, 21)))
-        out = convolve(kern, gf, 0)
+        out = convolve_values(kern, gf.values[0], gf.dx)
         # at the array edge only half the kernel window sees data
         assert out[0] == pytest.approx(0.5, abs=0.06)
         assert out[10] == pytest.approx(1.0, abs=1e-6)
@@ -125,7 +134,8 @@ class TestConvolve:
         half = rng.uniform(0, 1, size=300)
         v = np.concatenate([half[::-1], [1.0], half])
         kern = make_kernel(KernelSpec.laplace(1.0))
-        out = convolve_values(kern, v, 0.05, path="direct")
+        with forced("direct"):
+            out = convolve_values(kern, v, 0.05)
         assert np.array_equal(out, out[::-1]), "direct path must preserve mirror symmetry bitwise"
 
     def test_nonnegative_and_bounded(self):
@@ -158,8 +168,7 @@ class TestBoundaryFlux:
         kern = make_kernel(KernelSpec.uniform(1.0))
         dx = 0.01
         gf = GridFunction(dx=dx, k_lo=-200, values=np.ones((1, 401)))
-        right = boundary_flux(kern, gf, 0, "right", -2.0, 2.0)
-        left = boundary_flux(kern, gf, 0, "left", -2.0, 2.0)
+        (left,), (right,) = boundary_flux(kern, gf, [0], -2.0, 2.0)
         assert right == pytest.approx(0.25, abs=1e-12)
         assert left == pytest.approx(0.25, abs=1e-12)
 
@@ -189,7 +198,7 @@ class TestBoundaryFlux:
             # the piecewise-linear integrand trips quad's roundoff heuristic
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             ref, _ = integrate.quad(integrand, g, h, limit=400)
-        got = boundary_flux(kern, gf, 0, "right", g, h)
+        _, (got,) = boundary_flux(kern, gf, [0], g, h)
         assert got == pytest.approx(ref, rel=5e-4)
 
     def test_left_right_symmetry_bitwise(self):
@@ -199,8 +208,7 @@ class TestBoundaryFlux:
         kern = make_kernel(KernelSpec.laplace(0.7))
         gf = GridFunction(dx=0.05, k_lo=-120, values=vals[None, :])
         h = 120 * 0.05 + 0.02
-        right = boundary_flux(kern, gf, 0, "right", -h, h)
-        left = boundary_flux(kern, gf, 0, "left", -h, h)
+        (left,), (right,) = boundary_flux(kern, gf, [0], -h, h)
         assert left == right, "mirrored data must give bitwise equal edge fluxes"
 
     def test_nonnegative(self):
@@ -208,16 +216,16 @@ class TestBoundaryFlux:
         kern = make_kernel(KernelSpec.gaussian(1.0))
         vals = rng.uniform(0, 2, size=81)
         gf = GridFunction(dx=0.1, k_lo=-40, values=vals[None, :])
-        for side in ("left", "right"):
-            assert boundary_flux(kern, gf, 0, side, -4.05, 4.05) >= 0
+        (left,), (right,) = boundary_flux(kern, gf, [0], -4.05, 4.05)
+        assert left >= 0 and right >= 0
 
     def test_misaligned_range_rejected(self):
         kern = make_kernel(KernelSpec.uniform(1.0))
         gf = GridFunction(dx=0.1, k_lo=-10, values=np.ones((1, 21)))
         with pytest.raises(ValueError):
-            boundary_flux(kern, gf, 0, "right", -1.0, 1.5)   # gap > one cell
+            boundary_flux(kern, gf, [0], -1.0, 1.5)   # gap > one cell
         with pytest.raises(ValueError):
-            boundary_flux(kern, gf, 0, "right", -0.5, 1.05)  # nodes outside [g, h]
+            boundary_flux(kern, gf, [0], -0.5, 1.05)  # nodes outside [g, h]
 
 
 def _hat_and_conv(kern, profile_fn, half_width, dx):
@@ -315,6 +323,21 @@ def loop_convolve(values, weights):
     return out
 
 
+def one_sided_flux(kernel, f, rows, side, g, h):
+    """The flux past one edge as the right-edge formula; the left edge mirrors the data."""
+    v = f.values[rows]
+    xs = f.x
+    if side == "left":
+        v = v[:, ::-1]
+        xs = -xs[::-1]
+        g, h = -h, -g
+    integrand = kernel.tail(np.maximum(h - xs, 0.0)) * v
+    flux = f.dx * (mirror_stable_sum(integrand) - 0.5 * (integrand[:, 0] + integrand[:, -1]))
+    flux += 0.5 * integrand[:, 0] * (xs[0] - g)
+    flux += 0.5 * integrand[:, -1] * (h - xs[-1])
+    return flux
+
+
 SPECS = {"laplace": KernelSpec.laplace(1.0), "gaussian": KernelSpec.gaussian(1.0),
          "uniform": KernelSpec.uniform(1.1),      # radius off the lattice: zero end weights
          "powerlaw": KernelSpec.powerlaw(1.5, 1.0)}
@@ -380,12 +403,26 @@ class TestRowBlocks:
         gf = GridFunction(dx=dx, k_lo=-K, values=vals)
         mirror = GridFunction(dx=dx, k_lo=-K, values=vals[:, ::-1])
         rows = np.arange(vals.shape[0])
-        for side in ("left", "right"):
-            got = boundary_flux(kern, gf, rows, side, -h, h)
-            per_row = [boundary_flux(kern, gf, i, side, -h, h) for i in rows]
-            assert np.array_equal(got, per_row)
-        assert np.array_equal(boundary_flux(kern, gf, rows, "left", -h, h),
-                              boundary_flux(kern, mirror, rows, "right", -h, h))
+        left, right = boundary_flux(kern, gf, rows, -h, h)
+        per_row = [boundary_flux(kern, gf, [i], -h, h) for i in rows]
+        assert np.array_equal(left, [lf[0] for lf, _ in per_row])
+        assert np.array_equal(right, [rf[0] for _, rf in per_row])
+        mirror_left, mirror_right = boundary_flux(kern, mirror, rows, -h, h)
+        assert np.array_equal(left, mirror_right)
+        assert np.array_equal(right, mirror_left)
+
+    @PROPERTY
+    @given(blocks(), st.integers(-50, 50), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_two_sided_flux_is_the_one_sided_formula_bitwise(self, block, k_lo, lo, hi):
+        # edges anywhere in the cells next to the end nodes, lattice not centered
+        kern, dx, vals = block
+        gf = GridFunction(dx=dx, k_lo=k_lo, values=vals)
+        g = gf.x[0] - lo * dx
+        h = gf.x[-1] + hi * dx
+        rows = np.arange(vals.shape[0])
+        left, right = boundary_flux(kern, gf, rows, g, h)
+        assert np.array_equal(left, one_sided_flux(kern, gf, rows, "left", g, h))
+        assert np.array_equal(right, one_sided_flux(kern, gf, rows, "right", g, h))
 
     @PROPERTY
     @given(blocks(min_n=5, max_n=40), st.lists(st.integers(5, 40), min_size=2, max_size=4))
