@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class ReactionError(ValueError):
@@ -426,6 +425,8 @@ ASSUMPTION_CHECKS = {
 
 
 def _sobol_box(m: int, hi: np.ndarray, n: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc     # deferred: costs 0.7 s at import time
+
     sampler = qmc.Sobol(d=m, scramble=True, seed=seed)
     k = max(4, int(math.ceil(math.log2(max(n, 2)))))
     pts = sampler.random_base2(k)[:n]

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .freeboundary import _component_kernels, _component_mu
 from .kernels import INFINITE, Kernel, classify, two_sided_exp_moment
@@ -36,7 +35,7 @@ from .reactions import (ReactionModel, eval_F, jacobian, lipschitz_bound,
                         positive_equilibrium)
 
 __all__ = [
-    "SemiwaveError", "NoConvergence", "FirstMomentDiverges",
+    "SemiwaveError", "NoConvergence", "NotMonotone", "FirstMomentDiverges",
     "BracketNotFound", "ThresholdNotBracketed",
     "SemiWaveSolution", "FrontSpeedResult", "MinimalSpeedResult",
     "check_window", "solve_profile", "flux_functional", "find_c0",
@@ -50,6 +49,10 @@ class SemiwaveError(RuntimeError):
 
 class NoConvergence(SemiwaveError):
     """Relaxation failed to reach the requested tolerance."""
+
+
+class NotMonotone(SemiwaveError):
+    """A guarded relaxation sweep rose above the roundoff floor."""
 
 
 class FirstMomentDiverges(SemiwaveError):
@@ -77,7 +80,10 @@ class SemiWaveSolution:
     ``mid_saturation`` is min_i phi_i(-L/2) / u_star_i, the readout used
     as an existence proxy.  ``monotone`` records whether every component
     is nonincreasing within a 1e-8 tolerance; a violating profile is
-    still returned so it can be inspected.
+    still returned so it can be inspected.  ``stop`` says why the
+    relaxation ended ("tol", "dead" or "budget") and ``start`` what it
+    started from ("saturated", or a supersolution from a smaller
+    "window" or a lower "speed"); see ``solve_profile``.
     """
 
     c: float
@@ -92,6 +98,8 @@ class SemiWaveSolution:
     monotone: bool
     flux_integrals: np.ndarray
     mid_saturation: float
+    stop: str = "tol"
+    start: str = "saturated"
 
 
 def check_window(kernels, L: float) -> None:
@@ -101,33 +109,65 @@ def check_window(kernels, L: float) -> None:
         raise ValueError(f"window length {L} too short; need at least 20 kernel scales")
 
 
+def _mesh(kerns, L: float, dx: float | None) -> tuple[int, float]:
+    """Node count and spacing of the profile grid on [-L, 0]."""
+    if dx is None:
+        dx = min(k.core_scale for k in kerns) / 8.0
+    n = int(round(L / dx)) + 1
+    return n, L / (n - 1)
+
+
 def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   dx: float | None = None, tol: float = 1e-8,
-                  max_iter: int = 60_000, strict: bool = True) -> SemiWaveSolution:
+                  max_iter: int = 60_000, strict: bool = True, *,
+                  stop_dead: bool = False,
+                  start: SemiWaveSolution | None = None) -> SemiWaveSolution:
     """Relax to the maximal profile with speed c on [-L, 0].
 
     The iteration treats the local drain terms implicitly (division by
     1 + dtau * (d_i + c/dx)) and everything else explicitly, which keeps
-    the update monotone for dtau below the reaction Lipschitz time.
-    Started from the saturated state the iterates decrease pointwise, so
-    the limit is the maximal fixed point.  The advection derivative is
-    one sided toward the origin; that is the side the profile data comes
-    from for a rightward front, and the opposite stencil amplifies
-    oscillatory modes no matter how small dtau is.
+    the sweep T order preserving for dtau below the reaction Lipschitz
+    time.  The saturated state is a supersolution, T(u*) <= u*, so the
+    iterates started from it decrease pointwise and the limit is the
+    maximal fixed point.  The advection derivative is one sided toward
+    the origin; that is the side the profile data comes from for a
+    rightward front, and the opposite stencil amplifies oscillatory
+    modes no matter how small dtau is.
 
     With ``strict=False`` an iteration that stalls above ``tol`` returns
     the current state flagged ``converged=False`` instead of raising.
+
+    Two keyword-only options serve the threshold search:
+
+    * ``stop_dead=True`` returns at the first sweep whose midpoint
+      readout min_i phi_i(-L/2) / u*_i is below 1/2 (``stop="dead"``).
+      The iterates only decrease, so the readout never climbs back: the
+      sweeps to tolerance could not change that verdict.
+    * ``start`` relaxes from an earlier solution instead of the
+      saturated state.  A solution on a smaller window with the same
+      mesh, extended by u* to the left, is a supersolution here
+      (``start="window"``): on the old nodes the sweep sees the same
+      data as before, and the new nodes are capped at u*.  A solution at
+      a lower speed on the same window is one too (``start="speed"``)
+      when it is nonincreasing in x: with s = dtau c / dx and
+      B = 1 + dtau d, T_c(phi) - phi <= (s_lo - s)(phi_k - phi_{k+1})
+      / (B + s) <= 0.  Both lie above the maximal fixed point, so the
+      iterates still decrease to it and the dead stop stays valid.
+
+    Either option guards that premise on every sweep: max(phi_new - phi)
+    may exceed zero only by the roundoff floor 8 eps max(u*), since
+    summation order alone lifts a node by an ulp now and then.  A larger
+    rise raises ``NotMonotone``; relaxing cold from saturation without
+    ``stop_dead`` is then the unguarded computation.
     """
     if not (c >= 0 and math.isfinite(c)):
         raise ValueError("profile speed must be finite and nonnegative")
     kerns = _component_kernels(kernels, model.m0)
     check_window(kerns, L)
-    if dx is None:
-        dx = min(k.core_scale for k in kerns) / 8.0
+    n, h = _mesh(kerns, L, dx)
     for k in kerns:
-        check_mesh(k, dx)
-    n = int(round(L / dx)) + 1
-    dx = L / (n - 1)
+        check_mesh(k, h if dx is None else dx)
+    dx = h
     x = np.linspace(-L, 0.0, n)
 
     u_star = positive_equilibrium(model)
@@ -151,6 +191,7 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
 
     phi = np.repeat(u_star[:, None], n, axis=1)
     phi[:, -1] = 0.0
+    source = "saturated" if start is None else _start_from(phi, start, c, dx)
 
     conv = np.zeros((m, n))
 
@@ -160,8 +201,11 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
             conv[i] = np.convolve(ext, w, mode="valid")
         return conv
 
+    guarded = stop_dead or start is not None
+    floor = 8.0 * np.finfo(float).eps * float(np.max(u_star))
+    mid = (n - 1) // 2
     it = 0
-    converged = False
+    stop = "budget"
     for it in range(1, max_iter + 1):
         rate_in = eval_F(model, phi, validate=False)
         rate_in += d[:, None] * convolve(phi)
@@ -170,12 +214,23 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
         phi_new[:, 0] = u_star
         phi_new[:, -1] = 0.0
         np.clip(phi_new, 0.0, u_star[:, None], out=phi_new)
-        delta = float(np.max(np.abs(phi_new - phi)))
+        step = phi_new - phi
+        if guarded:
+            rise = float(np.max(step))
+            if rise > floor:
+                raise NotMonotone(
+                    f"profile relaxation at c={c:g}, L={L:g} from the {source} start "
+                    f"rose by {rise:.3g} at sweep {it}")
+        delta = float(np.max(np.abs(step)))
         phi = phi_new
         if delta < tol * dtau:
-            converged = True
+            stop = "tol"
             break
-    if not converged and strict:
+        if stop_dead and float(np.min(phi[:, mid] / u_star)) < 0.5:
+            stop = "dead"
+            break
+    converged = stop == "tol"
+    if stop == "budget" and strict:
         raise NoConvergence(
             f"profile relaxation at c={c:g}, L={L:g} still moving after {max_iter} sweeps")
 
@@ -192,14 +247,30 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     for i in range(model.m0):
         flux[i] = float(np.trapezoid(phi[i] * kerns[i].tail(-x), x))
 
-    mid = (n - 1) // 2
     with np.errstate(divide="ignore"):
         mid_sat = float(np.min(phi[:, mid] / u_star))
 
     return SemiWaveSolution(
         c=float(c), length=float(L), dx=float(dx), x=x, phi=phi, u_star=u_star,
         residual=residual, iterations=it, converged=converged, monotone=monotone,
-        flux_integrals=flux, mid_saturation=mid_sat)
+        flux_integrals=flux, mid_saturation=mid_sat, stop=stop, start=source)
+
+
+def _start_from(phi: np.ndarray, start: SemiWaveSolution, c: float, dx: float) -> str:
+    """Copy a supersolution into the saturated state ``phi``; name its source.
+
+    A start from a smaller window fills the right end of the grid and
+    leaves u* to its left; one from the same window replaces it whole.
+    """
+    n = phi.shape[1]
+    k = start.phi.shape[1]
+    if start.dx != dx or start.phi.shape[0] != phi.shape[0] or k > n:
+        raise ValueError("a warm start must come from the same mesh and a window "
+                         "no larger than this one")
+    if not (start.c < c if k == n else start.c <= c):
+        raise ValueError(f"a warm start at c={start.c:g} is no supersolution at c={c:g}")
+    phi[:, n - k:] = start.phi
+    return "speed" if k == n else "window"
 
 
 def flux_functional(sol: SemiWaveSolution, mu) -> float:
@@ -312,6 +383,8 @@ class MinimalSpeedResult:
     ``value`` is INFINITE when some dispersing kernel has no finite
     exponential moment; fronts then outrun every linear speed and no
     threshold exists.  Otherwise it is the midpoint of ``bracket``.
+    ``fallbacks`` counts the probes whose guarded relaxation rose above
+    the roundoff floor and were re-run cold from saturation.
     """
 
     value: float
@@ -320,6 +393,7 @@ class MinimalSpeedResult:
     trace: tuple[tuple[float, float, float], ...]   # (c, L, mid saturation)
     lengths: tuple[float, ...]
     note: str
+    fallbacks: int = 0
 
 
 def _lam_sup(kern: Kernel) -> float:
@@ -347,6 +421,8 @@ def linearized_front_speed(model: ReactionModel, kernels) -> float:
     lam_hi = min(_lam_sup(k) for k in kerns)
     if lam_hi <= 0.0:
         return INFINITE
+    from scipy import optimize     # deferred: costs 0.2 s at import time
+
     J0 = jacobian(model, np.zeros(model.m))
     d = model.d
 
@@ -390,6 +466,17 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
     one-sided advection stencil adds numerical dispersal of order
     c*dx/2, which biases the threshold up by a few percent at the
     default mesh; halve ``dx`` to tighten it.
+
+    Every probe stops at its dead verdict: relaxation from above only
+    lowers the profile, so a midpoint readout below 1/2 is final at the
+    first sweep it appears (``solve_profile``, ``stop_dead``).  Probes
+    also start from a supersolution when this call already holds one:
+    the converged, alive, monotone profile at the nearest lower speed on
+    the same window, or else this speed's last iterate on the next
+    smaller window.  Both start above the maximal fixed point, so the
+    verdicts, and with them the bracket, are those of cold runs.  A
+    probe whose sweeps rise above the roundoff floor is re-run cold from
+    saturation without the early stop and counted in ``fallbacks``.
     """
     kerns = _component_kernels(kernels, model.m0)
     heavy = [i for i, k in enumerate(kerns) if not classify(k).finite_exponential_moment]
@@ -420,16 +507,37 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
         return max(60_000, int(0.75 * L / (width * dtau)))
 
     trace: list[tuple[float, float, float]] = []
+    # window starts need nested grids: one spacing for every window
+    nested = len({_mesh(kerns, L, dx)[1] for L in lengths}) == 1
+    # per window, the latest converged alive monotone profile; the scan
+    # and the bisection probe only speeds above it
+    lower: dict[float, SemiWaveSolution] = {}
+    fallbacks = 0
+
+    def probe(c: float, L: float, start: SemiWaveSolution | None) -> SemiWaveSolution:
+        nonlocal fallbacks
+        kw = dict(dx=dx, tol=tol, max_iter=budget(L), strict=False)
+        try:
+            return solve_profile(c, model, kerns, L, stop_dead=True, start=start, **kw)
+        except NotMonotone:
+            fallbacks += 1
+            return solve_profile(c, model, kerns, L, **kw)
 
     def alive(c: float) -> bool:
         verdict = False
+        prev = None
         for L in lengths:
-            sol = solve_profile(c, model, kerns, L, dx=dx, tol=tol,
-                                max_iter=budget(L), strict=False)
+            start = lower.get(L)
+            if start is None or not start.c < c:
+                start = prev if nested else None
+            sol = probe(c, L, start)
             trace.append((c, L, sol.mid_saturation))
             verdict = sol.mid_saturation >= 0.5
+            if verdict and sol.converged and sol.monotone:
+                lower[L] = sol
             if verdict and sol.converged and sol.mid_saturation >= 0.95:
                 break               # saturated fixed point; larger windows agree
+            prev = sol
         return verdict
 
     lo = None
@@ -456,4 +564,4 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
 
     return MinimalSpeedResult(
         value=0.5 * (lo + hi), linearized=c_lin, bracket=(lo, hi),
-        trace=tuple(trace), lengths=lengths, note="")
+        trace=tuple(trace), lengths=lengths, note="", fallbacks=fallbacks)

@@ -5,8 +5,12 @@ profiles are cached across speed-functional calls through the shared
 cache hook, which also exercises its reuse path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nlspread.reactions as rx
 from nlspread import semiwave as sw
@@ -82,7 +86,7 @@ class TestSolveProfile:
         with pytest.raises(sw.NoConvergence):
             sw.solve_profile(0.5, model, laplace1, 50.0, max_iter=3)
         sol = sw.solve_profile(0.5, model, laplace1, 50.0, max_iter=3, strict=False)
-        assert not sol.converged
+        assert not sol.converged and sol.stop == "budget"
 
     def test_sedentary_component(self, laplace1):
         model = rx.custom(["(1 - u1)*u2 - 0.5*u1", "(1 - u2)*u1 - 0.5*u2"],
@@ -215,3 +219,175 @@ class TestEstimateCstar:
         with pytest.raises(sw.ThresholdNotBracketed):
             sw.estimate_cstar(model, laplace1, lengths=(50.0,),
                               c_grid=(2.5, 3.0))
+
+
+# ----------------------------------------------------------------------
+# threshold probes: dead stop, warm starts, and the cold search they replace
+
+FAMILIES = {"laplace": KernelSpec.laplace, "gaussian": KernelSpec.gaussian,
+            "uniform": KernelSpec.uniform,
+            "powerlaw": lambda s: KernelSpec.powerlaw(3.5, s)}
+PROPERTY = settings(max_examples=10, deadline=None)
+TOL = 1e-6
+
+
+@st.composite
+def profile_problems(draw):
+    """(kernel, dx, L): a core scale of 4 dx and a window of 20-40 core scales."""
+    dx = draw(st.sampled_from((0.25, 0.5)))
+    scale = 4.0 * dx
+    kern = make_kernel(FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](scale))
+    L = dx * round(scale * draw(st.floats(20.0, 40.0)) / dx)
+    return kern, dx, L
+
+
+def _verdicts(trace):
+    """Verdict per probed speed, read on the last window it reached."""
+    return {c: mid >= 0.5 for c, _, mid in trace}
+
+
+def _cold_search(model, kern, lengths, c_grid, dx, rel_tol, tol=TOL):
+    """``estimate_cstar``'s search with every probe cold and run to tol or budget.
+
+    This is the search before probes stopped at the dead verdict or
+    started from a supersolution; returns the bracket and the verdicts.
+    """
+    width = max(1e-3, rel_tol * sw.linearized_front_speed(model, kern))
+    dtau = 0.9 / max(rx.lipschitz_bound(model), 1e-12)
+    verdicts = {}
+
+    def alive(c):
+        verdict = False
+        for L in lengths:
+            sol = sw.solve_profile(c, model, kern, L, dx=dx, tol=tol, strict=False,
+                                   max_iter=max(60_000, int(0.75 * L / (width * dtau))))
+            verdict = sol.mid_saturation >= 0.5
+            if verdict and sol.converged and sol.mid_saturation >= 0.95:
+                break
+        verdicts[c] = verdict
+        return verdict
+
+    lo = hi = None
+    for c in c_grid:
+        if alive(c):
+            lo = float(c)
+        else:
+            hi = float(c)
+            break
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if alive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi), verdicts
+
+
+# short windows move the threshold below the linearized 1.665
+CHEAP = dict(lengths=(20.0, 40.0), c_grid=(1.3, 1.45, 1.6, 1.75), dx=0.25, rel_tol=0.05)
+
+
+@pytest.fixture(scope="module")
+def cold_search(model, laplace1):
+    return _cold_search(model, laplace1, **CHEAP)
+
+
+def _recording(monkeypatch, seen, lower_start=False):
+    """Route solve_profile through a recorder; optionally spoil every warm start."""
+    orig = sw.solve_profile
+
+    def wrapper(c, *args, start=None, **kw):
+        if lower_start and start is not None:
+            phi = start.phi.copy()
+            phi[:, phi.shape[1] // 2] *= 0.5        # no longer a supersolution
+            start = replace(start, phi=phi)
+        sol = orig(c, *args, start=start, **kw)
+        seen.append((sol.stop, sol.start))
+        return sol
+
+    monkeypatch.setattr(sw, "solve_profile", wrapper)
+
+
+class TestThresholdProbes:
+    def test_bracket_and_verdicts_match_cold_search_bitwise(self, model, laplace1,
+                                                            cold_search, monkeypatch):
+        seen = []
+        _recording(monkeypatch, seen)
+        res = sw.estimate_cstar(model, laplace1, **CHEAP)
+        bracket, verdicts = cold_search
+        assert res.bracket == bracket
+        assert _verdicts(res.trace) == verdicts
+        assert res.fallbacks == 0
+        # the shortcuts were taken: dead stops and both kinds of warm start
+        assert {stop for stop, _ in seen} >= {"dead"}
+        assert {start for _, start in seen} >= {"window", "speed"}
+
+    def test_spoiled_warm_starts_fall_back_to_the_cold_result(self, model, laplace1,
+                                                               cold_search, monkeypatch):
+        seen = []
+        _recording(monkeypatch, seen, lower_start=True)
+        res = sw.estimate_cstar(model, laplace1, **CHEAP)
+        bracket, verdicts = cold_search
+        assert res.fallbacks > 0
+        assert res.bracket == bracket
+        assert _verdicts(res.trace) == verdicts
+        # every probe that got a warm start was re-run cold from saturation
+        assert all(start == "saturated" for _, start in seen)
+
+    def test_dead_stop_is_final(self, model, laplace1):
+        dead = sw.solve_profile(3.0, model, laplace1, 50.0, stop_dead=True)
+        full = sw.solve_profile(3.0, model, laplace1, 50.0)
+        assert (dead.stop, dead.start, dead.converged) == ("dead", "saturated", False)
+        assert (full.stop, full.start) == ("tol", "saturated")
+        assert dead.iterations < full.iterations
+        assert dead.mid_saturation < 0.5 and full.mid_saturation < 0.5
+        # the dead iterate lies above the limit the sweeps would reach
+        assert np.all(dead.phi >= full.phi - 1e-12)
+
+    def test_start_must_fit_the_mesh_and_speed(self, model, laplace1):
+        sol = sw.solve_profile(1.0, model, laplace1, 20.0, dx=0.25, tol=TOL)
+        with pytest.raises(ValueError):
+            sw.solve_profile(1.0, model, laplace1, 20.0, dx=0.125, start=sol)
+        with pytest.raises(ValueError):
+            sw.solve_profile(0.9, model, laplace1, 20.0, dx=0.25, start=sol)
+        with pytest.raises(ValueError):
+            sw.solve_profile(1.0, model, laplace1, 20.0, dx=0.25, start=sol)
+
+
+class TestMonotoneRelaxation:
+    @PROPERTY
+    @given(profile_problems(), st.floats(0.0, 2.5))
+    def test_sweeps_from_saturation_never_rise(self, model, problem, c):
+        # stop_dead guards every sweep: a rise above 8 eps max(u*) raises
+        kern, dx, L = problem
+        sol = sw.solve_profile(c, model, kern, L, dx=dx, tol=TOL, max_iter=4000,
+                               strict=False, stop_dead=True)
+        assert sol.start == "saturated"
+        assert np.all(sol.phi <= sol.u_star[:, None])
+
+    @PROPERTY
+    @given(profile_problems(), st.floats(0.05, 1.5), st.floats(0.01, 0.4))
+    def test_warm_start_from_a_lower_speed_matches_cold(self, model, problem, c_lo, dc):
+        kern, dx, L = problem
+        kw = dict(dx=dx, tol=TOL, max_iter=10_000, strict=False)
+        low = sw.solve_profile(c_lo, model, kern, L, **kw)
+        assume(low.converged and low.monotone)
+        warm = sw.solve_profile(c_lo + dc, model, kern, L, start=low, **kw)
+        cold = sw.solve_profile(c_lo + dc, model, kern, L, **kw)
+        assume(cold.converged)
+        assert warm.start == "speed" and warm.converged
+        assert (warm.mid_saturation >= 0.5) == (cold.mid_saturation >= 0.5)
+        assert abs(warm.mid_saturation - cold.mid_saturation) <= 10 * TOL
+
+    @PROPERTY
+    @given(profile_problems(), st.floats(0.05, 1.2), st.floats(0.1, 0.9))
+    def test_lowered_start_is_caught(self, model, problem, c_lo, factor):
+        kern, dx, L = problem
+        low = sw.solve_profile(c_lo, model, kern, L, dx=dx, tol=TOL, strict=False,
+                               max_iter=10_000)
+        assume(low.mid_saturation >= 0.5)
+        phi = low.phi.copy()
+        phi[:, phi.shape[1] // 2] *= factor
+        with pytest.raises(sw.NotMonotone):
+            sw.solve_profile(c_lo + 0.1, model, kern, L, dx=dx, tol=TOL,
+                             start=replace(low, phi=phi))
