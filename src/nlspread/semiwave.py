@@ -81,9 +81,12 @@ class SemiWaveSolution:
     as an existence proxy.  ``monotone`` records whether every component
     is nonincreasing within a 1e-8 tolerance; a violating profile is
     still returned so it can be inspected.  ``stop`` says why the
-    relaxation ended ("tol", "dead" or "budget") and ``start`` what it
-    started from ("saturated", or a supersolution from a smaller
-    "window" or a lower "speed"); see ``solve_profile``.
+    relaxation ended: "tol", "budget", or an early verdict, "dead"
+    (midpoint below half saturation) or "sign" (flux functional at or
+    below c).  ``start`` says what it started from: "saturated", a
+    supersolution from a smaller "window" or a lower "speed", or an
+    unfinished iterate at the same speed ("resume"); see
+    ``solve_profile``.
     """
 
     c: float
@@ -120,7 +123,7 @@ def _mesh(kerns, L: float, dx: float | None) -> tuple[int, float]:
 def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   dx: float | None = None, tol: float = 1e-8,
                   max_iter: int = 60_000, strict: bool = True, *,
-                  stop_dead: bool = False,
+                  stop_dead: bool = False, stop_mu=None,
                   start: SemiWaveSolution | None = None) -> SemiWaveSolution:
     """Relax to the maximal profile with speed c on [-L, 0].
 
@@ -137,12 +140,18 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     With ``strict=False`` an iteration that stalls above ``tol`` returns
     the current state flagged ``converged=False`` instead of raising.
 
-    Two keyword-only options serve the threshold search:
+    Three keyword-only options serve the speed searches:
 
     * ``stop_dead=True`` returns at the first sweep whose midpoint
       readout min_i phi_i(-L/2) / u*_i is below 1/2 (``stop="dead"``).
       The iterates only decrease, so the readout never climbs back: the
       sweeps to tolerance could not change that verdict.
+    * ``stop_mu`` (expansion rates, as for ``flux_functional``) returns
+      at the first sweep where sum_i mu_i flux_integrals[i] - c <= 0
+      (``stop="sign"``).  The flux weights are nonnegative, so the
+      functional only decreases along the iterates and that sign is
+      final too.  The test reads the same weights, in the same
+      arithmetic, as the ``flux_integrals`` of the returned solution.
     * ``start`` relaxes from an earlier solution instead of the
       saturated state.  A solution on a smaller window with the same
       mesh, extended by u* to the left, is a supersolution here
@@ -152,13 +161,17 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
       when it is nonincreasing in x: with s = dtau c / dx and
       B = 1 + dtau d, T_c(phi) - phi <= (s_lo - s)(phi_k - phi_{k+1})
       / (B + s) <= 0.  Both lie above the maximal fixed point, so the
-      iterates still decrease to it and the dead stop stays valid.
+      iterates still decrease to it and the early stops stay valid.  An
+      unconverged solution at the same speed and window is resumed
+      (``start="resume"``): a sweep depends on phi alone, so the run
+      continues that solution's sequence bit for bit.  The sweep budget
+      counts the sweeps of this call.
 
-    Either option guards that premise on every sweep: max(phi_new - phi)
+    Each option guards that premise on every sweep: max(phi_new - phi)
     may exceed zero only by the roundoff floor 8 eps max(u*), since
     summation order alone lifts a node by an ulp now and then.  A larger
     rise raises ``NotMonotone``; relaxing cold from saturation without
-    ``stop_dead`` is then the unguarded computation.
+    an early stop is then the unguarded computation.
     """
     if not (c >= 0 and math.isfinite(c)):
         raise ValueError("profile speed must be finite and nonnegative")
@@ -189,6 +202,19 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     dtau = 0.9 / max(lipschitz_bound(model), 1e-12)
     denom = (1.0 + dtau * (d + c / dx))[:, None]
 
+    # trapezoid weights of the flux integrals on the window, times the tails
+    half_gap = 0.5 * np.diff(x)
+    trap = np.zeros(n)
+    trap[:-1] += half_gap
+    trap[1:] += half_gap
+    tail_w = np.array([k.tail(-x) for k in kerns]) * trap
+
+    def flux_integrals(u: np.ndarray) -> np.ndarray:
+        return np.vecdot(u[:model.m0], tail_w)
+
+    if stop_mu is not None:
+        stop_mu = _component_mu(stop_mu, m, model.m0)
+
     phi = np.repeat(u_star[:, None], n, axis=1)
     phi[:, -1] = 0.0
     source = "saturated" if start is None else _start_from(phi, start, c, dx)
@@ -201,7 +227,7 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
             conv[i] = np.convolve(ext, w, mode="valid")
         return conv
 
-    guarded = stop_dead or start is not None
+    guarded = stop_dead or stop_mu is not None or start is not None
     floor = 8.0 * np.finfo(float).eps * float(np.max(u_star))
     mid = (n - 1) // 2
     it = 0
@@ -229,6 +255,9 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
         if stop_dead and float(np.min(phi[:, mid] / u_star)) < 0.5:
             stop = "dead"
             break
+        if stop_mu is not None and float(np.dot(stop_mu, flux_integrals(phi))) - c <= 0.0:
+            stop = "sign"
+            break
     converged = stop == "tol"
     if stop == "budget" and strict:
         raise NoConvergence(
@@ -243,17 +272,14 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     mono_tol = 1e-8 * np.maximum(1.0, u_star)[:, None]
     monotone = bool(np.all(np.diff(phi, axis=1) <= mono_tol))
 
-    flux = np.empty(model.m0)
-    for i in range(model.m0):
-        flux[i] = float(np.trapezoid(phi[i] * kerns[i].tail(-x), x))
-
     with np.errstate(divide="ignore"):
         mid_sat = float(np.min(phi[:, mid] / u_star))
 
     return SemiWaveSolution(
         c=float(c), length=float(L), dx=float(dx), x=x, phi=phi, u_star=u_star,
         residual=residual, iterations=it, converged=converged, monotone=monotone,
-        flux_integrals=flux, mid_saturation=mid_sat, stop=stop, start=source)
+        flux_integrals=flux_integrals(phi), mid_saturation=mid_sat, stop=stop,
+        start=source)
 
 
 def _start_from(phi: np.ndarray, start: SemiWaveSolution, c: float, dx: float) -> str:
@@ -261,16 +287,24 @@ def _start_from(phi: np.ndarray, start: SemiWaveSolution, c: float, dx: float) -
 
     A start from a smaller window fills the right end of the grid and
     leaves u* to its left; one from the same window replaces it whole.
+    The same speed on the same window is accepted only to resume an
+    unconverged solution.
     """
     n = phi.shape[1]
     k = start.phi.shape[1]
     if start.dx != dx or start.phi.shape[0] != phi.shape[0] or k > n:
         raise ValueError("a warm start must come from the same mesh and a window "
                          "no larger than this one")
-    if not (start.c < c if k == n else start.c <= c):
+    if k < n:
+        source = "window" if start.c <= c else None
+    elif start.c == c:
+        source = None if start.converged else "resume"
+    else:
+        source = "speed" if start.c < c else None
+    if source is None:
         raise ValueError(f"a warm start at c={start.c:g} is no supersolution at c={c:g}")
     phi[:, n - k:] = start.phi
-    return "speed" if k == n else "window"
+    return source
 
 
 def flux_functional(sol: SemiWaveSolution, mu) -> float:
@@ -286,13 +320,22 @@ def flux_functional(sol: SemiWaveSolution, mu) -> float:
 
 @dataclass(frozen=True)
 class FrontSpeedResult:
-    """Root of Psi(c) - c with the bisection audit trail attached."""
+    """Root of Psi(c) - c with the bisection audit trail attached.
+
+    ``trace`` holds (c, value) in evaluation order, where value is
+    Psi(c) - c of the profile the verdict was read from: the converged
+    one, or an unfinished iterate whose value already read <= 0.
+    ``solution`` is the converged profile at ``speed``.  ``fallbacks``
+    counts the probes whose guarded relaxation rose above the roundoff
+    floor and were re-run cold from saturation.
+    """
 
     speed: float
     solution: SemiWaveSolution
     bracket: tuple[float, float]
-    trace: tuple[tuple[float, float], ...]   # (c, Psi(c) - c) in evaluation order
+    trace: tuple[tuple[float, float], ...]
     length: float
+    fallbacks: int = 0
 
 
 def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
@@ -305,9 +348,25 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     has a single root; it is bracketed by doubling from tol_c and then
     bisected to width tol_c.  Kernels carrying positive expansion weight
     must have a finite first moment, otherwise no such speed exists and
-    ``FirstMomentDiverges`` is raised.  ``cache`` maps already-solved
-    speeds to their profiles and may be shared between calls that use the
-    same model, kernels, window and mesh.
+    ``FirstMomentDiverges`` is raised.
+
+    Each probe stops at its sign verdict: relaxation from above only
+    lowers the profile and with it Psi, so once Psi - c reads <= 0 the
+    converged value would too (``solve_profile``, ``stop_mu``).  A probe
+    starts from the converged, monotone profile at the nearest lower
+    speed on the same window and mesh when the cache holds one, and
+    from saturation otherwise; either way it relaxes to the maximal
+    profile from above.  A probe whose sweeps rise above the roundoff
+    floor is re-run cold from saturation without the early stop and
+    counted in ``fallbacks``.  The final midpoint is never started from
+    another speed, so ``solution`` is the cold computation.
+
+    ``cache`` maps speeds to profiles and may be shared between calls
+    that use the same model, kernels, window and mesh.  An entry may be
+    an unfinished, sign-stopped iterate; it answers a later lookup when
+    its value still reads <= 0 for that call's mu, and is otherwise
+    resumed where it stopped and replaced.  ``solution`` is always a
+    converged profile.
     """
     kerns = _component_kernels(kernels, model.m0)
     mu_vec = _component_mu(mu, model.m, model.m0)
@@ -318,17 +377,41 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
                 "boundary-matched fronts accelerate instead of settling on a speed")
     if L is None:
         L = 50.0 * max(k.core_scale for k in kerns)
+    L = float(L)
+    h = _mesh(kerns, L, dx)[1]
     if cache is None:
         cache = {}
 
     trace: list[tuple[float, float]] = []
+    fallbacks = 0
+
+    def value(sol: SemiWaveSolution) -> float:
+        return float(np.dot(mu_vec, sol.flux_integrals)) - sol.c
+
+    def lower(c: float) -> SemiWaveSolution | None:
+        """The converged monotone cached profile at the nearest lower speed."""
+        best = None
+        for sol in cache.values():
+            if (sol.converged and sol.monotone and sol.c < c and sol.length == L
+                    and sol.dx == h and (best is None or sol.c > best.c)):
+                best = sol
+        return best
+
+    def probe(c: float, start: SemiWaveSolution | None, stop: bool) -> SemiWaveSolution:
+        nonlocal fallbacks
+        try:
+            return solve_profile(c, model, kerns, L, dx=dx, tol=tol, start=start,
+                                 stop_mu=mu_vec if stop else None)
+        except NotMonotone:
+            fallbacks += 1
+            return solve_profile(c, model, kerns, L, dx=dx, tol=tol)
 
     def G(c: float) -> float:
         sol = cache.get(c)
-        if sol is None:
-            sol = solve_profile(c, model, kerns, L, dx=dx, tol=tol)
+        if sol is None or not (sol.converged or value(sol) <= 0.0):
+            sol = probe(c, lower(c) if sol is None else sol, stop=True)
             cache[c] = sol
-        val = float(np.dot(mu_vec, sol.flux_integrals)) - c
+        val = value(sol)
         trace.append((c, val))
         return val
 
@@ -366,11 +449,11 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
 
     speed = 0.5 * (lo + hi)
     sol = cache.get(speed)
-    if sol is None:
-        sol = solve_profile(speed, model, kerns, L, dx=dx, tol=tol)
+    if sol is None or not sol.converged:
+        sol = probe(speed, sol, stop=False)     # resume an unfinished iterate, else cold
         cache[speed] = sol
     return FrontSpeedResult(speed=speed, solution=sol, bracket=(lo, hi),
-                            trace=tuple(trace), length=float(L))
+                            trace=tuple(trace), length=L, fallbacks=fallbacks)
 
 
 # ----------------------------------------------------------------------

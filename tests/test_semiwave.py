@@ -391,3 +391,117 @@ class TestMonotoneRelaxation:
         with pytest.raises(sw.NotMonotone):
             sw.solve_profile(c_lo + 0.1, model, kern, L, dx=dx, tol=TOL,
                              start=replace(low, phi=phi))
+
+
+# ----------------------------------------------------------------------
+# edge-speed probes: sign stop, resume, lower-speed starts, and the cold
+# search they replace
+
+LADDER = dict(L=30.0, dx=0.25)
+LADDER_MU = (1.0, 10.0, 100.0)
+
+
+def _cold_find_c0(model, kern, mu, cache, L, dx, tol_c=1e-3, tol=1e-8):
+    """``find_c0`` with every probe cold from saturation and run to tol.
+
+    This is the search before probes stopped at the sign verdict or
+    started from another profile; returns (speed, bracket, verdicts in
+    evaluation order, solution).
+    """
+    mu_vec = np.full(model.m0, float(mu))
+    verdicts = []
+
+    def G(c):
+        sol = cache.get(c)
+        if sol is None:
+            sol = cache[c] = sw.solve_profile(c, model, kern, L, dx=dx, tol=tol)
+        val = float(np.dot(mu_vec, sol.flux_integrals)) - c
+        verdicts.append((c, val <= 0.0))
+        return val
+
+    if G(tol_c) <= 0.0:
+        lo, hi = 0.0, tol_c
+    else:
+        lo, hi, c_try = tol_c, None, tol_c
+        while hi is None:
+            c_try *= 2.0
+            if G(c_try) <= 0.0:
+                hi = c_try
+            else:
+                lo = c_try
+    while hi - lo > tol_c:
+        mid = 0.5 * (lo + hi)
+        if G(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    speed = 0.5 * (lo + hi)
+    sol = cache.get(speed)
+    if sol is None:
+        sol = cache[speed] = sw.solve_profile(speed, model, kern, L, dx=dx, tol=tol)
+    return speed, (lo, hi), verdicts, sol
+
+
+@pytest.fixture(scope="module")
+def cold_ladder(model, laplace1):
+    cache = {}
+    return [_cold_find_c0(model, laplace1, mu, cache, **LADDER) for mu in LADDER_MU]
+
+
+def _matches_cold(results, cold):
+    for res, (speed, bracket, verdicts, sol) in zip(results, cold, strict=True):
+        assert res.speed == speed and res.bracket == bracket
+        assert [(c, v <= 0.0) for c, v in res.trace] == verdicts
+        assert res.solution.converged
+        assert np.array_equal(res.solution.phi, sol.phi)
+        assert res.solution.residual == sol.residual
+
+
+class TestEdgeSpeedProbes:
+    def test_ladder_matches_cold_search_bitwise(self, model, laplace1, cold_ladder,
+                                                monkeypatch):
+        seen = []
+        _recording(monkeypatch, seen)
+        cache = {}
+        results = [sw.find_c0(model, laplace1, mu, cache=cache, **LADDER)
+                   for mu in LADDER_MU]
+        _matches_cold(results, cold_ladder)
+        assert [res.fallbacks for res in results] == [0, 0, 0]
+        # the shortcuts were taken: sign stops, lower-speed starts, resumes
+        assert {stop for stop, _ in seen} >= {"sign"}
+        assert {start for _, start in seen} >= {"speed", "resume"}
+
+    def test_spoiled_starts_fall_back_to_the_cold_result(self, model, laplace1,
+                                                         cold_ladder, monkeypatch):
+        seen = []
+        _recording(monkeypatch, seen, lower_start=True)
+        cache = {}
+        results = [sw.find_c0(model, laplace1, mu, cache=cache, **LADDER)
+                   for mu in LADDER_MU]
+        _matches_cold(results, cold_ladder)
+        assert sum(res.fallbacks for res in results) > 0
+        # every probe that got a start was re-run cold from saturation
+        assert all(start == "saturated" for _, start in seen)
+
+    def test_resumed_sign_stop_is_the_cold_run_bitwise(self, model, laplace1):
+        kw = dict(dx=0.25, tol=1e-8)
+        cold = sw.solve_profile(1.0, model, laplace1, 30.0, **kw)
+        stopped = sw.solve_profile(1.0, model, laplace1, 30.0, stop_mu=3.0, **kw)
+        assert (stopped.stop, stopped.start, stopped.converged) == ("sign", "saturated", False)
+        assert 1 < stopped.iterations < cold.iterations
+        # the verdict is final: the converged functional reads lower still
+        value = sw.flux_functional(stopped, 3.0) - 1.0
+        assert sw.flux_functional(cold, 3.0) - 1.0 <= value <= 0.0
+        resumed = sw.solve_profile(1.0, model, laplace1, 30.0, start=stopped, **kw)
+        assert (resumed.stop, resumed.start) == ("tol", "resume")
+        assert stopped.iterations + resumed.iterations == cold.iterations
+        assert np.array_equal(resumed.phi, cold.phi)
+        assert resumed.residual == cold.residual
+        assert np.array_equal(resumed.flux_integrals, cold.flux_integrals)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_flux_integrals_are_the_trapezoid_rule(self, model, family):
+        kern = make_kernel(FAMILIES[family](1.0))
+        sol = sw.solve_profile(0.3, model, kern, 30.0, dx=0.25, tol=TOL, strict=False)
+        expect = [np.trapezoid(sol.phi[i] * kern.tail(-sol.x), sol.x) for i in range(2)]
+        np.testing.assert_allclose(sol.flux_integrals, expect, rtol=1e-15, atol=0.0)
