@@ -141,7 +141,7 @@ def cstep(state: CauchyState, cfg: CauchyConfig) -> CauchyState:
     dt = cfg.timestep()
     vals = state.u.values
     new_vals = vals + dt * _interior_rate(vals, cfg)
-    new_vals = _check_box(new_vals, cfg, state.t + dt)
+    new_vals = _check_box(new_vals, cfg, state.t + dt, state.u.k_lo)
     k_lo, new_vals, _ = _widen(state.u.k_lo, new_vals, cfg)
     return CauchyState(state.t + dt, GridFunction(cfg.dx, k_lo, new_vals))
 

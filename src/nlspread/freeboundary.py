@@ -29,11 +29,16 @@ from .reactions import ReactionModel, eval_F, lipschitz_bound, positive_equilibr
 
 
 class Instability(RuntimeError):
-    """State left its admissible box: dt too large or model violation."""
+    """State left its admissible box: dt too large or model violation.
 
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (t = {t:.6g})")
-        self.t = t
+    ``component`` (counted from 1, as in scenarios), ``x`` and ``value``
+    locate the worst offending node.
+    """
+
+    def __init__(self, message: str, t: float, component: int, x: float, value: float):
+        super().__init__(f"{message}: component {component}, x = {x:.6g}, "
+                         f"value {value:.6g} (t = {t:.6g})")
+        self.t, self.component, self.x, self.value = t, component, x, value
 
 
 @dataclass(frozen=True)
@@ -254,18 +259,29 @@ def _interior_rate(vals: np.ndarray, cfg: FBConfig) -> np.ndarray:
     return rate
 
 
-def _check_box(vals: np.ndarray, cfg: FBConfig, t: float) -> np.ndarray:
+def _check_box(vals: np.ndarray, cfg: FBConfig, t: float, k_lo: int) -> np.ndarray:
+    """Clamp the tolerated [-1e-12, 0) band; raise Instability outside the box.
+
+    A failure names the worst node: its component and its x position
+    (``k_lo`` is the global lattice index of the first column).
+    """
+    def fail(message: str, score: np.ndarray):
+        i, j = np.unravel_index(np.argmax(score), vals.shape)
+        raise Instability(message, t, int(i) + 1, (k_lo + int(j)) * cfg.dx,
+                          float(vals[i, j]))
+
     if not np.all(np.isfinite(vals)):
-        raise Instability("non-finite state value", t)
+        fail("non-finite state value", ~np.isfinite(vals))
     if float(np.min(vals)) < -1e-12:
-        raise Instability(f"state value {float(np.min(vals)):.3e} below zero", t)
+        fail("state value below zero", -vals)
     if cfg.model.u_ceiling is not None:
-        over = float(np.max(vals - cfg.model.u_ceiling[:, None]))
+        excess = vals - cfg.model.u_ceiling[:, None]
+        over = float(np.max(excess))
         if over > 1e-9:
-            raise Instability(f"state exceeds ceiling by {over:.3e}", t)
+            fail(f"state exceeds ceiling by {over:.3e}", excess)
     elif float(np.max(vals)) > 1e12:
-        raise Instability("state value above 1e12 in an unbounded model", t)
-    return np.maximum(vals, 0.0)     # clamp the tolerated [-1e-12, 0) band
+        fail("state value above 1e12 in an unbounded model", vals)
+    return np.maximum(vals, 0.0)
 
 
 def step(state: FBState, cfg: FBConfig) -> FBState:
@@ -301,7 +317,7 @@ def step(state: FBState, cfg: FBConfig) -> FBState:
         rate2 = _interior_rate(pred_vals, cfg)
         new_vals = vals + 0.5 * dt * (_embed(rate1, kp_lo, k_lo, n_new)
                                       + _embed(rate2, kp_lo, k_lo, n_new))
-    new_vals = _check_box(new_vals, cfg, state.t + dt)
+    new_vals = _check_box(new_vals, cfg, state.t + dt, k_lo)
     return FBState(state.t + dt, g_new, h_new, GridFunction(dx, k_lo, new_vals))
 
 

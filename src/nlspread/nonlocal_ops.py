@@ -23,14 +23,19 @@ which is enough for the n kept outputs.  Output i < n reads v[i - j] for
 zero-padded input is zero, and indices up to n - 1 + W never wrap.
 
 Symmetry note: simulations must preserve mirror symmetry of symmetric
-data to roundoff over thousands of steps.  The direct convolution path
-accumulates in a fixed order, the center term first and then the j and -j
-contributions for j = 1..W, each pair formed by a single elementwise sum,
-so it produces bitwise-mirrored results for bitwise-mirrored inputs, and
-a row block gives bitwise the per-row results.  Edge fluxes reduce arrays
-with a center-pairing sum for the same reason, and each edge adds its far
-partial cell before its near one, so the left flux of mirrored data is
-bitwise the right flux of the data.
+data to roundoff over thousands of steps.  The direct path returns
+0.5 * (C(v) + R(C(R(v)))) for each row, where C convolves the zero-padded
+row with the symmetric stencil and R reverses.  For the mirrored row R(v)
+this is 0.5 * (C(R(v)) + R(C(v))), the reversal of the same two arrays
+added in the other order, and IEEE addition commutes, so mirrored inputs
+give bitwise-mirrored outputs by construction, whatever order the dot
+products inside C sum in.  C reads a copy of the row in a fresh padded
+buffer, so it sees the same bits at the same offsets wherever the row sat
+in memory (the row-block tests check offset and reversed views).  Rows
+are convolved one at a time, so a row block gives bitwise the per-row
+results.  Edge fluxes reduce arrays with a center-pairing sum for the
+same reason, and each edge adds its far partial cell before its near one,
+so the left flux of mirrored data is bitwise the right flux of the data.
 """
 
 from __future__ import annotations
@@ -38,13 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import fft
 
 from .kernels import Kernel
 
 FFT_WINDOW_THRESHOLD = 512      # direct summation up to this half-width
-_STACK_BYTES = 1 << 22          # cap on the direct path's stack of pair terms
 
 
 class MeshTooCoarse(ValueError):
@@ -135,39 +138,24 @@ def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None)
 
 
 def _convolve_direct(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Windowed summation of a row block, in the fixed order of the module note.
+    """Windowed sum of a row block, 0.5 * (C(v) + R(C(R(v)))) per row.
 
-    The terms w_j * (v[k-j] + v[k+j]) of a block of offsets are stacked
-    behind the running sum and reduced along the stack axis.  numpy reduces
-    a non-innermost axis one slice at a time, so this is the plain loop
-    ``out += w_j * (...)`` for j = 1..W with fewer interpreter round trips.
-    Zero weights are dropped, as the loop would skip them, and the sum
-    starts from -0.0, the exact identity (numpy's default +0.0 would turn
-    a sum of -0.0 terms into +0.0).
+    C is np.correlate of the zero-padded row with the stencil, which is
+    the convolution because the stencil is symmetric; R reverses.  See the
+    module note for why the pair makes the result mirror-exact.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     W = (len(weights) - 1) // 2
     rows = values.reshape(-1, n)
-    m = rows.shape[0]
-    padded = np.zeros((m, n + 2 * W))
-    padded[:, W:W + n] = rows
-    step = padded.strides[1]
-    shifted = as_strided(padded, (m, 2 * W + 1, n), (padded.strides[0], step, step),
-                         writeable=False)               # [:, s] = padded[:, s:s+n]
-    block = max(1, _STACK_BYTES // (8 * m * n))
-    out = weights[W] * rows
-    for j0 in range(1, W + 1, block):
-        j1 = min(W + 1, j0 + block)                      # offsets j0..j1-1
-        wj = weights[W + j0:W + j1, None]
-        stack = np.empty((m, j1 - j0 + 1, n))
-        stack[:, 0] = out
-        np.add(shifted[:, W - j1 + 1:W - j0 + 1][:, ::-1], shifted[:, W + j0:W + j1],
-               out=stack[:, 1:])
-        stack[:, 1:] *= wj
-        if not wj.all():
-            stack = stack[:, np.concatenate(([True], wj[:, 0] != 0.0))]
-        out = np.add.reduce(stack, axis=1, initial=-0.0)
+    out = np.empty(rows.shape)
+    padded = np.zeros(n + 2 * W)
+    for row, dst in zip(rows, out):
+        padded[W:W + n] = row
+        dst[:] = np.correlate(padded, weights, "valid")
+        padded[W:W + n] = row[::-1]
+        dst += np.correlate(padded, weights, "valid")[::-1]
+    out *= 0.5
     return out.reshape(values.shape)
 
 

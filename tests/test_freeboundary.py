@@ -201,6 +201,32 @@ class TestRun:
         with pytest.raises(fb.Instability):
             fb.run(cfg)
 
+    def test_instability_names_component_position_and_value(self):
+        cfg = smoke_cfg(dt=4.0, t_end=100.0)
+        with pytest.raises(fb.Instability) as info:
+            fb.run(cfg)
+        e = info.value
+        assert e.component in (1, 2) and e.value < -1e-12 and e.t > 0
+        assert abs(e.x / cfg.dx - round(e.x / cfg.dx)) < 1e-9     # a lattice node
+        assert str(e) == (f"state value below zero: component {e.component}, "
+                          f"x = {e.x:.6g}, value {e.value:.6g} (t = {e.t:.6g})")
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite state value"),
+        (-0.25, "state value below zero"),
+        (1.75, "state exceeds ceiling by 7.500e-01")])
+    def test_box_failure_locates_the_worst_node(self, bad, message):
+        # component 2 at local index 3 of a window starting at k = -5
+        cfg = smoke_cfg()
+        vals = np.full((2, 8), 0.5)
+        vals[0, 6] = -1e-13                          # inside the tolerated band
+        vals[1, 3] = bad
+        with pytest.raises(fb.Instability, match=message) as info:
+            fb._check_box(vals, cfg, 2.5, k_lo=-5)
+        e = info.value
+        assert (e.component, e.x, e.t) == (2, -0.5, 2.5)
+        assert e.value == bad or (np.isnan(e.value) and np.isnan(bad))
+
     def test_refinement_consistency(self):
         coarse = fb.run(smoke_cfg(t_end=4.0, dx=0.2, dt=0.08))
         fine = fb.run(smoke_cfg(t_end=4.0, dx=0.1, dt=0.04))

@@ -308,19 +308,19 @@ class TestProfileLowerBounds:
 # ----------------------------------------------------------------------
 # row blocks and the dispersal operator, as properties over random meshes
 
-def loop_convolve(values, weights):
-    """The per-row direct loop the row-block path must reproduce bit for bit."""
-    n = values.shape[-1]
-    W = (len(weights) - 1) // 2
-    padded = np.zeros(n + 2 * W)
-    padded[W:W + n] = values
-    out = weights[W] * values
-    for j in range(1, W + 1):
-        wj = weights[W + j]
-        if wj == 0.0:
-            continue
-        out += wj * (padded[W - j:W - j + n] + padded[W + j:W + j + n])
-    return out
+def assert_direct_exact(vals, w):
+    """Block = per-row calls and mirror = reversed output, bitwise; brute force to roundoff.
+
+    The brute-force bound is 1e-12 * sum|w| * max|v|, far above the
+    roundoff of a (2W + 1)-term sum and far below any wrong weight.
+    """
+    got = _convolve_direct(vals, w)
+    assert np.array_equal(got, np.stack([_convolve_direct(v, w) for v in vals]))
+    assert np.array_equal(_convolve_direct(vals[:, ::-1], w), got[:, ::-1])
+    bound = 1e-12 * np.sum(np.abs(w)) * max(np.max(np.abs(vals)), np.finfo(float).tiny)
+    for v, out in zip(vals, got):
+        assert np.max(np.abs(out - brute_convolve(v, w))) <= bound
+    return got
 
 
 def one_sided_flux(kernel, f, rows, side, g, h):
@@ -361,8 +361,7 @@ class TestRowBlocks:
     def test_direct_block_is_the_per_row_loop_bitwise(self, block, half_width):
         kern, dx, vals = block
         w = kernel_weights(kern, dx, max_half_width=half_width)
-        got = _convolve_direct(vals, w)
-        assert np.array_equal(got, np.stack([loop_convolve(v, w) for v in vals]))
+        got = assert_direct_exact(vals, w)
         assert np.array_equal(_convolve_direct(vals[0], w), got[0])
 
     @PROPERTY
@@ -373,17 +372,57 @@ class TestRowBlocks:
         assert np.array_equal(_convolve_direct(vals[:, ::-1], w),
                               _convolve_direct(vals, w)[:, ::-1])
 
-    def test_zero_weights_are_skipped_to_the_bit(self):
-        # uniform(1.1) at dx = 0.25: w_5 = 0.  A node whose window holds
-        # only -0.0 keeps the sign of zero, as the loop leaves it
+    def test_zero_weights_and_signed_zeros(self):
+        # uniform(1.1) at dx = 0.25: w_5 = 0, and the data carry -0.0 between
+        # two spikes, so node 10 sees only zero weights and signed zeros
         w = kernel_weights(make_kernel(SPECS["uniform"]), 0.25)
         assert len(w) == 11 and w[0] == w[-1] == 0.0
         vals = np.full((2, 21), -0.0)
         vals[:, [5, 15]] = 1.0
-        got = _convolve_direct(vals, w)
-        ref = np.stack([loop_convolve(v, w) for v in vals])
-        assert np.signbit(ref[:, 10]).all()
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        got = assert_direct_exact(vals, w)
+        assert np.all(got[:, 10] == 0.0)
+
+    @PROPERTY
+    @given(blocks(), st.integers(1, 80), st.integers(0, 7), st.booleans())
+    def test_direct_rows_as_strided_views_stay_exact(self, block, half_width, offset,
+                                                     backwards):
+        # rows cut from a larger buffer at element offsets 0-7, or read
+        # backwards, must give the bits of contiguous copies, so that no dot
+        # product's summation order can follow the caller's pointer alignment
+        kern, dx, vals = block
+        w = kernel_weights(kern, dx, max_half_width=half_width)
+        m, n = vals.shape
+        buffer = np.full((m, n + 9), np.nan)
+        view = buffer[:, offset:offset + n]
+        view[:] = vals[:, ::-1] if backwards else vals
+        if backwards:
+            view = view[:, ::-1]
+        assert np.array_equal(_convolve_direct(view, w), _convolve_direct(vals, w))
+        for v, row in zip(view, vals):
+            assert np.array_equal(_convolve_direct(v, w), _convolve_direct(row, w))
+        assert np.array_equal(_convolve_direct(view[:, ::-1], w),
+                              _convolve_direct(vals, w)[:, ::-1])
+
+    @PROPERTY
+    @given(blocks(), st.integers(1, 80), st.integers(0, 7), st.integers(0, 2 ** 32 - 1))
+    def test_direct_preserves_order_exactly(self, block, half_width, offset, seed):
+        # comparison principle at L0: 0 <= v <= v' gives J*v <= J*v' with no
+        # roundoff slack, also when v' sits at another alignment than v
+        kern, dx, vals = block
+        w = kernel_weights(kern, dx, max_half_width=half_width)
+        rng = np.random.default_rng(seed)
+        # nodes raised by one ulp make J*v and J*v' differ by roundoff only,
+        # which an inexact order (FFT, or a sum order that depends on the
+        # data's address) gets wrong on some draw
+        raised = vals.copy()
+        up = rng.uniform(size=vals.shape) < 0.3
+        raised[up] = np.nextafter(vals[up], np.inf)
+        far = rng.uniform(size=vals.shape) < 0.1
+        raised[far] += rng.uniform(0.0, 1.0, np.count_nonzero(far))
+        buffer = np.zeros((vals.shape[0], vals.shape[1] + 7))
+        buffer[:, offset:offset + vals.shape[1]] = raised
+        upper = buffer[:, offset:offset + vals.shape[1]]
+        assert np.all(_convolve_direct(vals, w) <= _convolve_direct(upper, w))
 
     @PROPERTY
     @given(blocks(min_n=1))
@@ -466,6 +505,6 @@ class TestDispersalOperator:
                 v = rng.uniform(0, 1, size=(2, n))
                 got = op.convolve(v)
                 w = kernel_weights(kern, 0.25, max_half_width=n - 1)
-                assert np.array_equal(got, np.stack([loop_convolve(r, w) for r in v]))
+                assert np.array_equal(got, assert_direct_exact(v, w))
         # full half-width 72 for n = 200, 260, 300; truncated to 39, then 40
         assert calls == [199, 39, 40]
