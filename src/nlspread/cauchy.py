@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import INFINITE, exp_moment, tail_mass
+from .kernels import classify, tail_mass
 from .nonlocal_ops import GridFunction
 from .freeboundary import _check_box, _integrate, _interior_rate, _Problem
 from .reactions import positive_equilibrium
@@ -95,10 +95,9 @@ def _cap_indices(cfg: CauchyConfig) -> tuple[int | None, int | None]:
     return -k, k
 
 
-def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndarray, bool]:
+def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndarray]:
     """Zero-pad until both edge bands are cold or the cap blocks growth."""
     k_min, k_max = _cap_indices(cfg)
-    capped = False
     while True:
         lhot, rhot = _edges_hot(vals, cfg.eps_edge)
         pad_l = GROW_BLOCK if lhot else 0
@@ -106,10 +105,8 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
         if k_min is not None:
             pad_l = min(pad_l, k_lo - k_min)
             pad_r = min(pad_r, k_max - (k_lo + vals.shape[1] - 1))
-            if (lhot and pad_l == 0) or (rhot and pad_r == 0):
-                capped = True
         if pad_l == 0 and pad_r == 0:
-            return k_lo, vals, capped
+            return k_lo, vals
         vals = np.pad(vals, ((0, 0), (pad_l, pad_r)))
         k_lo -= pad_l
 
@@ -142,7 +139,7 @@ def cstep(state: CauchyState, cfg: CauchyConfig) -> CauchyState:
     vals = state.u.values
     new_vals = vals + dt * _interior_rate(vals, cfg)
     new_vals = _check_box(new_vals, cfg, state.t + dt, state.u.k_lo)
-    k_lo, new_vals, _ = _widen(state.u.k_lo, new_vals, cfg)
+    k_lo, new_vals = _widen(state.u.k_lo, new_vals, cfg)
     return CauchyState(state.t + dt, GridFunction(cfg.dx, k_lo, new_vals))
 
 
@@ -225,11 +222,10 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
     notes = []
     if capped:
         notes.append(f"window capped at |x| <= {cfg.x_max}; exterior leak bound {leak:.3e}")
-    if cfg.model.u_ceiling is not None:
-        heavy = any(exp_moment(kern, 1e-3) == INFINITE for kern in cfg.kernels)
-        if heavy:
-            notes.append("bounded-ceiling model with heavy-tailed dispersal: "
-                         "accelerated-rate statements assume an unbounded ceiling")
+    if cfg.model.u_ceiling is not None and not all(
+            classify(kern).finite_exponential_moment for kern in cfg.kernels):
+        notes.append("bounded-ceiling model with heavy-tailed dispersal: "
+                     "accelerated-rate statements assume an unbounded ceiling")
     levels = {key: np.asarray(rows, dtype=float).reshape(-1, 3)
               for key, rows in level_rows.items()}
     return CauchySeries(t=np.asarray(ts), levels=levels,

@@ -5,8 +5,22 @@ Jtail(z) = integral of J over [z, infinity), a sampled tail table on a
 geometric mesh (used for decay classification and diagnostics), and a
 cutoff radius beyond which the tail mass is below a configured budget.
 
-Families: uniform(radius), laplace(scale), gaussian(sigma),
-powerlaw(gamma, core_width), and table(x, values) for sampled kernels.
+Families (``_FAMILIES``, the one table of family -> parameters; the
+scenario schema's kernel object and the JSON reader follow it):
+
+    uniform(radius)                 compact support [-radius, radius]
+    laplace(scale)                  exp(-|x|/scale)
+    gaussian(sigma)                 exp(-x^2 / (2 sigma^2))
+    powerlaw(gamma, core_width=1)   (core_width + |x|)^-gamma, gamma > 1
+    table(x, values)                sampled on an even grid, linear between
+
+Classification is read off the moments, which is where the paper's case
+split lives: ``first_moment`` finite gives a semi-wave speed c0,
+``exp_abscissa`` > 0 (some exponential moment finite) gives a minimal
+speed c*, and heavier tails make fronts accelerate.  ``classify`` derives
+its two flags from those two functions; a sampled table counts as
+polynomial when its tail table fits a power law (``_tail_regression``).
+No other module compares family names or reads family parameters.
 """
 
 from __future__ import annotations
@@ -22,7 +36,14 @@ INFINITE = math.inf
 TAIL_MESH_RATIO = 1.05     # geometric mesh ratio for the sampled tail table
 DEFAULT_EPS_TAIL = 1e-8
 
-_FAMILIES = ("uniform", "laplace", "gaussian", "powerlaw", "table")
+# family -> {parameter: default}; None marks a required parameter
+_FAMILIES = {
+    "uniform": {"radius": None},
+    "laplace": {"scale": None},
+    "gaussian": {"sigma": None},
+    "powerlaw": {"gamma": None, "core_width": 1.0},
+    "table": {"x": None, "values": None},
+}
 
 
 class KernelError(ValueError):
@@ -78,51 +99,43 @@ class KernelSpec:
     def validate(self) -> None:
         if self.family not in _FAMILIES:
             raise KernelError(f"unknown kernel family {self.family!r}")
-        if self.family == "uniform":
-            if self.radius is None or not (self.radius > 0) or not math.isfinite(self.radius):
-                raise KernelError("uniform kernel needs radius > 0")
-        elif self.family == "laplace":
-            if self.scale is None or not (self.scale > 0) or not math.isfinite(self.scale):
-                raise KernelError("laplace kernel needs scale > 0")
-        elif self.family == "gaussian":
-            if self.sigma is None or not (self.sigma > 0) or not math.isfinite(self.sigma):
-                raise KernelError("gaussian kernel needs sigma > 0")
-        elif self.family == "powerlaw":
+        if self.family == "powerlaw":
             if self.gamma is None or not math.isfinite(self.gamma):
                 raise KernelError("powerlaw kernel needs a finite gamma")
             if self.gamma <= 1.0:
                 raise NonNormalizable(
                     f"powerlaw tail exponent gamma={self.gamma} has infinite mass (needs gamma > 1)")
-            w = self.core_width if self.core_width is not None else 1.0
-            if not (w > 0) or not math.isfinite(w):
-                raise KernelError("powerlaw kernel needs core_width > 0")
-        elif self.family == "table":
-            if self.x is None or self.values is None or len(self.x) != len(self.values):
-                raise KernelError("table kernel needs matching x and values arrays")
-            if len(self.x) < 3:
-                raise KernelError("table kernel needs at least 3 sample points")
-            xs = np.asarray(self.x, dtype=float)
-            vs = np.asarray(self.values, dtype=float)
-            if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(vs)):
-                raise KernelError("table kernel samples must be finite")
-            if np.any(np.diff(xs) <= 0):
-                raise KernelError("table kernel x grid must be strictly increasing")
-            if np.any(vs < 0):
-                raise NegativeTableValue("table kernel values must be nonnegative")
-            span = max(abs(xs[0]), abs(xs[-1]))
-            # evenness: the sample grid must mirror about 0 and values must match
-            if abs(xs[0] + xs[-1]) > 1e-12 * span:
-                raise KernelError("table kernel grid must be symmetric about 0")
-            if np.max(np.abs(xs + xs[::-1])) > 1e-12 * span:
-                raise KernelError("table kernel grid must be symmetric about 0")
-            vmax = float(np.max(vs))
-            if vmax <= 0:
-                raise KernelError("table kernel must have positive mass")
-            if np.max(np.abs(vs - vs[::-1])) > 1e-9 * vmax:
-                raise KernelError("table kernel values must be even in x")
-            mid = np.interp(0.0, xs, vs)
-            if mid <= 0:
-                raise KernelError("table kernel must be positive at x = 0")
+        if self.family != "table":
+            for name, default in _FAMILIES[self.family].items():
+                v = getattr(self, name)
+                v = default if v is None else v
+                if v is None or not (v > 0) or not math.isfinite(v):
+                    raise KernelError(f"{self.family} kernel needs {name} > 0")
+            return
+        if self.x is None or self.values is None or len(self.x) != len(self.values):
+            raise KernelError("table kernel needs matching x and values arrays")
+        if len(self.x) < 3:
+            raise KernelError("table kernel needs at least 3 sample points")
+        xs = np.asarray(self.x, dtype=float)
+        vs = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(vs)):
+            raise KernelError("table kernel samples must be finite")
+        if np.any(np.diff(xs) <= 0):
+            raise KernelError("table kernel x grid must be strictly increasing")
+        if np.any(vs < 0):
+            raise NegativeTableValue("table kernel values must be nonnegative")
+        span = max(abs(xs[0]), abs(xs[-1]))
+        # evenness: the sample grid must mirror about 0 and values must match
+        if np.max(np.abs(xs + xs[::-1])) > 1e-12 * span:
+            raise KernelError("table kernel grid must be symmetric about 0")
+        vmax = float(np.max(vs))
+        if vmax <= 0:
+            raise KernelError("table kernel must have positive mass")
+        if np.max(np.abs(vs - vs[::-1])) > 1e-9 * vmax:
+            raise KernelError("table kernel values must be even in x")
+        mid = np.interp(0.0, xs, vs)
+        if mid <= 0:
+            raise KernelError("table kernel must be positive at x = 0")
 
 
 @dataclass(frozen=True)
@@ -184,24 +197,6 @@ class Kernel:
 # ----------------------------------------------------------------------
 # construction
 
-def _core_scale(spec: KernelSpec) -> float:
-    if spec.family == "uniform":
-        return spec.radius
-    if spec.family == "laplace":
-        return spec.scale
-    if spec.family == "gaussian":
-        return spec.sigma
-    if spec.family == "powerlaw":
-        return spec.core_width if spec.core_width is not None else 1.0
-    # table: half width at half maximum of the sampled shape
-    xs = np.asarray(spec.x)
-    vs = np.asarray(spec.values)
-    peak = float(np.max(vs))
-    above = xs[vs >= 0.5 * peak]
-    half = float(np.max(np.abs(above))) if above.size else float(xs[-1])
-    return max(half, 1e-12)
-
-
 def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
     """Build a normalized kernel with its tail table and cutoff radius."""
     spec.validate()
@@ -213,14 +208,16 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
     compact = None
     if fam == "uniform":
         normalizer = 1.0 / (2.0 * spec.radius)
-        compact = spec.radius
+        core = compact = spec.radius
     elif fam == "laplace":
         normalizer = 1.0 / (2.0 * spec.scale)
+        core = spec.scale
     elif fam == "gaussian":
         normalizer = 1.0 / (spec.sigma * math.sqrt(2.0 * math.pi))
+        core = spec.sigma
     elif fam == "powerlaw":
-        w = spec.core_width if spec.core_width is not None else 1.0
-        normalizer = 0.5 * (spec.gamma - 1.0) * w ** (spec.gamma - 1.0)
+        core = spec.core_width if spec.core_width is not None else 1.0
+        normalizer = 0.5 * (spec.gamma - 1.0) * core ** (spec.gamma - 1.0)
     else:
         xs_full = np.asarray(spec.x, dtype=float)
         vs_full = np.asarray(spec.values, dtype=float)
@@ -242,8 +239,9 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
         table_v = hv
         tail_x = hx.copy()
         tail_v = ctail
-
-    core = _core_scale(spec)
+        # core: half width at half maximum of the sampled shape
+        half = np.max(np.abs(xs_full[vs_full >= 0.5 * np.max(vs_full)]))
+        core = max(float(half), 1e-12)
 
     kern = Kernel(
         spec=spec, eps_tail=float(eps_tail), normalizer=normalizer,
@@ -299,6 +297,12 @@ def tail_mass(kernel: Kernel, z) -> float | np.ndarray:
     return out
 
 
+def _half_line_integral(kernel: Kernel, weight) -> float:
+    """Trapezoid integral of weight(x)*J(x) over a table kernel's samples on [0, inf)."""
+    xs = kernel._table_x
+    return float(np.trapezoid(weight(xs) * (kernel._table_v * kernel.normalizer), xs))
+
+
 def first_moment(kernel: Kernel) -> float:
     """Integral of x*J(x) over [0, inf); INFINITE when the tail is too heavy."""
     spec = kernel.spec
@@ -319,36 +323,42 @@ def first_moment(kernel: Kernel) -> float:
     g, _ = _tail_regression(kernel)
     if g is not None and g <= 2.0:
         return INFINITE
-    xs = kernel._table_x
-    vs = kernel._table_v * kernel.normalizer
-    return float(np.trapezoid(xs * vs, xs))
+    return _half_line_integral(kernel, lambda x: x)
+
+
+def exp_abscissa(kernel: Kernel) -> float:
+    """Supremum of the rates lam > 0 with a finite exponential moment; 0 for none.
+
+    Both exponential moments are INFINITE from this rate on.  A sampled
+    table whose tail fits a power law counts as polynomial: no rate.
+    """
+    fam = kernel.spec.family
+    if fam == "laplace":
+        return 1.0 / kernel.spec.scale
+    if fam == "powerlaw":
+        return 0.0
+    if fam == "table" and _tail_regression(kernel)[0] is not None:
+        return 0.0
+    return INFINITE
 
 
 def exp_moment(kernel: Kernel, lam: float) -> float:
     """Integral of exp(lam*x)*J(x) over [0, inf); INFINITE when divergent."""
     if not (lam > 0) or not math.isfinite(lam):
         raise InvalidLambda("exponential-moment rate must satisfy 0 < lam < inf")
+    if not lam < exp_abscissa(kernel):
+        return INFINITE
     spec = kernel.spec
     fam = spec.family
     if fam == "uniform":
         r = spec.radius
         return (math.expm1(lam * r)) / (2.0 * r * lam)
     if fam == "laplace":
-        s = spec.scale
-        if lam >= 1.0 / s:
-            return INFINITE
-        return 1.0 / (2.0 * (1.0 - lam * s))
+        return 1.0 / (2.0 * (1.0 - lam * spec.scale))
     if fam == "gaussian":
         s = spec.sigma
         return 0.5 * math.exp(0.5 * (lam * s) ** 2) * (1.0 + math.erf(lam * s / math.sqrt(2.0)))
-    if fam == "powerlaw":
-        return INFINITE
-    g, _ = _tail_regression(kernel)
-    if g is not None:
-        return INFINITE          # polynomial tail defeats every exponential rate
-    xs = kernel._table_x
-    vs = kernel._table_v * kernel.normalizer
-    return float(np.trapezoid(np.exp(lam * xs) * vs, xs))
+    return _half_line_integral(kernel, lambda x: np.exp(lam * x))
 
 
 def two_sided_exp_moment(kernel: Kernel, lam: float) -> float:
@@ -356,26 +366,18 @@ def two_sided_exp_moment(kernel: Kernel, lam: float) -> float:
     lam = abs(float(lam))
     if lam == 0.0:
         return 1.0
+    if not lam < exp_abscissa(kernel):
+        return INFINITE
     spec = kernel.spec
     fam = spec.family
     if fam == "uniform":
         r = spec.radius
         return math.sinh(lam * r) / (lam * r)
     if fam == "laplace":
-        s = spec.scale
-        if lam >= 1.0 / s:
-            return INFINITE
-        return 1.0 / (1.0 - (lam * s) ** 2)
+        return 1.0 / (1.0 - (lam * spec.scale) ** 2)
     if fam == "gaussian":
         return math.exp(0.5 * (lam * spec.sigma) ** 2)
-    if fam == "powerlaw":
-        return INFINITE
-    g, _ = _tail_regression(kernel)
-    if g is not None:
-        return INFINITE
-    xs = kernel._table_x
-    vs = kernel._table_v * kernel.normalizer
-    return float(np.trapezoid((np.exp(lam * xs) + np.exp(-lam * xs)) * vs, xs))
+    return _half_line_integral(kernel, lambda x: np.exp(lam * x) + np.exp(-lam * x))
 
 
 # ----------------------------------------------------------------------
@@ -430,47 +432,29 @@ def _tail_regression(kernel: Kernel) -> tuple[float | None, float | None]:
 
 
 def classify(kernel: Kernel) -> ClassReport:
-    """Report moment finiteness and the measured polynomial tail exponent."""
-    fam = kernel.spec.family
+    """Moment finiteness, from first_moment and exp_abscissa, and the tail fit."""
     gamma_hat, gamma_se = _tail_regression(kernel)
-    if fam in ("uniform", "gaussian"):
-        fm, em = True, True
-    elif fam == "laplace":
-        fm, em = True, True
-    elif fam == "powerlaw":
-        fm = kernel.spec.gamma > 2.0
-        em = False
-    else:
-        fm = not (gamma_hat is not None and gamma_hat <= 2.0)
-        em = gamma_hat is None
-    return ClassReport(finite_first_moment=fm, finite_exponential_moment=em,
+    return ClassReport(finite_first_moment=first_moment(kernel) < INFINITE,
+                       finite_exponential_moment=exp_abscissa(kernel) > 0.0,
                        gamma_hat=gamma_hat, gamma_stderr=gamma_se)
 
 
 # ----------------------------------------------------------------------
 # JSON interface
 
-def kernel_from_json(obj: dict, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
+def kernel_from_json(obj: dict) -> Kernel:
     """Build a kernel from a config mapping like {"family": "laplace", "scale": 1.0}."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise KernelError("kernel config must be a mapping with a 'family' key")
     fam = obj["family"]
-    extra = {k: v for k, v in obj.items() if k != "family"}
-    try:
-        if fam == "uniform":
-            spec = KernelSpec.uniform(extra.pop("radius"))
-        elif fam == "laplace":
-            spec = KernelSpec.laplace(extra.pop("scale"))
-        elif fam == "gaussian":
-            spec = KernelSpec.gaussian(extra.pop("sigma"))
-        elif fam == "powerlaw":
-            spec = KernelSpec.powerlaw(extra.pop("gamma"), extra.pop("core_width", 1.0))
-        elif fam == "table":
-            spec = KernelSpec.table(extra.pop("x"), extra.pop("values"))
-        else:
-            raise KernelError(f"unknown kernel family {fam!r}")
-    except KeyError as exc:
-        raise KernelError(f"kernel family {fam!r} is missing parameter {exc.args[0]!r}") from None
+    if not isinstance(fam, str) or fam not in _FAMILIES:
+        raise KernelError(f"unknown kernel family {fam!r}")
+    params = {**_FAMILIES[fam], **obj}
+    del params["family"]
+    missing = [k for k in _FAMILIES[fam] if params[k] is None]
+    if missing:
+        raise KernelError(f"kernel family {fam!r} is missing parameter {missing[0]!r}")
+    extra = sorted(set(params) - set(_FAMILIES[fam]))
     if extra:
-        raise KernelError(f"unexpected kernel parameters for {fam!r}: {sorted(extra)}")
-    return make_kernel(spec, eps_tail=eps_tail)
+        raise KernelError(f"unexpected kernel parameters for {fam!r}: {extra}")
+    return make_kernel(getattr(KernelSpec, fam)(**params))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import _component_kernels, _component_mu
-from .kernels import INFINITE, Kernel, classify, two_sided_exp_moment
+from .kernels import INFINITE, classify, exp_abscissa, two_sided_exp_moment
 from .nonlocal_ops import check_mesh, kernel_weights
 from .reactions import (ReactionModel, eval_F, jacobian, lipschitz_bound,
                         positive_equilibrium)
@@ -41,6 +41,10 @@ __all__ = [
     "check_window", "solve_profile", "flux_functional", "find_c0",
     "linearized_front_speed", "estimate_cstar",
 ]
+
+C0_TOL = 1e-8              # relaxation tolerance of the find_c0 probes
+C0_MAX_DOUBLINGS = 60      # find_c0 bracket search: doublings from tol_c
+CSTAR_TOL = 1e-6           # relaxation tolerance of the estimate_cstar probes
 
 
 class SemiwaveError(RuntimeError):
@@ -340,7 +344,6 @@ class FrontSpeedResult:
 
 def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
             dx: float | None = None, tol_c: float = 1e-3,
-            max_doublings: int = 60, tol: float = 1e-8,
             cache: dict | None = None) -> FrontSpeedResult:
     """Locate the speed where the boundary flux functional matches c.
 
@@ -400,11 +403,11 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     def probe(c: float, start: SemiWaveSolution | None, stop: bool) -> SemiWaveSolution:
         nonlocal fallbacks
         try:
-            return solve_profile(c, model, kerns, L, dx=dx, tol=tol, start=start,
+            return solve_profile(c, model, kerns, L, dx=dx, tol=C0_TOL, start=start,
                                  stop_mu=mu_vec if stop else None)
         except NotMonotone:
             fallbacks += 1
-            return solve_profile(c, model, kerns, L, dx=dx, tol=tol)
+            return solve_profile(c, model, kerns, L, dx=dx, tol=C0_TOL)
 
     def G(c: float) -> float:
         sol = cache.get(c)
@@ -420,7 +423,7 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     else:
         lo, hi = tol_c, None
         c_try = tol_c
-        for _ in range(max_doublings):
+        for _ in range(C0_MAX_DOUBLINGS):
             c_try *= 2.0
             if G(c_try) <= 0.0:
                 hi = c_try
@@ -429,7 +432,7 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
         if hi is None:
             raise BracketNotFound(
                 f"flux functional still exceeds c at c={c_try:g} after "
-                f"{max_doublings} doublings from {tol_c:g}")
+                f"{C0_MAX_DOUBLINGS} doublings from {tol_c:g}")
 
     while hi - lo > tol_c:
         mid = 0.5 * (lo + hi)
@@ -479,18 +482,6 @@ class MinimalSpeedResult:
     fallbacks: int = 0
 
 
-def _lam_sup(kern: Kernel) -> float:
-    """Supremum of decay rates with a finite two-sided exponential moment."""
-    fam = kern.spec.family
-    if fam == "laplace":
-        return 1.0 / kern.spec.scale
-    if fam == "powerlaw":
-        return 0.0
-    if fam == "table":
-        return INFINITE if classify(kern).finite_exponential_moment else 0.0
-    return INFINITE
-
-
 def linearized_front_speed(model: ReactionModel, kernels) -> float:
     """Decay-rate optimized speed of the linearization at the empty state.
 
@@ -501,7 +492,7 @@ def linearized_front_speed(model: ReactionModel, kernels) -> float:
     dispersing kernel has no finite exponential moment.
     """
     kerns = _component_kernels(kernels, model.m0)
-    lam_hi = min(_lam_sup(k) for k in kerns)
+    lam_hi = min(exp_abscissa(k) for k in kerns)
     if lam_hi <= 0.0:
         return INFINITE
     from scipy import optimize     # deferred: costs 0.2 s at import time
@@ -528,8 +519,7 @@ def linearized_front_speed(model: ReactionModel, kernels) -> float:
 
 
 def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
-                   dx: float | None = None, tol: float = 1e-6,
-                   rel_tol: float = 1e-2, max_iter: int | None = None) -> MinimalSpeedResult:
+                   dx: float | None = None, rel_tol: float = 1e-2) -> MinimalSpeedResult:
     """Bracket the largest speed at which a saturated profile survives.
 
     A speed c is alive when the maximal profile on the largest scheduled
@@ -585,8 +575,6 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
     dtau = 0.9 / max(lipschitz_bound(model), 1e-12)
 
     def budget(L: float) -> int:
-        if max_iter is not None:
-            return max_iter
         return max(60_000, int(0.75 * L / (width * dtau)))
 
     trace: list[tuple[float, float, float]] = []
@@ -599,7 +587,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
 
     def probe(c: float, L: float, start: SemiWaveSolution | None) -> SemiWaveSolution:
         nonlocal fallbacks
-        kw = dict(dx=dx, tol=tol, max_iter=budget(L), strict=False)
+        kw = dict(dx=dx, tol=CSTAR_TOL, max_iter=budget(L), strict=False)
         try:
             return solve_profile(c, model, kerns, L, stop_dead=True, start=start, **kw)
         except NotMonotone:

@@ -7,6 +7,7 @@ from nlspread import cauchy as cy
 from nlspread import freeboundary as fb
 from nlspread import kernels as kn
 from nlspread import reactions as rx
+from nlspread.config import build_cauchy_config, load_scenario, scenario_dir
 from nlspread.nonlocal_ops import GridFunction
 
 
@@ -182,6 +183,23 @@ class TestHeavyTailWindow:
         assert any("unbounded ceiling" in note for note in series.notes)
         assert abs(series.window_final[0]) <= 30.0 + 1e-9
         assert series.window_final[1] <= 30.0 + 1e-9
+
+    def test_wide_thin_tail_gets_no_heavy_tail_note(self):
+        # laplace(1000) has exponential moments for every rate below 1e-3,
+        # so the bounded-ceiling heavy-tail note must not appear
+        kern = kn.make_kernel(kn.KernelSpec.laplace(1000.0))
+        assert kn.classify(kern).finite_exponential_moment
+        cfg = cy.CauchyConfig(model=wnv_model(), kernels=kern, h0=5000.0,
+                              dx=250.0, t_end=0.0)
+        assert cy.run_cauchy(cfg).notes == ()
+
+    @pytest.mark.parametrize("name, heavy", [("cauchy_wnv_laplace", False),
+                                             ("cauchy_wnv_powerlaw15", True)])
+    def test_bundled_heavy_tail_note_follows_classify(self, name, heavy):
+        scenario = load_scenario(scenario_dir() / f"{name}.json")
+        scenario["numerics"]["t_end"] = 0.0
+        series = cy.run_cauchy(build_cauchy_config(scenario))
+        assert any("unbounded ceiling" in note for note in series.notes) is heavy
 
     def test_thin_tail_leak_negligible(self):
         # the bound is dominated by the t = 0 sample, where the window is

@@ -11,7 +11,7 @@ from nlspread.config import (SCENARIO_SCHEMA, ConfigError, build_cauchy_config,
                              build_fb_config, build_kernels, load_scenario,
                              scenario_dir, validate_scenario)
 from nlspread.freeboundary import FBConfig
-from nlspread.kernels import KernelSpec, make_kernel
+from nlspread.kernels import _FAMILIES, KernelSpec, make_kernel
 from nlspread.reactions import custom, wnv
 from nlspread.semiwave import find_c0
 
@@ -44,6 +44,14 @@ class TestValidation:
         with pytest.raises(ConfigError) as e:
             validate_scenario(obj)
         assert e.value.pointer == "/numerics/substeps"
+
+    def test_kernel_object_defined_once_and_follows_the_family_table(self):
+        kernel = SCENARIO_SCHEMA["$defs"]["kernel"]
+        single, listed = SCENARIO_SCHEMA["properties"]["kernels"]["anyOf"]
+        assert single == listed["items"] == {"$ref": "#/$defs/kernel"}
+        assert kernel["properties"]["family"]["enum"] == list(_FAMILIES)
+        for family, params in _FAMILIES.items():
+            assert set(params) <= set(kernel["properties"]), family
 
     def test_unknown_top_level_key_rejected_with_pointer(self):
         obj = minimal_fb()

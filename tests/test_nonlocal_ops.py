@@ -1,5 +1,6 @@
 """Convolution and edge-flux quadrature against brute-force and closed-form oracles."""
 
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import integrate
 
 from nlspread import nonlocal_ops
 from nlspread.config import build_kernels
-from nlspread.kernels import KernelSpec, make_kernel
+from nlspread.kernels import _FAMILIES, KernelSpec, make_kernel
 from nlspread.nonlocal_ops import (
     DispersalOperator,
     GridFunction,
@@ -508,3 +509,43 @@ class TestDispersalOperator:
                 assert np.array_equal(got, assert_direct_exact(v, w))
         # full half-width 72 for n = 200, 260, 300; truncated to 39, then 40
         assert calls == [199, 39, 40]
+
+
+def family_kernel(family: str, scale: float):
+    """A kernel of the family at the given scale; the table samples a Laplace."""
+    if family == "table":
+        x = np.linspace(-30.0 * scale, 30.0 * scale, 3001)
+        return make_kernel(KernelSpec.table(x, np.exp(-np.abs(x) / scale)))
+    if family == "powerlaw":
+        return make_kernel(KernelSpec.powerlaw(0.75 + 1.5 * scale, scale))
+    return make_kernel(getattr(KernelSpec, family)(scale))
+
+
+class TestUnitMass:
+    """kernel_weights divides J(j dx) dx, |j| <= W, by the stencil sum plus,
+    when the stencil stops short of the cutoff radius, twice the analytic
+    tail beyond (W + 1/2) dx.  The stencil sum takes W additions (one more
+    with the tail), each division rounds once, and the exact sum of the
+    returned weights (math.fsum) rounds once: at most (W + 3) roundings
+    of u = eps/2, within (2W + 1) eps.  The truncated check also rounds
+    1 - sum, and its scale factor w_0 / (J(0) dx) once more: two more
+    eps."""
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(_FAMILIES)), st.floats(0.5, 2.0),
+           st.floats(0.05, 1.0), st.integers(1, 40) | st.integers(1, 3000))
+    def test_weights_carry_unit_mass_or_the_analytic_tail(self, family, scale, frac,
+                                                          max_half_width):
+        kern = family_kernel(family, scale)
+        dx = frac * kern.core_scale / 4.0
+        w = kernel_weights(kern, dx, max_half_width=max_half_width)
+        W = (len(w) - 1) // 2
+        eps = np.finfo(float).eps
+        full_w = int(np.ceil(kern.cutoff_radius / dx - 1e-12))
+        if W >= full_w:
+            assert abs(math.fsum(w) - 1.0) <= (2 * W + 1) * eps
+        else:
+            per_raw = w[W] / (float(kern.density(0.0)) * dx)     # 1 / normalizer
+            tail = 2.0 * float(kern.tail((W + 0.5) * dx)) * per_raw
+            assert tail > 0.0
+            assert abs((1.0 - math.fsum(w)) - tail) <= (2 * W + 3) * eps
