@@ -136,8 +136,9 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
 def cstep(state: CauchyState, cfg: CauchyConfig) -> CauchyState:
     """One explicit whole-line update; widens the window when edges warm up."""
     dt = cfg.timestep()
-    vals = state.u.values
-    new_vals = vals + dt * _interior_rate(vals, cfg)
+    new_vals = _interior_rate(state.u.values, cfg)
+    new_vals *= dt
+    new_vals += state.u.values
     new_vals = _check_box(new_vals, cfg, state.t + dt, state.u.k_lo)
     k_lo, new_vals = _widen(state.u.k_lo, new_vals, cfg)
     return CauchyState(state.t + dt, GridFunction(cfg.dx, k_lo, new_vals))

@@ -252,15 +252,15 @@ def _interior_rate(vals: np.ndarray, cfg: FBConfig) -> np.ndarray:
     model = cfg.model
     m0 = model.m0
     f_vals = eval_F(model, vals, validate=False)
-    rate = np.empty_like(vals)
-    conv = cfg.operator().convolve(vals)
-    rate[:m0] = model.d[:m0, None] * (conv - vals[:m0]) + f_vals[:m0]
-    rate[m0:] = f_vals[m0:]
-    return rate
+    rate = cfg.operator().convolve(vals)       # a fresh (m0, n) array
+    rate -= vals[:m0]
+    rate *= model.d[:m0, None]
+    rate += f_vals[:m0]
+    return rate if m0 == model.m else np.concatenate((rate, f_vals[m0:]))
 
 
 def _check_box(vals: np.ndarray, cfg: FBConfig, t: float, k_lo: int) -> np.ndarray:
-    """Clamp the tolerated [-1e-12, 0) band; raise Instability outside the box.
+    """Clamp the tolerated [-1e-12, 0) band in place; raise Instability outside the box.
 
     A failure names the worst node: its component and its x position
     (``k_lo`` is the global lattice index of the first column).
@@ -281,7 +281,7 @@ def _check_box(vals: np.ndarray, cfg: FBConfig, t: float, k_lo: int) -> np.ndarr
             fail(f"state exceeds ceiling by {over:.3e}", excess)
     elif float(np.max(vals)) > 1e12:
         fail("state value above 1e12 in an unbounded model", vals)
-    return np.maximum(vals, 0.0)
+    return np.maximum(vals, 0.0, out=vals)
 
 
 def step(state: FBState, cfg: FBConfig) -> FBState:

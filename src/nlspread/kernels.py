@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 INFINITE = math.inf
 
@@ -186,6 +185,7 @@ class Kernel:
         if fam == "laplace":
             return 0.5 * np.exp(-zs / self.spec.scale)
         if fam == "gaussian":
+            from scipy import special     # deferred: costs 0.3 s at import time
             return 0.5 * special.erfc(zs / (self.spec.sigma * math.sqrt(2.0)))
         if fam == "powerlaw":
             w = self.core_scale
@@ -340,6 +340,22 @@ def exp_abscissa(kernel: Kernel) -> float:
     if fam == "table" and _tail_regression(kernel)[0] is not None:
         return 0.0
     return INFINITE
+
+
+def overflow_rate(kernel: Kernel) -> float:
+    """The rate from which the exponential moments overflow double precision.
+
+    exp_abscissa when that is finite.  Otherwise the largest exponent the
+    moment evaluates reaches 700 (exp(700) is about 1e304 of the 1.8e308
+    limit) at lam * support for a compact kernel (uniform, or a table that
+    ends at its last sample) and at (lam * sigma)^2 / 2 for a Gaussian.
+    """
+    lam = exp_abscissa(kernel)
+    if lam < INFINITE:
+        return lam
+    if kernel.spec.family == "gaussian":
+        return math.sqrt(2.0 * 700.0) / kernel.spec.sigma
+    return 700.0 / kernel.compact_support
 
 
 def exp_moment(kernel: Kernel, lam: float) -> float:

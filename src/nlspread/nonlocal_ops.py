@@ -20,7 +20,21 @@ path; convolve_values runs a one-off operator.
 FFT length: the circular transform has length L >= n + W (and >= 2W + 1),
 which is enough for the n kept outputs.  Output i < n reads v[i - j] for
 |j| <= W; negative indices wrap to L - W or above, at least n, where the
-zero-padded input is zero, and indices up to n - 1 + W never wrap.
+zero-padded input is zero, and indices up to n - 1 + W never wrap.  L is
+the smallest 2^a 3^b 5^c at or above that bound, the length
+scipy.fft.next_fast_len(., real=True) picks; the tests pin the two
+together, because L fixes the transform and so every bit of a whole-line
+run.  The transforms are numpy.fft's, which write into given buffers: the
+operator keeps one workspace per group (the zero-padded input, the
+spectrum product and the inverse output) and replaces it only when L
+changes, so the transforms write into kept buffers, not fresh arrays
+on every step.  The pad tail is
+zeroed on every call, since a narrower window at the same L leaves data
+there.  pocketfft releases the GIL, so the rows of a group are transformed
+on threads started and joined within the call, one chunk of rows per
+usable CPU; each row's transform is the same computation on any thread,
+so a block gives bitwise the per-row results.  No pool outlives a call,
+which keeps the process safe to fork.
 
 Symmetry note: simulations must preserve mirror symmetry of symmetric
 data to roundoff over thousands of steps.  The direct path returns
@@ -40,10 +54,11 @@ so the left flux of mirrored data is bitwise the right flux of the data.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .kernels import Kernel
 
@@ -159,8 +174,23 @@ def _convolve_direct(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+def _smooth_length(t: int) -> int:
+    """Smallest 2^a 3^b 5^c >= t: scipy.fft.next_fast_len(t, real=True)."""
+    best = 1 << (t - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            c = f35 << ((t - 1) // f35).bit_length()        # least f35 * 2^k >= t
+            if c < best:
+                best = c
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _fft_length(n: int, W: int) -> int:
-    return fft.next_fast_len(max(n + W, 2 * W + 1), real=True)
+    return _smooth_length(max(n + W, 2 * W + 1))
 
 
 def _weight_spectrum(weights: np.ndarray, L: int) -> np.ndarray:
@@ -169,24 +199,62 @@ def _weight_spectrum(weights: np.ndarray, L: int) -> np.ndarray:
     circular = np.zeros(L)
     circular[:W + 1] = weights[W:]
     circular[L - W:] = weights[:W]
-    return fft.rfft(circular)
+    return np.fft.rfft(circular)
+
+
+def _fft_workspace(rows: int, L: int) -> tuple:
+    """(padded input, spectrum product, inverse output) for rows of length L."""
+    return np.empty((rows, L)), np.empty((rows, L // 2 + 1), complex), np.empty((rows, L))
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _convolve_fft(values: np.ndarray, weights: np.ndarray,
-                  spectrum: np.ndarray | None = None) -> np.ndarray:
+                  spectrum: np.ndarray | None = None,
+                  work: tuple | None = None) -> np.ndarray:
     """Circular convolution of a row block at length L >= n + W (module note).
 
-    ``spectrum`` is ``_weight_spectrum(weights, _fft_length(n, W))`` when
-    the caller keeps it; otherwise it is computed here.
+    ``spectrum`` is ``_weight_spectrum(weights, L)`` and ``work`` is
+    ``_fft_workspace(rows, L)`` at L = ``_fft_length(n, W)`` when the
+    caller keeps them; otherwise they are made here.  The result is a view
+    of the workspace's inverse output, valid until its next use.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
+    rows = values.reshape(-1, n)
     L = _fft_length(n, (len(weights) - 1) // 2)
     if spectrum is None:
         spectrum = _weight_spectrum(weights, L)
-    product = fft.rfft(values, L)
-    product *= spectrum
-    return fft.irfft(product, L)[..., :n]
+    if work is None:
+        work = _fft_workspace(rows.shape[0], L)
+    padded, product, full = work
+    padded[:, :n] = rows
+    padded[:, n:] = 0.0
+
+    def transform(chunk: slice) -> None:
+        np.fft.rfft(padded[chunk], out=product[chunk])
+        product[chunk] *= spectrum
+        np.fft.irfft(product[chunk], L, out=full[chunk])
+
+    # pocketfft releases the GIL, so the rows are transformed on threads
+    # started for this call, one chunk of rows per usable CPU
+    m = rows.shape[0]
+    k = min(m, _cpus())
+    chunks = [slice(i * m // k, (i + 1) * m // k) for i in range(k)]
+    if k == 1:
+        transform(chunks[0])
+    else:
+        with ThreadPoolExecutor(k - 1) as pool:
+            pending = [pool.submit(transform, c) for c in chunks[1:]]
+            transform(chunks[0])
+            for p in pending:
+                p.result()
+    return full[:, :n].reshape(values.shape)
 
 
 def convolve_values(kernel: Kernel, values: np.ndarray, dx: float) -> np.ndarray:
@@ -220,6 +288,7 @@ class DispersalOperator:
         self.groups = tuple((kernels[r[0]], np.array(r)) for r in rows.values())
         self._stencils = [None] * len(self.groups)      # (W, weights)
         self._spectra = [None] * len(self.groups)       # (L, W, spectrum)
+        self._workspaces = [None] * len(self.groups)    # _fft_workspace at length L
 
     def _stencil(self, group: int, n: int) -> np.ndarray:
         """The group's stencil for an n-node window, rebuilt when W changes."""
@@ -231,14 +300,23 @@ class DispersalOperator:
             self._stencils[group] = cached
         return cached[1]
 
-    def _spectrum(self, group: int, weights: np.ndarray, n: int) -> np.ndarray:
+    def _fft_buffers(self, group: int, weights: np.ndarray, n: int) -> tuple:
+        """The group's weight spectrum and FFT workspace for an n-node window.
+
+        The spectrum is rebuilt when L or W changes, the workspace only
+        when L changes.
+        """
         W = (len(weights) - 1) // 2
         L = _fft_length(n, W)
         cached = self._spectra[group]
         if cached is None or cached[:2] != (L, W):
             cached = (L, W, _weight_spectrum(weights, L))
             self._spectra[group] = cached
-        return cached[2]
+        work = self._workspaces[group]
+        if work is None or work[0].shape[1] != L:
+            work = _fft_workspace(len(self.groups[group][1]), L)
+            self._workspaces[group] = work
+        return cached[2], work
 
     def convolve(self, vals: np.ndarray) -> np.ndarray:
         """(m0, n) array of J_i * u_i for the first m0 rows of vals."""
@@ -250,7 +328,7 @@ class DispersalOperator:
                 out[rows] = _convolve_direct(vals[rows], weights)
             else:
                 out[rows] = _convolve_fft(vals[rows], weights,
-                                          self._spectrum(group, weights, n))
+                                          *self._fft_buffers(group, weights, n))
         return out
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import _component_kernels, _component_mu
-from .kernels import INFINITE, classify, exp_abscissa, two_sided_exp_moment
+from .kernels import INFINITE, classify, exp_abscissa, overflow_rate, two_sided_exp_moment
 from .nonlocal_ops import check_mesh, kernel_weights
 from .reactions import (ReactionModel, eval_F, jacobian, lipschitz_bound,
                         positive_equilibrium)
@@ -508,6 +508,7 @@ def linearized_front_speed(model: ReactionModel, kernels) -> float:
 
     core = min(k.core_scale for k in kerns)
     hi = lam_hi * (1.0 - 1e-9) if math.isfinite(lam_hi) else 200.0 / core
+    hi = min(hi, *(overflow_rate(k) for k in kerns))
     grid = np.geomspace(1e-4 / core, hi, 600)
     vals = np.array([s_over_lam(l) for l in grid])
     j = int(np.argmin(vals))

@@ -1,6 +1,10 @@
 """End-to-end subcommand behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +286,44 @@ class TestSweep:
         assert doc["runs"]["fast_speeds"]["exit"] == 0
         assert (out / "wnv_vanishing" / "summary.json").exists()
         assert (out / "fast_speeds" / "speeds.json").exists()
+
+    def test_workers_fork_after_threaded_fft(self, tmp_path):
+        # the FFT path joins its threads before each call returns, so a
+        # process that has convolved on them still forks working workers;
+        # a pool kept between calls would leave the children without threads
+        heavy = {"kernels": {"family": "powerlaw", "gamma": 1.5, "core_width": 1.0},
+                 "mu": 1.0, "h0": 70.0, "levels": [{"component": 1, "level": 0.25}],
+                 "numerics": {"dx": 0.25, "t_end": 0.3, "x_max": 70.0}}
+        runs = [write_scenario(tmp_path, f"heavy{i}", heavy) for i in (1, 2)]
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "name": "heavy_pair",
+            "sweep": {"runs": [{"config": str(r), "task": "simulate-cauchy"} for r in runs]}}))
+        code = ("import sys, numpy as np\n"
+                "from nlspread import nonlocal_ops\n"
+                "from nlspread.cli import main\n"
+                "from nlspread.kernels import KernelSpec, make_kernel\n"
+                "nonlocal_ops._cpus = lambda: 2\n"
+                "kern = make_kernel(KernelSpec.powerlaw(1.5, 1.0))\n"
+                "nonlocal_ops.convolve_values(kern, np.ones((2, 1500)), 0.25)\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / "swp"
+        proc = subprocess.Popen([sys.executable, "-c", code, "sweep", "--config", str(sweep),
+                                 "--out", str(out), "--jobs", "2"], env=env,
+                                start_new_session=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        try:
+            proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)          # the workers as well
+            proc.communicate()
+            pytest.fail("sweep workers hung after a threaded FFT call")
+        assert proc.returncode == 0
+        doc = json.loads((out / "sweep_summary.json").read_text())
+        assert [run["exit"] for run in doc["runs"].values()] == [0, 0]
 
     def test_failing_run_propagates_nonzero(self, tmp_path):
         bad = scenario_dir() / "invalid" / "bad_negative_mu.json"

@@ -13,7 +13,8 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, nlspread; "
-            "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+            "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.fft', "
+            "'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == ""

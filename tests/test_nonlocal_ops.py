@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -17,6 +17,9 @@ from nlspread.nonlocal_ops import (
     GridFunction,
     MeshTooCoarse,
     _convolve_direct,
+    _convolve_fft,
+    _fft_length,
+    _smooth_length,
     boundary_flux,
     convolve_values,
     kernel_weights,
@@ -509,6 +512,81 @@ class TestDispersalOperator:
                 assert np.array_equal(got, assert_direct_exact(v, w))
         # full half-width 72 for n = 200, 260, 300; truncated to 39, then 40
         assert calls == [199, 39, 40]
+
+
+def scipy_fft_convolve(vals, w):
+    """The circular convolution at L = _fft_length(n, W), through scipy.fft."""
+    from scipy import fft
+    n = vals.shape[-1]
+    W = (len(w) - 1) // 2
+    L = _fft_length(n, W)
+    circular = np.zeros(L)
+    circular[:W + 1] = w[W:]
+    circular[L - W:] = w[:W]
+    product = fft.rfft(vals, L)
+    product *= fft.rfft(circular)
+    return fft.irfft(product, L)[..., :n]
+
+
+class TestFFTWorkspace:
+    """The FFT path writes into per-group buffers kept while L stays, one thread per row."""
+
+    def test_length_is_scipys_next_fast_len(self):
+        # L fixes the transform, and with it every bit of the whole-line runs
+        from scipy import fft
+        assert all(_smooth_length(t) == fft.next_fast_len(t, real=True)
+                   for t in range(1, 2 ** 18 + 1))
+
+    @PROPERTY
+    @given(blocks(min_n=5), st.integers(1, 4))
+    def test_group_is_the_per_row_calls_bitwise(self, block, cpus):
+        kern, dx, vals = block
+        vals = np.vstack([vals, vals[:, ::-1]])             # 2-6 rows
+        op = DispersalOperator((kern,) * vals.shape[0], dx)
+        w = kernel_weights(kern, dx, max_half_width=vals.shape[1] - 1)
+        with forced("fft"), patch.object(nonlocal_ops, "_cpus", lambda: cpus):
+            got = op.convolve(vals)
+        for v, out in zip(vals, got):
+            assert np.array_equal(out, _convolve_fft(v, w))
+
+    @PROPERTY
+    @given(blocks(min_n=20, max_n=200), st.data())
+    def test_narrower_window_at_the_same_length_reads_fresh(self, block, data):
+        # the wider window leaves data in the pad tail of the kept input buffer
+        kern, dx, vals = block
+        by_length = {}
+        for k in range(2, vals.shape[1] + 1):
+            L = _fft_length(k, (len(kernel_weights(kern, dx, max_half_width=k - 1)) - 1) // 2)
+            by_length.setdefault(L, []).append(k)
+        shared = [ks for ks in by_length.values() if len(ks) > 1]
+        assume(shared)
+        ks = data.draw(st.sampled_from(shared))
+        op = DispersalOperator((kern,) * vals.shape[0], dx)
+        with forced("fft"):
+            op.convolve(vals[:, :ks[-1]])
+            work = op._workspaces[0]
+            got = op.convolve(vals[:, :ks[0]])
+            assert op._workspaces[0] is work
+            fresh = DispersalOperator((kern,) * vals.shape[0], dx).convolve(vals[:, :ks[0]])
+        assert np.array_equal(got, fresh)
+
+    @PROPERTY
+    @given(blocks(min_n=5))
+    def test_matches_scipy_fft_bitwise(self, block):
+        kern, dx, vals = block
+        w = kernel_weights(kern, dx, max_half_width=vals.shape[1] - 1)
+        with forced("fft"):
+            got = DispersalOperator((kern,) * vals.shape[0], dx).convolve(vals)
+        assert np.array_equal(got, scipy_fft_convolve(vals, w))
+
+    @pytest.mark.parametrize("n", [1501, 24001, 96001])
+    def test_matches_scipy_fft_bitwise_at_window_lengths(self, n):
+        # the power-law stencil spans the window, as in the bundled whole-line run
+        kern = make_kernel(KernelSpec.powerlaw(1.5, 1.0))
+        vals = np.random.default_rng(n).uniform(0.0, 2.0, size=(2, n))
+        w = kernel_weights(kern, 0.25, max_half_width=n - 1)
+        got = DispersalOperator((kern, kern), 0.25).convolve(vals)
+        assert np.array_equal(got, scipy_fft_convolve(vals, w))
 
 
 def family_kernel(family: str, scale: float):

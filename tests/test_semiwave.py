@@ -178,6 +178,21 @@ class TestLinearizedSpeed:
         val = sw.linearized_front_speed(model, kern)
         assert np.isfinite(val) and 0.0 < val < 10.0
 
+    def test_thin_tailed_table_reads_its_family(self, model, laplace1):
+        # every rate has a finite moment, but exp(lam * 25) overflows past
+        # lam = 28: the rate grid must stop there, not at 200 / core
+        x = np.linspace(-25.0, 25.0, 4001)
+        table = make_kernel(KernelSpec.table(x, np.exp(-np.abs(x))))
+        got = sw.linearized_front_speed(model, table)
+        assert got == pytest.approx(sw.linearized_front_speed(model, laplace1), rel=1e-3)
+
+    def test_gaussian_against_scalar_reduction(self, model):
+        # exp(lam^2 / 2) overflows past lam = 37.7, inside the old grid
+        lam = np.linspace(1e-4, 5.0, 500_001)
+        expect = ((np.exp(0.5 * lam ** 2) - 0.5) / lam).min()
+        got = sw.linearized_front_speed(model, make_kernel(KernelSpec.gaussian(1.0)))
+        assert got == pytest.approx(expect, rel=1e-6)
+
 
 @pytest.fixture(scope="module")
 def threshold(model, laplace1):
