@@ -31,6 +31,10 @@ class InvalidLevel(ValueError):
         self.index = index        # position in CauchyConfig.levels, when known
 
 
+class WindowCapTooSmall(ValueError):
+    """The window cap x_max must cover the initial data on [-h0, h0]."""
+
+
 @dataclass
 class CauchyConfig(_Problem):
     x_max: float | None = None            # hard window cap (heavy tails)
@@ -51,7 +55,8 @@ class CauchyConfig(_Problem):
                 raise InvalidLevel(
                     f"level {lam} for component {i + 1} must lie in (0, {u_star[i]})", j)
         if self.x_max is not None and self.x_max < self.h0:
-            raise ValueError("window cap must cover the initial data")
+            raise WindowCapTooSmall("window cap must cover the initial data: "
+                                    f"x_max = {self.x_max} < h0 = {self.h0}")
 
 
 @dataclass

@@ -2,14 +2,17 @@
 
 Every subcommand reads one scenario file (validated against
 scenarios/schema.json, the one copy of the schema, which config loads as
-SCENARIO_SCHEMA), runs the requested computation, and writes fixed-format
-artifacts into the output directory.  The four single-scenario subcommands
-and every run of a sweep go through ``_dispatch``.  Floats in CSV files carry
-17 significant digits so that a reread reproduces the binary values exactly;
+SCENARIO_SCHEMA), builds its inputs with the config builders, runs the
+requested computation, and writes fixed-format artifacts into the output
+directory.  The builders check every field they read before anything
+runs, so a rejected scenario ends in a ConfigError naming its field,
+never in a traceback.  The four single-scenario subcommands and every run
+of a sweep go through ``_dispatch``.  Floats in CSV files carry 17
+significant digits so that a reread reproduces the binary values exactly;
 identical config and seed give byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (Instability, failed verification),
-2 scenario rejected (diagnostic names the offending field).
+2 scenario rejected (``config error at <JSON pointer>: ...``).
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ import numpy as np
 
 from .analysis import InsufficientData, best_growth_law, fit_front, report_to_json_dict
 from .cauchy import run_cauchy
-from .config import (ConfigError, build_cauchy_config, build_fb_config,
-                     build_kernels, build_model, load_scenario)
+from .config import (ConfigError, build_cauchy_config, build_fb_config, build_speeds,
+                     load_scenario)
 from .freeboundary import Instability, classify_outcome, run
-from .nonlocal_ops import check_mesh
-from .semiwave import (FirstMomentDiverges, SemiwaveError, check_window,
-                       estimate_cstar, find_c0, linearized_front_speed)
+from .semiwave import (FirstMomentDiverges, SemiwaveError, estimate_cstar, find_c0,
+                       linearized_front_speed)
 
 
 def _f(x) -> str:
@@ -64,8 +66,6 @@ def _snapshot_rows(snapshots):
 def _numerics_echo(cfg) -> dict:
     echo = {"dx": cfg.dx, "dt": cfg.timestep(), "t_end": cfg.t_end,
             "stability_bound": cfg.stability_limit()}
-    if hasattr(cfg, "scheme"):
-        echo["scheme"] = cfg.scheme
     if getattr(cfg, "x_max", None) is not None:
         echo["x_max"] = cfg.x_max
     return echo
@@ -129,31 +129,8 @@ def _json_speed(value: float):
     return "infinite" if math.isinf(value) else value
 
 
-def _check_speeds(sp: dict, kernels) -> None:
-    """Reject the mesh and the window lengths the profile solver would refuse."""
-
-    def reject(pointer, check, *args):
-        try:
-            check(*args)
-        except ValueError as e:
-            raise ConfigError(pointer, str(e)) from e
-
-    if "dx" in sp:
-        for kern in kernels:
-            reject("/speeds/dx", check_mesh, kern, sp["dx"])
-    if "length" in sp:
-        reject("/speeds/length", check_window, kernels, sp["length"])
-    if sp.get("cstar", False):
-        for L in sp.get("lengths", ()):
-            reject("/speeds/lengths", check_window, kernels, L)
-
-
 def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
-    model = build_model(scenario)
-    kernels = build_kernels(scenario, model.m0)
-    sp = scenario.get("speeds", {})
-    _check_speeds(sp, kernels)
-    mu = scenario.get("mu", 1.0)
+    model, kernels, mu, sp = build_speeds(scenario)
     cache: dict = {}
     kw = {"tol_c": sp.get("tol_c", 1e-3), "cache": cache,
           "L": sp.get("length"), "dx": sp.get("dx")}

@@ -1,30 +1,36 @@
-"""Scenario files: JSON schema, pointer-carrying validation, config builders.
+"""Scenario files: JSON schema, pointer-carrying validation, input builders.
 
 A scenario is one JSON object shared by every subcommand; each driver reads
 the sections it needs.  SCENARIO_SCHEMA is the shipped scenarios/schema.json,
-parsed at import; that file is the only copy of the schema.  Validation
-happens in two passes: structural checks against it, then semantic checks
-the schema language cannot express (m0 against the expression count, level
-bounds, mesh admissibility).  Kernels are built by kernels.kernel_from_json,
-and the per-component rules (kernel and mu broadcasting, time step, mesh
-check) belong to the simulator configs.  Every rejection raises ConfigError
-carrying a JSON pointer to the offending field so the CLI can print
-actionable diagnostics.
+parsed at import; that file is the only copy of the schema.
+``validate_scenario`` checks a scenario against it and adds the
+custom-model rules the schema cannot state.  The builders (``build_model``,
+``build_kernels`` and, one per subcommand, ``build_fb_config``,
+``build_cauchy_config`` and ``build_speeds``) read each field and apply to
+it the rule the library defines for it: the model and its positive
+equilibrium, the kernel count, the mesh and window checks, the expansion
+rates.  A rule that lives only in a constructor raises an exception that
+names its argument (``InvalidParameter``, ``InvalidLevel``,
+``WindowCapTooSmall``).  This is the only module that ties a rule to a
+scenario field: every rejection raises ConfigError with the JSON pointer
+of the field it read, and no pointer is taken from an error's text.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from .cauchy import CauchyConfig, InvalidLevel
-from .freeboundary import FBConfig, Thresholds, _wedges
+from .cauchy import CauchyConfig, InvalidLevel, WindowCapTooSmall
+from .freeboundary import FBConfig, Thresholds, _component_kernels, _component_mu, _wedges
 from .kernels import kernel_from_json
-from .reactions import ReactionError, model_from_json, positive_equilibrium
+from .nonlocal_ops import check_mesh
+from .reactions import (InvalidParameter, NonConvergence, ReactionError, model_from_json,
+                        positive_equilibrium)
+from .semiwave import check_window
 
 
 class ConfigError(ValueError):
@@ -55,7 +61,7 @@ def _pointer(err: jsonschema.ValidationError) -> str:
 
 
 def validate_scenario(obj) -> None:
-    """Structural pass, then the cross-field checks the schema cannot state."""
+    """Structural pass, then the custom-model rules the schema cannot state."""
     errors = sorted(_VALIDATOR.iter_errors(obj),
                     key=lambda e: -len(list(e.absolute_path)))
     if errors:
@@ -73,12 +79,10 @@ def validate_scenario(obj) -> None:
                 f"m0 = {m0} exceeds the component count m = {len(exprs)}")
         if "d" in model and len(model["d"]) != len(exprs):
             raise ConfigError("/model/d", "need one diffusion rate per component")
-    elif model and "f" in model:
-        raise ConfigError("/model/f", "rate expressions only apply to custom models")
-    if isinstance(obj.get("mu"), list) and all(v == 0 for v in obj["mu"]):
-        raise ConfigError("/mu", "at least one expansion coefficient must be positive")
-    if obj.get("mu") == 0:
-        raise ConfigError("/mu", "at least one expansion coefficient must be positive")
+    else:
+        for key in ("f", "m0", "u_ceiling"):
+            if key in model:
+                raise ConfigError(f"/model/{key}", "only applies to custom models")
 
 
 def load_scenario(path) -> dict:
@@ -102,27 +106,36 @@ def _require(obj: dict, key: str, where: str = ""):
     return obj[key]
 
 
-def build_model(scenario: dict):
+def _read(pointer: str, rule, *args):
+    """``rule(*args)``, its ValueError reported at the field it checked."""
     try:
-        return model_from_json(_require(scenario, "model"))
-    except ReactionError as e:
+        return rule(*args)
+    except ValueError as e:
+        raise ConfigError(pointer, str(e)) from e
+
+
+def build_model(scenario: dict):
+    """The reaction model, its positive equilibrium found (and cached) under /model."""
+    obj = _require(scenario, "model")
+    try:
+        model = model_from_json(obj)
+        positive_equilibrium(model)
+    except InvalidParameter as e:
+        raise ConfigError(f"/model/params/{e.name}", str(e)) from e
+    except (ReactionError, NonConvergence) as e:
         raise ConfigError("/model", str(e)) from e
+    return model
 
 
 def build_kernels(scenario: dict, m0: int) -> tuple:
     """One kernel per dispersing component; a single object broadcasts."""
     raw = _require(scenario, "kernels")
-    items = [raw] * m0 if isinstance(raw, dict) else list(raw)
-    if len(items) != m0:
-        raise ConfigError("/kernels", f"need {m0} kernels, got {len(items)}")
-    kerns = []
-    for i, item in enumerate(items):
-        try:
-            kerns.append(kernel_from_json(item))
-        except (ValueError, TypeError) as e:
-            where = "/kernels" if isinstance(raw, dict) else f"/kernels/{i}"
-            raise ConfigError(where, str(e)) from e
-    return tuple(kerns)
+    if isinstance(raw, dict):
+        kernels = _read("/kernels", kernel_from_json, raw)
+    else:
+        kernels = [_read(f"/kernels/{i}", kernel_from_json, item)
+                   for i, item in enumerate(raw)]
+    return _read("/kernels", _component_kernels, kernels, m0)
 
 
 def _initial_profiles(scenario: dict, model, h0: float):
@@ -144,66 +157,28 @@ def _initial_profiles(scenario: dict, model, h0: float):
     return _wedges(amps, h0)
 
 
-# constructor complaints -> scenario fields, matched on whole words in order
-_POINTERS = (
-    (re.compile(r"\bwindow cap\b"), "/numerics/x_max"),
-    (re.compile(r"\b(mu|expansion)\b"), "/mu"),
-    (re.compile(r"\b(mesh|dx)\b"), "/numerics/dx"),
-    (re.compile(r"\bkernels?\b"), "/kernels"),
-    (re.compile(r"\blevel\b"), "/levels"),
-    (re.compile(r"\binitial\b"), "/initial"),
-)
-
-
-def _builder_pointer(e: ValueError) -> str:
-    """Map a constructor complaint back onto the scenario field it came from."""
-    if isinstance(e, InvalidLevel) and e.index is not None:
-        return f"/levels/{e.index}/level"
-    msg = str(e).lower()
-    for pattern, pointer in _POINTERS:
-        if pattern.search(msg):
-            return pointer
-    return "/numerics"
-
-
-def _thresholds(scenario: dict) -> Thresholds:
-    return Thresholds(**scenario.get("thresholds", {}))
-
-
-def _numerics(scenario: dict) -> dict:
-    num = dict(_require(scenario, "numerics"))
-    for key in ("dx", "t_end"):
-        if key not in num:
-            raise ConfigError(f"/numerics/{key}", "required by this subcommand")
-    return num
-
-
 def _shared_fields(scenario: dict) -> dict:
     """The FBConfig and CauchyConfig fields read the same way for both."""
     model = build_model(scenario)
     kernels = build_kernels(scenario, model.m0)
-    num = _numerics(scenario)
+    num = _require(scenario, "numerics")
+    dx = _require(num, "dx", "/numerics")
+    for kern in kernels:
+        _read("/numerics/dx", check_mesh, kern, dx)
     h0 = float(_require(scenario, "h0"))
-    return dict(model=model, kernels=kernels, h0=h0, dx=num["dx"],
-                t_end=num["t_end"], dt=num.get("dt"),
+    return dict(model=model, kernels=kernels, h0=h0, dx=dx,
+                t_end=_require(num, "t_end", "/numerics"), dt=num.get("dt"),
                 initial_profiles=_initial_profiles(scenario, model, h0),
                 snapshot_times=tuple(num.get("snapshot_times", ())),
                 sample_stride=num.get("sample_stride"))
 
 
-def _construct(cls, fields: dict):
-    try:
-        return cls(**fields)
-    except ValueError as e:
-        raise ConfigError(_builder_pointer(e), str(e)) from e
-
-
 def build_fb_config(scenario: dict) -> FBConfig:
     fields = _shared_fields(scenario)
-    return _construct(FBConfig, dict(
-        fields, mu=_require(scenario, "mu"),
-        scheme=scenario["numerics"].get("scheme", "euler"),
-        thresholds=_thresholds(scenario)))
+    model = fields["model"]
+    mu = _read("/mu", _component_mu, _require(scenario, "mu"), model.m, model.m0)
+    return FBConfig(**fields, mu=mu,
+                    thresholds=Thresholds(**scenario.get("thresholds", {})))
 
 
 def build_cauchy_config(scenario: dict) -> CauchyConfig:
@@ -216,5 +191,32 @@ def build_cauchy_config(scenario: dict) -> CauchyConfig:
             raise ConfigError(f"/levels/{j}/component",
                               f"must name a component in 1..{m}")
         levels.append((comp - 1, entry["level"]))
-    return _construct(CauchyConfig, dict(
-        fields, x_max=scenario["numerics"].get("x_max"), levels=levels))
+    try:
+        return CauchyConfig(**fields, x_max=scenario["numerics"].get("x_max"),
+                            levels=levels)
+    except InvalidLevel as e:
+        raise ConfigError(f"/levels/{e.index}/level", str(e)) from e
+    except WindowCapTooSmall as e:
+        raise ConfigError("/numerics/x_max", str(e)) from e
+
+
+def build_speeds(scenario: dict) -> tuple:
+    """(model, kernels, mu, speeds section) for the edge and threshold speeds.
+
+    The mesh and the window lengths are checked as the profile solver
+    would check them, before any solve.
+    """
+    model = build_model(scenario)
+    kernels = build_kernels(scenario, model.m0)
+    mu = scenario.get("mu", 1.0)
+    _read("/mu", _component_mu, mu, model.m, model.m0)
+    sp = scenario.get("speeds", {})
+    if "dx" in sp:
+        for kern in kernels:
+            _read("/speeds/dx", check_mesh, kern, sp["dx"])
+    if "length" in sp:
+        _read("/speeds/length", check_window, kernels, sp["length"])
+    if sp.get("cstar", False):
+        for L in sp.get("lengths", ()):
+            _read("/speeds/lengths", check_window, kernels, L)
+    return model, kernels, mu, sp

@@ -154,14 +154,11 @@ class _Problem:
 @dataclass
 class FBConfig(_Problem):
     mu: np.ndarray = field(kw_only=True)
-    scheme: str = "euler"                    # "euler" | "heun"
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
         self._check_shared()
         self.mu = _component_mu(self.mu, self.model.m, self.model.m0)
-        if self.scheme not in ("euler", "heun"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         # a dt above the stability bound is allowed here; the run will
         # surface it as Instability rather than silently producing garbage
 
@@ -285,38 +282,15 @@ def _check_box(vals: np.ndarray, cfg: FBConfig, t: float, k_lo: int) -> np.ndarr
 
 
 def step(state: FBState, cfg: FBConfig) -> FBState:
-    """One explicit update of interior values and range edges."""
+    """One explicit Euler update of interior values and range edges."""
     dt = cfg.timestep()
     dx = cfg.dx
-    gp1, hp1 = _edge_fluxes(state, cfg)
-    if cfg.scheme == "euler":
-        g_new = state.g - dt * gp1
-        h_new = state.h + dt * hp1
-        k_lo, _k_hi = _active_range(g_new, h_new, dx)
-        n_new = _k_hi - k_lo + 1
-        vals = _embed(state.u.values, state.u.k_lo, k_lo, n_new)
-        new_vals = vals + dt * _interior_rate(vals, cfg)
-    else:
-        # one predictor/corrector pass; edges use averaged fluxes
-        g_pred = state.g - dt * gp1
-        h_pred = state.h + dt * hp1
-        kp_lo, kp_hi = _active_range(g_pred, h_pred, dx)
-        n_pred = kp_hi - kp_lo + 1
-        base = _embed(state.u.values, state.u.k_lo, kp_lo, n_pred)
-        rate1 = _interior_rate(base, cfg)
-        pred_vals = np.maximum(base + dt * rate1, 0.0)
-        if cfg.model.u_ceiling is not None:
-            pred_vals = np.minimum(pred_vals, cfg.model.u_ceiling[:, None])
-        pred = FBState(state.t + dt, g_pred, h_pred, GridFunction(dx, kp_lo, pred_vals))
-        gp2, hp2 = _edge_fluxes(pred, cfg)
-        g_new = state.g - 0.5 * dt * (gp1 + gp2)
-        h_new = state.h + 0.5 * dt * (hp1 + hp2)
-        k_lo, _k_hi = _active_range(g_new, h_new, dx)
-        n_new = _k_hi - k_lo + 1
-        vals = _embed(state.u.values, state.u.k_lo, k_lo, n_new)
-        rate2 = _interior_rate(pred_vals, cfg)
-        new_vals = vals + 0.5 * dt * (_embed(rate1, kp_lo, k_lo, n_new)
-                                      + _embed(rate2, kp_lo, k_lo, n_new))
+    gp, hp = _edge_fluxes(state, cfg)
+    g_new = state.g - dt * gp
+    h_new = state.h + dt * hp
+    k_lo, k_hi = _active_range(g_new, h_new, dx)
+    vals = _embed(state.u.values, state.u.k_lo, k_lo, k_hi - k_lo + 1)
+    new_vals = vals + dt * _interior_rate(vals, cfg)
     new_vals = _check_box(new_vals, cfg, state.t + dt, k_lo)
     return FBState(state.t + dt, g_new, h_new, GridFunction(dx, k_lo, new_vals))
 

@@ -15,6 +15,7 @@ Presets:
 from __future__ import annotations
 
 import ast
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,6 +45,14 @@ class NonConvergence(RuntimeError):
 
 class ExpressionError(ReactionError):
     """Rate expression failed to parse or used a disallowed construct."""
+
+
+class InvalidParameter(ReactionError):
+    """A preset parameter is missing, unknown or not positive; ``name`` names it."""
+
+    def __init__(self, message: str, name: str):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass
@@ -183,6 +192,14 @@ def _newton_multistart(model: ReactionModel) -> np.ndarray | None:
 # ----------------------------------------------------------------------
 # presets
 
+def _positive(kind: str, **params) -> dict:
+    """The preset's parameters by name, each checked to be positive."""
+    for name, v in params.items():
+        if not v > 0:
+            raise InvalidParameter(f"{kind} parameter {name} must be positive", name)
+    return params
+
+
 def cholera(a: float, b: float, c: float, alpha: float, beta: float,
             d=(1.0, 1.0)) -> ReactionModel:
     """Pathogen u1 shed by hosts u2; infection saturates in the pathogen level.
@@ -190,10 +207,7 @@ def cholera(a: float, b: float, c: float, alpha: float, beta: float,
     Rates: f1 = -a*u1 + c*u2, f2 = -b*u2 + alpha*u1/(1 + beta*u1).
     Reproduction number: alpha*c/(a*b); a positive equilibrium needs it > 1.
     """
-    for nm, v in (("a", a), ("b", b), ("c", c), ("alpha", alpha), ("beta", beta)):
-        if not (v > 0):
-            raise ReactionError(f"cholera parameter {nm} must be positive")
-    params = dict(a=a, b=b, c=c, alpha=alpha, beta=beta)
+    params = _positive("cholera", a=a, b=b, c=c, alpha=alpha, beta=beta)
 
     def rate(u):
         u1, u2 = u[0], u[1]
@@ -222,10 +236,7 @@ def wnv(a1: float, a2: float, b1: float, b2: float, e1: float, e2: float,
     Reproduction number: sqrt(a1*a2*e1*e2/(b1*b2)); positive equilibrium
     exists exactly when it exceeds 1.
     """
-    for nm, v in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2), ("e1", e1), ("e2", e2)):
-        if not (v > 0):
-            raise ReactionError(f"wnv parameter {nm} must be positive")
-    params = dict(a1=a1, a2=a2, b1=b1, b2=b2, e1=e1, e2=e2)
+    params = _positive("wnv", a1=a1, a2=a2, b1=b1, b2=b2, e1=e1, e2=e2)
 
     def rate(u):
         u1, u2 = u[0], u[1]
@@ -256,10 +267,7 @@ def concave(a: float, b: float, alpha: float, beta: float, d=(1.0, 1.0)) -> Reac
     Rates: f1 = -a*u1 + alpha*u2/(1 + u2), f2 = -b*u2 + beta*ln(1 + u1).
     Positive equilibrium needs alpha*beta > a*b.
     """
-    for nm, v in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
-        if not (v > 0):
-            raise ReactionError(f"concave parameter {nm} must be positive")
-    params = dict(a=a, b=b, alpha=alpha, beta=beta)
+    params = _positive("concave", a=a, b=b, alpha=alpha, beta=beta)
 
     def rate(u):
         u1, u2 = u[0], u[1]
@@ -335,7 +343,7 @@ def custom(exprs: list[str], params: dict, m0: int | None = None,
     if m0 is None:
         m0 = m
     if d is None:
-        d = np.concatenate([np.ones(m0), np.zeros(m - m0)])
+        d = (np.arange(m) < m0).astype(float)
     fns = [compile_rate_expression(e, m, params) for e in exprs]
 
     def rate(u):
@@ -347,41 +355,37 @@ def custom(exprs: list[str], params: dict, m0: int | None = None,
                          rate=rate, jac=None, u_ceiling=u_ceiling)
 
 
+_PRESETS = {f.__name__: f for f in (wnv, cholera, concave)}
+#: preset name -> its parameter names: the builder's arguments, less ``d``
+PRESET_PARAMS = {kind: tuple(p for p in inspect.signature(f).parameters if p != "d")
+                 for kind, f in _PRESETS.items()}
+
+
 def model_from_json(obj: dict) -> ReactionModel:
-    """Build a model from a config mapping like {"model": "wnv", "params": {...}}."""
+    """Build a model from a config mapping like {"model": "wnv", "params": {...}}.
+
+    A preset takes exactly the parameters in PRESET_PARAMS, plus an
+    optional ``d``; a custom model takes its rate expressions ``f``, the
+    ``params`` they name and optional ``m0``, ``d`` and ``u_ceiling``.
+    """
     if not isinstance(obj, dict) or "model" not in obj:
         raise ReactionError("model config must be a mapping with a 'model' key")
     kind = obj["model"]
     params = obj.get("params", {})
-    if kind == "cholera":
-        need = ("a", "b", "c", "alpha", "beta")
-    elif kind == "wnv":
-        need = ("a1", "a2", "b1", "b2", "e1", "e2")
-    elif kind == "concave":
-        need = ("a", "b", "alpha", "beta")
-    elif kind == "custom":
-        need = ()
-    else:
-        raise ReactionError(f"unknown model kind {kind!r}")
-    missing = [k for k in need if k not in params]
-    if missing:
-        raise ReactionError(f"model {kind!r} is missing parameters {missing}")
     if kind == "custom":
-        exprs = obj.get("f")
-        if not exprs:
-            raise ReactionError("custom model needs a list of rate expressions under 'f'")
-        m = len(exprs)
-        m0 = obj.get("m0", m)
-        if not (isinstance(m0, int) and 1 <= m0 <= m):
-            raise ReactionError(f"custom model needs 1 <= m0 <= {m}, got {m0}")
-        d = obj.get("d")
-        ceil = obj.get("u_ceiling")
-        return custom(exprs, params, m0=m0, d=d, u_ceiling=ceil)
-    builder = {"cholera": cholera, "wnv": wnv, "concave": concave}[kind]
-    kwargs = {}
-    if "d" in obj:
-        kwargs["d"] = obj["d"]
-    return builder(**{k: params[k] for k in need}, **kwargs)
+        return custom(obj.get("f", []), params, m0=obj.get("m0"), d=obj.get("d"),
+                      u_ceiling=obj.get("u_ceiling"))
+    if not isinstance(kind, str) or kind not in _PRESETS:
+        raise ReactionError(f"unknown model kind {kind!r}")
+    need = PRESET_PARAMS[kind]
+    for name in (*need, *params):
+        if name not in need:
+            raise InvalidParameter(f"model {kind!r} takes no parameter {name!r}; "
+                                   f"its parameters are {', '.join(need)}", name)
+        if name not in params:
+            raise InvalidParameter(f"model {kind!r} is missing parameter {name!r}", name)
+    rates = {"d": obj["d"]} if "d" in obj else {}
+    return _PRESETS[kind](**params, **rates)
 
 
 # ----------------------------------------------------------------------

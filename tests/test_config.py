@@ -5,14 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlspread.cauchy import CauchyConfig
 from nlspread.config import (SCENARIO_SCHEMA, ConfigError, build_cauchy_config,
-                             build_fb_config, build_kernels, load_scenario,
+                             build_fb_config, build_kernels, build_speeds, load_scenario,
                              scenario_dir, validate_scenario)
 from nlspread.freeboundary import FBConfig
 from nlspread.kernels import _FAMILIES, KernelSpec, make_kernel
-from nlspread.reactions import custom, wnv
+from nlspread.reactions import PRESET_PARAMS, custom, model_from_json, wnv
 from nlspread.semiwave import find_c0
 
 
@@ -54,11 +56,20 @@ class TestValidation:
             assert set(params) <= set(kernel["properties"]), family
 
     def test_unknown_top_level_key_rejected_with_pointer(self):
-        obj = minimal_fb()
-        obj["plotting"] = {}
-        with pytest.raises(ConfigError) as e:
-            validate_scenario(obj)
-        assert "plotting" in str(e.value)
+        for key in ("plotting", "seed", "outputs"):
+            obj = minimal_fb()
+            obj[key] = {}
+            with pytest.raises(ConfigError) as e:
+                validate_scenario(obj)
+            assert e.value.pointer == f"/{key}"
+
+    def test_model_enum_and_preset_parameters_follow_the_preset_table(self):
+        model = SCENARIO_SCHEMA["properties"]["model"]["properties"]
+        assert model["model"]["enum"] == [*PRESET_PARAMS, "custom"]
+        assert model["params"]["additionalProperties"] == {"type": "number"}
+        for kind, names in PRESET_PARAMS.items():
+            built = model_from_json({"model": kind, "params": dict.fromkeys(names, 1.0)})
+            assert tuple(built.params) == names, kind
 
     def test_m0_exceeding_component_count_names_field(self):
         obj = minimal_fb()
@@ -246,3 +257,98 @@ class TestSharedRules:
         assert fb.stability_limit() == cauchy.stability_limit()
         assert fb.timestep() == cauchy.timestep()
         assert fb.timestep() == (0.05 if dt else 0.9 * fb.stability_limit())
+
+
+BUNDLED = {"wnv_spreading": build_fb_config, "wnv_vanishing": build_fb_config,
+           "cauchy_wnv_laplace": build_cauchy_config,
+           "cauchy_wnv_powerlaw15": build_cauchy_config,
+           "speeds_wnv_laplace": build_speeds}
+
+
+def _walk(node, path=()):
+    """(path, value) of every node, the root first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _walk(child, path + (key,))
+
+
+def _ptr(path) -> str:
+    return "/" + "/".join(str(p) for p in path)
+
+
+def _resolve(doc, pointer: str):
+    """The value a scenario pointer names; KeyError/IndexError when there is none."""
+    for part in filter(None, pointer.split("/")):
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    return doc
+
+
+def _build(name: str, scenario: dict):
+    """Validate, then run the builders of the scenario's subcommand, as the CLI does."""
+    validate_scenario(scenario)
+    BUNDLED[name](scenario)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """(name, scenario, dropped path or None): one mutation of a bundled scenario."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    doc = load_scenario(scenario_dir() / f"{name}.json")
+    nodes = list(_walk(doc))
+    numbers = [p for p, v in nodes if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    fields = [p for p, v in nodes[1:] if isinstance(_resolve(doc, _ptr(p[:-1])), dict)]
+    vectors = [p for p, v in nodes if isinstance(v, list) and v]
+    objects = [p for p, v in nodes if isinstance(v, dict)]
+    candidates = {"drop": fields, "number": numbers, "lengthen": vectors,
+                  "shorten": vectors, "stray": objects}
+    kind = draw(st.sampled_from([k for k, paths in candidates.items() if paths]))
+    path = draw(st.sampled_from(candidates[kind]))
+    if kind in ("drop", "number"):
+        parent = _resolve(doc, _ptr(path[:-1]))
+        if kind == "drop":
+            del parent[path[-1]]
+            return name, doc, _ptr(path)
+        parent[path[-1]] = draw(st.sampled_from([0, -1, "x"]))
+    else:
+        node = _resolve(doc, _ptr(path))
+        if kind == "lengthen":
+            node.append(node[-1])
+        elif kind == "shorten":
+            node.pop()
+        else:
+            node["stray"] = 1.0
+    return name, doc, None
+
+
+class TestScenarioMutations:
+    """A mutated scenario builds, or is rejected at a field of the mutated document."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutated_scenarios())
+    def test_builds_or_names_a_field(self, case):
+        name, scenario, dropped = case
+        try:
+            _build(name, scenario)
+        except ConfigError as e:
+            if dropped is not None and (e.pointer + "/").startswith(dropped + "/"):
+                return                  # names the dropped field, or a field inside it
+            _resolve(scenario, e.pointer)
+
+    @pytest.mark.parametrize("name,edit,pointer", [
+        ("speeds_wnv_laplace", {"mu": [1, 1, 1]}, "/mu"),
+        ("wnv_spreading", {"params": {"b1": 1, "b2": 1}}, "/model"),
+        ("cauchy_wnv_laplace", {"params": {"b1": 1, "b2": 1}}, "/model"),
+        ("speeds_wnv_laplace", {"params": {"b1": 1, "b2": 1}}, "/model"),
+        ("wnv_spreading", {"params": {"a1": "1"}}, "/model/params/a1"),
+        ("wnv_spreading", {"params": {"zeta": 2.0}}, "/model/params/zeta"),
+    ], ids=["speeds_long_mu", "fb_r0_below_1", "cauchy_r0_below_1", "speeds_r0_below_1",
+            "string_parameter", "stray_parameter"])
+    def test_rejected_at_its_field(self, name, edit, pointer):
+        scenario = load_scenario(scenario_dir() / f"{name}.json")
+        scenario["model"]["params"].update(edit.get("params", {}))
+        scenario.update({k: v for k, v in edit.items() if k != "params"})
+        with pytest.raises(ConfigError) as e:
+            _build(name, scenario)
+        assert e.value.pointer == pointer

@@ -108,15 +108,6 @@ class TestStep:
             v = state.u.values
             assert np.array_equal(v, v[:, ::-1])
 
-    def test_mirror_symmetry_heun(self):
-        cfg = smoke_cfg(h0=5.0, dx=0.1, t_end=3.0, dt=0.1, scheme="heun")
-        state = fb.make_initial_state(cfg)
-        for _ in range(30):
-            state = fb.step(state, cfg)
-            assert state.g == -state.h
-            v = state.u.values
-            assert np.array_equal(v, v[:, ::-1])
-
     def test_edges_monotone_and_confinement(self):
         cfg = smoke_cfg(t_end=5.0)
         state = fb.make_initial_state(cfg)
@@ -231,11 +222,6 @@ class TestRun:
         coarse = fb.run(smoke_cfg(t_end=4.0, dx=0.2, dt=0.08))
         fine = fb.run(smoke_cfg(t_end=4.0, dx=0.1, dt=0.04))
         assert abs(coarse.h[-1] - fine.h[-1]) < 0.05 * fine.h[-1]
-
-    def test_heun_close_to_euler(self):
-        euler = fb.run(smoke_cfg(t_end=2.0, dt=0.05))
-        heun = fb.run(smoke_cfg(t_end=2.0, dt=0.05, scheme="heun"))
-        assert heun.h[-1] == pytest.approx(euler.h[-1], rel=0.05)
 
     def test_sedentary_component(self):
         model = rx.custom(["(1 - u1)*u2 - 0.5*u1", "(1 - u2)*u1 - 0.5*u2"],

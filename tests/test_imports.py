@@ -1,8 +1,10 @@
 """Importing the package stays cheap: heavy scipy modules load where they are used."""
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import nlspread
@@ -18,3 +20,34 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == ""
+
+
+
+BUILD_BUNDLED = textwrap.dedent("""
+    import json, sys
+    from nlspread import config
+
+    builders = {"cauchy": config.build_cauchy_config, "speeds": config.build_speeds}
+    built = []
+    for path in sorted(config.scenario_dir().glob("*_*.json")):
+        scenario = config.load_scenario(path)
+        model = config.build_model(scenario)
+        config.build_kernels(scenario, model.m0)
+        builders.get(path.stem.split("_")[0], config.build_fb_config)(scenario)
+        built.append(path.stem)
+    print(json.dumps({"built": built, "loaded": [
+        m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]}))
+""")
+
+
+def test_building_bundled_inputs_leaves_scipy_stats_and_optimize_unloaded():
+    # the builders check every field without the time-step constant, whose
+    # Sobol sample imports scipy.stats (0.5-0.7 s of set-up time)
+    src = str(Path(nlspread.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", BUILD_BUNDLED], capture_output=True,
+                         text=True, env=env, check=True)
+    doc = json.loads(out.stdout)
+    assert len(doc["built"]) == 5
+    assert doc["loaded"] == []
