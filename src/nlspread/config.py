@@ -51,12 +51,17 @@ _VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 
 
 def _pointer(err: jsonschema.ValidationError) -> str:
+    """The field an error names: a stray or missing key, else the value checked."""
     parts = [str(p) for p in err.absolute_path]
-    if err.validator == "additionalProperties" and isinstance(err.instance, dict):
-        allowed = set(err.schema.get("properties", {}))
-        extra = sorted(set(err.instance) - allowed)
-        if extra:
-            parts.append(extra[0])
+    if isinstance(err.instance, dict):
+        if err.validator == "additionalProperties":
+            allowed = set(err.schema.get("properties", {}))
+            names = sorted(set(err.instance) - allowed)
+        elif err.validator == "required":
+            names = [k for k in err.validator_value if k not in err.instance]
+        else:
+            names = []
+        parts += names[:1]
     return "/" + "/".join(parts)
 
 

@@ -68,6 +68,7 @@ class ReactionModel:
     _closed_form: Callable[[], np.ndarray] | None = field(default=None, repr=False)
     _u_star: np.ndarray | None = field(default=None, repr=False)
     _lipschitz: float | None = field(default=None, repr=False)
+    _drain: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -643,3 +644,26 @@ def lipschitz_bound(model: ReactionModel) -> float:
         worst = max(worst, float(np.max(np.sum(np.abs(J), axis=1))))
     model._lipschitz = 1.5 * worst
     return model._lipschitz
+
+
+def diagonal_drain(model: ReactionModel) -> float:
+    """D = max of (-dF_i/du_i)^+ over the box [0, u*], cached on the model.
+
+    A step dtau keeps u + dtau F(u) order preserving on the box exactly
+    when dtau D <= 1: the off-diagonal entries are cooperative, so only
+    the diagonal can turn an increase of u_i into a decrease.  D is read
+    on a lattice of the box, 9 points per axis for up to three
+    components and 3 beyond; the lattice holds the 2^m corners, and
+    rounding is monotone, so D is exact whenever each diagonal entry is
+    monotone in every u_j, as the constant or affine diagonals of the
+    presets are.  For other models it is a sample.
+    """
+    if model._drain is None:
+        u_star = positive_equilibrium(model)
+        k = 9 if model.m <= 3 else 3
+        axes = np.meshgrid(*(np.linspace(0.0, 1.0, k) * v for v in u_star), indexing="ij")
+        worst = 0.0
+        for u in np.stack(axes).reshape(model.m, -1).T:
+            worst = max(worst, float(np.max(-np.diag(jacobian(model, u)))))
+        model._drain = worst
+    return model._drain

@@ -9,7 +9,10 @@ solving the stationary system
 where the convolution sees phi extended by u_star to the left of -L and
 by zero to the right of 0.  Profiles are computed as the maximal fixed
 point of a monotone relaxation started from the saturated state, which
-makes the result deterministic and hysteresis free.
+makes the result deterministic and hysteresis free.  Each sweep is an
+upwind Gauss-Seidel step, solved right to left by a doubling scan, at
+the largest pseudo-time step that keeps it order preserving,
+dtau = 0.9 / max(-dF_i/du_i) over [0, u*] (``relaxation_step``).
 
 Two speed readouts build on the solver:
 
@@ -31,20 +34,20 @@ import numpy as np
 from .freeboundary import _component_kernels, _component_mu
 from .kernels import INFINITE, classify, exp_abscissa, overflow_rate, two_sided_exp_moment
 from .nonlocal_ops import check_mesh, kernel_weights
-from .reactions import (ReactionModel, eval_F, jacobian, lipschitz_bound,
-                        positive_equilibrium)
+from .reactions import ReactionModel, diagonal_drain, eval_F, jacobian, positive_equilibrium
 
 __all__ = [
     "SemiwaveError", "NoConvergence", "NotMonotone", "FirstMomentDiverges",
     "BracketNotFound", "ThresholdNotBracketed",
     "SemiWaveSolution", "FrontSpeedResult", "MinimalSpeedResult",
-    "check_window", "solve_profile", "flux_functional", "find_c0",
+    "check_window", "relaxation_step", "solve_profile", "flux_functional", "find_c0",
     "linearized_front_speed", "estimate_cstar",
 ]
 
 C0_TOL = 1e-8              # relaxation tolerance of the find_c0 probes
 C0_MAX_DOUBLINGS = 60      # find_c0 bracket search: doublings from tol_c
 CSTAR_TOL = 1e-6           # relaxation tolerance of the estimate_cstar probes
+SCAN_FLOOR = 1e-17         # smallest r**shift the upwind scan still applies
 
 
 class SemiwaveError(RuntimeError):
@@ -124,6 +127,106 @@ def _mesh(kerns, L: float, dx: float | None) -> tuple[int, float]:
     return n, L / (n - 1)
 
 
+def relaxation_step(model: ReactionModel) -> float:
+    """Pseudo-time step of every profile relaxation: 0.9 / D, D = ``diagonal_drain``.
+
+    This is the step that keeps the sweep order preserving: the drains
+    d_i and c/dx are implicit and the cross terms cooperative, so only
+    1 + dtau dF_i/du_i >= 0 on [0, u*] is needed.
+    """
+    return 0.9 / max(diagonal_drain(model), 1e-12)
+
+
+def _scan_powers(r: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """(shift, r**shift) for the shifts 1, 2, 4, ... of ``_upwind_scan``.
+
+    The list ends before the shift reaches n and before the first power
+    below SCAN_FLOOR: the terms that pass would add sum to less than
+    SCAN_FLOOR max(phi).
+    """
+    powers = []
+    shift = 1
+    while shift < n and np.max(p := r ** shift) >= SCAN_FLOOR:
+        powers.append((shift, p))    # one rounding, not one per squaring
+        shift *= 2
+    return powers
+
+
+def _upwind_scan(a: np.ndarray, powers, tmp: np.ndarray) -> np.ndarray:
+    """Solve phi_k = a_k + r phi_{k+1} right to left, in place in ``a``.
+
+    ``a[:, -1]`` holds phi_{n-1}; ``tmp`` is a buffer of the same shape.
+    After the pass with shift s each node holds the sum of r^j a_{k+j}
+    over j < 2s, so log2 n passes do what a loop over the nodes does.
+    """
+    n = a.shape[1]
+    for shift, p in powers:
+        np.multiply(a[:, shift:], p, out=tmp[:, :n - shift])
+        a[:, :n - shift] += tmp[:, :n - shift]
+    return a
+
+
+class _Sweep:
+    """The relaxation sweep T at speed c on an n-node grid of [-L, 0].
+
+    Holds the kernel stencils, the scan powers and the buffers that
+    persist across sweeps; ``step`` holds T(phi) - phi of the last call.
+    """
+
+    def __init__(self, c: float, model: ReactionModel, kerns, n: int, dx: float):
+        self.model = model
+        self.u_star = u_star = positive_equilibrium(model)
+        self.ceiling = u_star[:, None]
+        self.d = model.d[:, None]
+        self.c_dx = c / dx
+        self.dtau = relaxation_step(model)
+        s = self.dtau * self.c_dx
+        self.bs = 1.0 + self.dtau * self.d + s           # B_i + s
+        self.powers = _scan_powers(s / self.bs, n)
+        # per-kernel weight stencils, heavy tails capped at a window that
+        # already carries all but ~1e-4 of the mass, and extended buffers:
+        # saturated to the left of -L, empty to the right of 0
+        self.stencils = []
+        for i, k in enumerate(kerns):
+            cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
+            w = kernel_weights(k, dx, max_half_width=cap)
+            half = (w.size - 1) // 2
+            ext = np.zeros(n + 2 * half)
+            ext[:half] = u_star[i]
+            self.stencils.append((w, half, ext))
+        self.conv = np.zeros((model.m, n))
+        self.tmp = np.empty((model.m, n))
+        self.step = np.empty((model.m, n))
+
+    def convolve(self, u: np.ndarray) -> np.ndarray:
+        n = u.shape[1]
+        for i, (w, half, ext) in enumerate(self.stencils):
+            ext[half:half + n] = u[i]
+            self.conv[i] = np.convolve(ext, w, mode="valid")
+        return self.conv
+
+    def __call__(self, phi: np.ndarray) -> np.ndarray:
+        new = eval_F(self.model, phi, validate=False)
+        new += np.multiply(self.d, self.convolve(phi), out=self.conv)
+        new *= self.dtau
+        new += phi
+        new /= self.bs
+        new[:, -1] = 0.0
+        _upwind_scan(new, self.powers, self.tmp)
+        new[:, 0] = self.u_star
+        np.maximum(new, 0.0, out=new)
+        np.minimum(new, self.ceiling, out=new)
+        np.subtract(new, phi, out=self.step)
+        return new
+
+    def residual(self, phi: np.ndarray) -> float:
+        """Largest stationary defect of phi on the interior nodes."""
+        defect = eval_F(self.model, phi, validate=False)
+        defect += self.d * (self.convolve(phi) - phi)
+        defect[:, :-1] += self.c_dx * (phi[:, 1:] - phi[:, :-1])
+        return float(np.max(np.abs(defect[:, 1:-1]))) if phi.shape[1] > 2 else 0.0
+
+
 def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   dx: float | None = None, tol: float = 1e-8,
                   max_iter: int = 60_000, strict: bool = True, *,
@@ -131,15 +234,34 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   start: SemiWaveSolution | None = None) -> SemiWaveSolution:
     """Relax to the maximal profile with speed c on [-L, 0].
 
-    The iteration treats the local drain terms implicitly (division by
-    1 + dtau * (d_i + c/dx)) and everything else explicitly, which keeps
-    the sweep T order preserving for dtau below the reaction Lipschitz
-    time.  The saturated state is a supersolution, T(u*) <= u*, so the
-    iterates started from it decrease pointwise and the limit is the
-    maximal fixed point.  The advection derivative is one sided toward
-    the origin; that is the side the profile data comes from for a
-    rightward front, and the opposite stencil amplifies oscillatory
-    modes no matter how small dtau is.
+    One sweep T is an upwind Gauss-Seidel step in pseudo time: the local
+    drains are implicit, the reaction and the convolution explicit, and
+    the advection takes phi_{k+1} from the same sweep, solved right to
+    left from phi_{n-1} = 0:
+
+        phi_k = a_k + r phi_{k+1},  a_k = (phi_k + dtau (F_k(phi)
+                + d (J * phi)_k)) / (B + s),  r = s / (B + s),
+
+    with s = dtau c / dx and B = 1 + dtau d per component, followed by
+    the pin phi_0 = u* and the clip to [0, u*].  The recurrence runs as
+    a log-depth doubling scan (``_upwind_scan``).
+    The advection stencil is one sided toward the origin; that is the
+    side the profile data comes from for a rightward front, and the
+    opposite stencil amplifies oscillatory modes no matter how small
+    dtau is.
+
+    The step dtau = 0.9 / D (``relaxation_step``) makes a_k
+    nondecreasing in phi: D bounds -dF_i/du_i on [0, u*], the cross
+    terms are cooperative and r >= 0, so T is order preserving.  On the
+    box [0, u*] its values lie in the box before the clip, which only
+    removes rounding, and its fixed points are the stationary profiles.
+    For a supersolution phi of the Jacobi sweep T_J, which reads
+    phi_{k+1} from the old iterate, T(phi) <= T_J(phi) <= phi follows by
+    induction from the right end: node n-1 is 0 in both, and if
+    T(phi)_{k+1} <= phi_{k+1} then T(phi)_k = a_k + r T(phi)_{k+1} <=
+    a_k + r phi_{k+1} = T_J(phi)_k <= phi_k.  The saturated state is
+    such a supersolution, so the iterates started from it decrease
+    pointwise and the limit is the maximal fixed point.
 
     With ``strict=False`` an iteration that stalls above ``tol`` returns
     the current state flagged ``converged=False`` instead of raising.
@@ -158,15 +280,15 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
       arithmetic, as the ``flux_integrals`` of the returned solution.
     * ``start`` relaxes from an earlier solution instead of the
       saturated state.  A solution on a smaller window with the same
-      mesh, extended by u* to the left, is a supersolution here
+      mesh, extended by u* to the left, is a supersolution of T_J here
       (``start="window"``): on the old nodes the sweep sees the same
       data as before, and the new nodes are capped at u*.  A solution at
       a lower speed on the same window is one too (``start="speed"``)
-      when it is nonincreasing in x: with s = dtau c / dx and
-      B = 1 + dtau d, T_c(phi) - phi <= (s_lo - s)(phi_k - phi_{k+1})
-      / (B + s) <= 0.  Both lie above the maximal fixed point, so the
-      iterates still decrease to it and the early stops stay valid.  An
-      unconverged solution at the same speed and window is resumed
+      when it is nonincreasing in x: T_J,c(phi) - phi <= (s_lo - s)
+      (phi_k - phi_{k+1}) / (B + s) <= 0.  By the induction above both
+      are supersolutions of T, lie above the maximal fixed point, and
+      the iterates still decrease to it, so the early stops stay valid.
+      An unconverged solution at the same speed and window is resumed
       (``start="resume"``): a sweep depends on phi alone, so the run
       continues that solution's sequence bit for bit.  The sweep budget
       counts the sweeps of this call.
@@ -187,24 +309,8 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     dx = h
     x = np.linspace(-L, 0.0, n)
 
-    u_star = positive_equilibrium(model)
-    d = model.d
-    m = model.m
-
-    # per-kernel weight stencils, heavy tails capped at a window that already
-    # carries all but ~1e-4 of the mass, and extended buffers: saturated to
-    # the left of -L, empty to the right of 0
-    stencils = []
-    for i, k in enumerate(kerns):
-        cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
-        w = kernel_weights(k, dx, max_half_width=cap)
-        half = (w.size - 1) // 2
-        ext = np.zeros(n + 2 * half)
-        ext[:half] = u_star[i]
-        stencils.append((w, half, ext))
-
-    dtau = 0.9 / max(lipschitz_bound(model), 1e-12)
-    denom = (1.0 + dtau * (d + c / dx))[:, None]
+    sweep = _Sweep(c, model, kerns, n, dx)
+    u_star = sweep.u_star
 
     # trapezoid weights of the flux integrals on the window, times the tails
     half_gap = 0.5 * np.diff(x)
@@ -217,19 +323,11 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
         return np.vecdot(u[:model.m0], tail_w)
 
     if stop_mu is not None:
-        stop_mu = _component_mu(stop_mu, m, model.m0)
+        stop_mu = _component_mu(stop_mu, model.m, model.m0)
 
     phi = np.repeat(u_star[:, None], n, axis=1)
     phi[:, -1] = 0.0
     source = "saturated" if start is None else _start_from(phi, start, c, dx)
-
-    conv = np.zeros((m, n))
-
-    def convolve(u: np.ndarray) -> np.ndarray:
-        for i, (w, half, ext) in enumerate(stencils):
-            ext[half:half + n] = u[i]
-            conv[i] = np.convolve(ext, w, mode="valid")
-        return conv
 
     guarded = stop_dead or stop_mu is not None or start is not None
     floor = 8.0 * np.finfo(float).eps * float(np.max(u_star))
@@ -237,23 +335,14 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     it = 0
     stop = "budget"
     for it in range(1, max_iter + 1):
-        rate_in = eval_F(model, phi, validate=False)
-        rate_in += d[:, None] * convolve(phi)
-        rate_in[:, :-1] += (c / dx) * phi[:, 1:]
-        phi_new = (phi + dtau * rate_in) / denom
-        phi_new[:, 0] = u_star
-        phi_new[:, -1] = 0.0
-        np.clip(phi_new, 0.0, u_star[:, None], out=phi_new)
-        step = phi_new - phi
-        if guarded:
-            rise = float(np.max(step))
-            if rise > floor:
-                raise NotMonotone(
-                    f"profile relaxation at c={c:g}, L={L:g} from the {source} start "
-                    f"rose by {rise:.3g} at sweep {it}")
-        delta = float(np.max(np.abs(step)))
-        phi = phi_new
-        if delta < tol * dtau:
+        phi = sweep(phi)
+        rise = float(np.max(sweep.step))
+        if guarded and rise > floor:
+            raise NotMonotone(
+                f"profile relaxation at c={c:g}, L={L:g} from the {source} start "
+                f"rose by {rise:.3g} at sweep {it}")
+        delta = max(rise, -float(np.min(sweep.step)))
+        if delta < tol * sweep.dtau:
             stop = "tol"
             break
         if stop_dead and float(np.min(phi[:, mid] / u_star)) < 0.5:
@@ -267,12 +356,6 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
         raise NoConvergence(
             f"profile relaxation at c={c:g}, L={L:g} still moving after {max_iter} sweeps")
 
-    # stationary defect of the final iterate, interior nodes only
-    defect = eval_F(model, phi, validate=False)
-    defect += d[:, None] * (convolve(phi) - phi)
-    defect[:, :-1] += (c / dx) * (phi[:, 1:] - phi[:, :-1])
-    residual = float(np.max(np.abs(defect[:, 1:-1]))) if n > 2 else 0.0
-
     mono_tol = 1e-8 * np.maximum(1.0, u_star)[:, None]
     monotone = bool(np.all(np.diff(phi, axis=1) <= mono_tol))
 
@@ -281,9 +364,9 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
 
     return SemiWaveSolution(
         c=float(c), length=float(L), dx=float(dx), x=x, phi=phi, u_star=u_star,
-        residual=residual, iterations=it, converged=converged, monotone=monotone,
-        flux_integrals=flux_integrals(phi), mid_saturation=mid_sat, stop=stop,
-        start=source)
+        residual=sweep.residual(phi), iterations=it, converged=converged,
+        monotone=monotone, flux_integrals=flux_integrals(phi), mid_saturation=mid_sat,
+        stop=stop, start=source)
 
 
 def _start_from(phi: np.ndarray, start: SemiWaveSolution, c: float, dx: float) -> str:
@@ -469,6 +552,8 @@ class MinimalSpeedResult:
     ``value`` is INFINITE when some dispersing kernel has no finite
     exponential moment; fronts then outrun every linear speed and no
     threshold exists.  Otherwise it is the midpoint of ``bracket``.
+    ``stops`` holds the ``SemiWaveSolution.stop`` of each probe, in the
+    order of ``trace``: a verdict read from a "budget" stop is not final.
     ``fallbacks`` counts the probes whose guarded relaxation rose above
     the roundoff floor and were re-run cold from saturation.
     """
@@ -480,6 +565,7 @@ class MinimalSpeedResult:
     lengths: tuple[float, ...]
     note: str
     fallbacks: int = 0
+    stops: tuple[str, ...] = ()
 
 
 def linearized_front_speed(model: ReactionModel, kernels) -> float:
@@ -573,12 +659,13 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
         raise ValueError("speed grid must hold at least two positive speeds")
 
     width = max(1e-3, rel_tol * c_lin)
-    dtau = 0.9 / max(lipschitz_bound(model), 1e-12)
+    dtau = relaxation_step(model)
 
     def budget(L: float) -> int:
         return max(60_000, int(0.75 * L / (width * dtau)))
 
     trace: list[tuple[float, float, float]] = []
+    stops: list[str] = []
     # window starts need nested grids: one spacing for every window
     nested = len({_mesh(kerns, L, dx)[1] for L in lengths}) == 1
     # per window, the latest converged alive monotone profile; the scan
@@ -604,6 +691,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
                 start = prev if nested else None
             sol = probe(c, L, start)
             trace.append((c, L, sol.mid_saturation))
+            stops.append(sol.stop)
             verdict = sol.mid_saturation >= 0.5
             if verdict and sol.converged and sol.monotone:
                 lower[L] = sol
@@ -636,4 +724,5 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
 
     return MinimalSpeedResult(
         value=0.5 * (lo + hi), linearized=c_lin, bracket=(lo, hi),
-        trace=tuple(trace), lengths=lengths, note="", fallbacks=fallbacks)
+        trace=tuple(trace), lengths=lengths, note="", fallbacks=fallbacks,
+        stops=tuple(stops))

@@ -102,6 +102,18 @@ def test_criterion_08a_minimal_speed_dominates_edge_speed():
     assert m["cstar"] >= m["c0_mu100"], m
 
 
+def test_criterion_08a_minimal_speed_bracket_rests_on_final_verdicts():
+    # a verdict read at the sweep budget comes from an iterate that may
+    # still be falling; each bracket end must come from a probe that
+    # reached tolerance or read dead, both final
+    est = V.cstar_result()
+    assert len(est.stops) == len(est.trace)
+    last = {c: stop for (c, _, _), stop in zip(est.trace, est.stops)}
+    lo, hi = est.bracket
+    assert last[lo] in ("tol", "dead") and last[hi] in ("tol", "dead"), (
+        f"bracket ({lo:.6g}, {hi:.6g}) read from stops {last[lo]!r}, {last[hi]!r}")
+
+
 def test_criterion_08b_gap_below_15pct_at_mu100():
     # the paper's clause is the limit c0 -> c* as mu -> infinity, with no
     # rate.  An earlier 15% band at mu = 100 asserted a rate the continuous

@@ -63,6 +63,20 @@ class TestValidation:
                 validate_scenario(obj)
             assert e.value.pointer == f"/{key}"
 
+    def test_missing_required_field_named(self):
+        obj = minimal_fb()
+        del obj["name"]
+        with pytest.raises(ConfigError) as e:
+            validate_scenario(obj)
+        assert e.value.pointer == "/name"
+
+    def test_missing_level_named(self):
+        obj = minimal_fb()
+        obj["levels"] = [{"component": 1}]
+        with pytest.raises(ConfigError) as e:
+            validate_scenario(obj)
+        assert e.value.pointer == "/levels/0/level"
+
     def test_model_enum_and_preset_parameters_follow_the_preset_table(self):
         model = SCENARIO_SCHEMA["properties"]["model"]["properties"]
         assert model["model"]["enum"] == [*PRESET_PARAMS, "custom"]

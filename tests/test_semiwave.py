@@ -268,7 +268,7 @@ def _cold_search(model, kern, lengths, c_grid, dx, rel_tol, tol=TOL):
     started from a supersolution; returns the bracket and the verdicts.
     """
     width = max(1e-3, rel_tol * sw.linearized_front_speed(model, kern))
-    dtau = 0.9 / max(rx.lipschitz_bound(model), 1e-12)
+    dtau = sw.relaxation_step(model)
     verdicts = {}
 
     def alive(c):
@@ -409,6 +409,106 @@ class TestMonotoneRelaxation:
 
 
 # ----------------------------------------------------------------------
+# the upwind Gauss-Seidel sweep: order preserving, its scan, its step
+
+def _split(v):
+    """Veltkamp split of a double into two halves whose products are exact."""
+    t = 134217729.0 * v             # 2^27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _two_prod(a, b):
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _two_sum(a, b):
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _sequential_upwind(a, r):
+    """phi_k = a_k + r phi_{k+1}, right to left, one node at a time.
+
+    Compensated (error-free products and sums carried in a second
+    double), so each node is the exact recurrence to about one ulp.
+    """
+    phi, err = a[-1], 0.0
+    out = [phi]
+    for ak in a[-2::-1]:
+        p, pe = _two_prod(r, phi)
+        phi, se = _two_sum(p, ak)
+        err = r * err + (pe + se)
+        out.append(phi + err)
+    return np.array(out[::-1])
+
+
+PRESETS = {"wnv": rx.wnv, "cholera": rx.cholera, "concave": rx.concave}
+
+
+@st.composite
+def preset_models(draw, kind):
+    """The preset ``kind`` with drawn parameters and a positive equilibrium."""
+    params = {p: draw(st.floats(0.2, 3.0)) for p in rx.PRESET_PARAMS[kind]}
+    model = PRESETS[kind](**params)
+    try:
+        rx.positive_equilibrium(model)
+    except (rx.NoPositiveRoot, rx.NonConvergence):
+        assume(False)
+    return model
+
+
+class TestUpwindSweep:
+    @PROPERTY
+    @given(profile_problems(), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_sweep_is_order_preserving(self, model, problem, c, seed):
+        kern, dx, L = problem
+        kerns = (kern, kern)
+        n, h = sw._mesh(kerns, L, dx)
+        T = sw._Sweep(c, model, kerns, n, h)
+        rng = np.random.default_rng(seed)
+        hi = T.u_star[:, None] * rng.uniform(0.0, 1.0, (2, n))
+        lo = hi * rng.uniform(0.0, 1.0, (2, n))
+        floor = 8.0 * np.finfo(float).eps * float(np.max(T.u_star))
+        assert np.all(T(lo) <= T(hi) + floor)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 2000), st.lists(st.floats(0.0, 1.0 - 1e-6), min_size=2, max_size=2),
+           st.integers(0, 2**32 - 1))
+    def test_doubling_scan_is_the_sequential_recurrence(self, n, rs, seed):
+        r = np.array(rs)[:, None]
+        a = np.random.default_rng(seed).uniform(0.0, 1.0, (2, n))
+        powers = sw._scan_powers(r, n)
+        got = sw._upwind_scan(a.copy(), powers, np.empty_like(a))
+        # each pass rounds a power, a product and a sum of nonnegative terms
+        rtol = 2.0 * (len(powers) + 1) * np.finfo(float).eps
+        for i in range(2):
+            want = _sequential_upwind(a[i].tolist(), rs[i])
+            np.testing.assert_allclose(got[i], want, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_step_keeps_each_diagonal_order_preserving(self, kind, data):
+        model = data.draw(preset_models(kind))
+        dtau = sw.relaxation_step(model)
+        u_star = rx.positive_equilibrium(model)
+        grid = np.linspace(0.0, 1.0, 101)
+        for u1 in grid * u_star[0]:
+            for u2 in grid * u_star[1]:
+                J = rx.jacobian(model, np.array([u1, u2]))
+                assert np.all(1.0 + dtau * np.diag(J) >= 0.0)
+
+    def test_step_for_the_reference_model(self, model):
+        # -dF_i/du_i = u_j + 1/2 peaks at u* = (1/2, 1/2): D = 1
+        assert rx.diagonal_drain(model) == 1.0
+        assert sw.relaxation_step(model) == 0.9
+
+
+# ----------------------------------------------------------------------
 # edge-speed probes: sign stop, resume, lower-speed starts, and the cold
 # search they replace
 
@@ -499,15 +599,16 @@ class TestEdgeSpeedProbes:
         assert all(start == "saturated" for _, start in seen)
 
     def test_resumed_sign_stop_is_the_cold_run_bitwise(self, model, laplace1):
+        # at c = 0.5 and mu = 4 the sign stop lands after several sweeps
         kw = dict(dx=0.25, tol=1e-8)
-        cold = sw.solve_profile(1.0, model, laplace1, 30.0, **kw)
-        stopped = sw.solve_profile(1.0, model, laplace1, 30.0, stop_mu=3.0, **kw)
+        cold = sw.solve_profile(0.5, model, laplace1, 30.0, **kw)
+        stopped = sw.solve_profile(0.5, model, laplace1, 30.0, stop_mu=4.0, **kw)
         assert (stopped.stop, stopped.start, stopped.converged) == ("sign", "saturated", False)
         assert 1 < stopped.iterations < cold.iterations
         # the verdict is final: the converged functional reads lower still
-        value = sw.flux_functional(stopped, 3.0) - 1.0
-        assert sw.flux_functional(cold, 3.0) - 1.0 <= value <= 0.0
-        resumed = sw.solve_profile(1.0, model, laplace1, 30.0, start=stopped, **kw)
+        value = sw.flux_functional(stopped, 4.0) - 0.5
+        assert sw.flux_functional(cold, 4.0) - 0.5 <= value <= 0.0
+        resumed = sw.solve_profile(0.5, model, laplace1, 30.0, start=stopped, **kw)
         assert (resumed.stop, resumed.start) == ("tol", "resume")
         assert stopped.iterations + resumed.iterations == cold.iterations
         assert np.array_equal(resumed.phi, cold.phi)
