@@ -138,16 +138,23 @@ def relaxation_step(model: ReactionModel) -> float:
 
 
 def _scan_powers(r: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
-    """(shift, r**shift) for the shifts 1, 2, 4, ... of ``_upwind_scan``.
+    """(shift, weights) for the shifts 1, 2, 4, ... of ``_upwind_scan``.
 
-    The list ends before the shift reaches n and before the first power
-    below SCAN_FLOOR: the terms that pass would add sum to less than
-    SCAN_FLOOR max(phi).
+    ``r`` holds one ratio per row of an (m, n) state.  The weights act
+    on the state flattened row by row: r_i**shift where node k + shift
+    lies in the same row as node k, and 0 where it lies in the next, so
+    each pass is two calls on contiguous vectors.  The list ends before
+    the shift reaches n and before the first power below SCAN_FLOOR:
+    the terms that pass would add sum to less than SCAN_FLOOR max(phi).
     """
+    m = r.shape[0]
+    col = np.arange(n)
     powers = []
     shift = 1
+    # r ** shift directly: one rounding, where repeated squaring drifts
     while shift < n and np.max(p := r ** shift) >= SCAN_FLOOR:
-        powers.append((shift, p))    # one rounding, not one per squaring
+        w = np.where(col < n - shift, p, 0.0).reshape(-1)
+        powers.append((shift, w[:m * n - shift]))
         shift *= 2
     return powers
 
@@ -155,14 +162,16 @@ def _scan_powers(r: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
 def _upwind_scan(a: np.ndarray, powers, tmp: np.ndarray) -> np.ndarray:
     """Solve phi_k = a_k + r phi_{k+1} right to left, in place in ``a``.
 
-    ``a[:, -1]`` holds phi_{n-1}; ``tmp`` is a buffer of the same shape.
-    After the pass with shift s each node holds the sum of r^j a_{k+j}
-    over j < 2s, so log2 n passes do what a loop over the nodes does.
+    ``a`` and ``tmp`` are C-contiguous (m, n) arrays and ``a[:, -1]``
+    holds phi_{n-1}.  After the pass with shift s each node holds the
+    sum of r^j a_{k+j} over j < 2s, so log2 n passes do what a loop
+    over the nodes does.
     """
-    n = a.shape[1]
-    for shift, p in powers:
-        np.multiply(a[:, shift:], p, out=tmp[:, :n - shift])
-        a[:, :n - shift] += tmp[:, :n - shift]
+    x, t = a.reshape(-1), tmp.reshape(-1)
+    for shift, w in powers:
+        k = x.size - shift
+        np.multiply(x[shift:], w, out=t[:k])
+        x[:k] += t[:k]
     return a
 
 
@@ -176,13 +185,15 @@ class _Sweep:
     def __init__(self, c: float, model: ReactionModel, kerns, n: int, dx: float):
         self.model = model
         self.u_star = u_star = positive_equilibrium(model)
-        self.ceiling = u_star[:, None]
-        self.d = model.d[:, None]
         self.c_dx = c / dx
         self.dtau = relaxation_step(model)
         s = self.dtau * self.c_dx
-        self.bs = 1.0 + self.dtau * self.d + s           # B_i + s
-        self.powers = _scan_powers(s / self.bs, n)
+        bs = 1.0 + self.dtau * model.d[:, None] + s      # B_i + s
+        self.powers = _scan_powers(s / bs, n)
+        # per-row constants spelled out over the grid: ufuncs on operands
+        # of one shape skip the slower broadcasting loops
+        self.ceiling, self.d, self.bs = (np.repeat(v, n, axis=1)
+                                         for v in (u_star[:, None], model.d[:, None], bs))
         # per-kernel weight stencils, heavy tails capped at a window that
         # already carries all but ~1e-4 of the mass, and extended buffers:
         # saturated to the left of -L, empty to the right of 0
@@ -206,7 +217,7 @@ class _Sweep:
         return self.conv
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        new = eval_F(self.model, phi, validate=False)
+        new = np.ascontiguousarray(eval_F(self.model, phi, validate=False))
         new += np.multiply(self.d, self.convolve(phi), out=self.conv)
         new *= self.dtau
         new += phi

@@ -63,19 +63,16 @@ class TestValidation:
                 validate_scenario(obj)
             assert e.value.pointer == f"/{key}"
 
-    def test_missing_required_field_named(self):
+    @pytest.mark.parametrize("edit,pointer", [
+        (lambda obj: obj.pop("name"), "/name"),
+        (lambda obj: obj.update(levels=[{"component": 1}]), "/levels/0/level"),
+    ], ids=["name", "level"])
+    def test_missing_required_field_named(self, edit, pointer):
         obj = minimal_fb()
-        del obj["name"]
+        edit(obj)
         with pytest.raises(ConfigError) as e:
             validate_scenario(obj)
-        assert e.value.pointer == "/name"
-
-    def test_missing_level_named(self):
-        obj = minimal_fb()
-        obj["levels"] = [{"component": 1}]
-        with pytest.raises(ConfigError) as e:
-            validate_scenario(obj)
-        assert e.value.pointer == "/levels/0/level"
+        assert e.value.pointer == pointer
 
     def test_model_enum_and_preset_parameters_follow_the_preset_table(self):
         model = SCENARIO_SCHEMA["properties"]["model"]["properties"]
