@@ -7,20 +7,27 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import nlspread
+from nlspread import config
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
+def run_in_subprocess(code: str, *args: str) -> dict:
+    """Run code in a fresh interpreter; its last line of output is parsed as JSON."""
     src = str(Path(nlspread.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, nlspread; "
-            "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.fft', "
-            "'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == ""
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, env=env, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
 
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    code = ("import json, sys, nlspread; "
+            "print(json.dumps([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.fft', "
+            "'scipy.special') if m in sys.modules]))")
+    assert run_in_subprocess(code) == []
 
 
 BUILD_BUNDLED = textwrap.dedent("""
@@ -41,14 +48,8 @@ BUILD_BUNDLED = textwrap.dedent("""
 
 
 def test_building_bundled_inputs_leaves_scipy_stats_and_optimize_unloaded():
-    # the builders check every field without the time-step constant, whose
-    # Sobol sample imports scipy.stats (0.5-0.7 s of set-up time)
-    src = str(Path(nlspread.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", BUILD_BUNDLED], capture_output=True,
-                         text=True, env=env, check=True)
-    doc = json.loads(out.stdout)
+    # the builders check every field without computing the time-step constant
+    doc = run_in_subprocess(BUILD_BUNDLED)
     assert len(doc["built"]) == 5
     assert doc["loaded"] == []
 
@@ -69,18 +70,46 @@ PROFILE_PATH = textwrap.dedent("""
     profiles = sorted(set(scipy_modules()) - set(before))
     semiwave.estimate_cstar(model, kern, lengths=(20.0,), c_grid=(1.0, 3.0), dx=0.25,
                             rel_tol=0.5)
-    print(json.dumps({"profiles": profiles, "cstar_stats": "scipy.stats" in sys.modules}))
+    cstar = sorted(set(scipy_modules()) - set(before))
+    print(json.dumps({"profiles": profiles, "cstar": cstar}))
 """)
 
 
 def test_profile_solves_load_no_scipy():
-    # the relaxation step reads the Jacobian diagonal on a lattice, not the
-    # Sobol-sampled Lipschitz bound of the simulators, so no profile solve
-    # pays the scipy.stats import; estimate_cstar still loads scipy.optimize
-    src = str(Path(nlspread.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", PROFILE_PATH], capture_output=True,
-                         text=True, env=env, check=True)
-    doc = json.loads(out.stdout)
-    assert doc == {"profiles": [], "cstar_stats": False}
+    # the relaxation step and the linearized speed are numpy only, so
+    # neither a profile solve nor estimate_cstar on a laplace kernel loads
+    # any scipy module
+    assert run_in_subprocess(PROFILE_PATH) == {"profiles": [], "cstar": []}
+
+
+CLI_RUN = textwrap.dedent("""
+    import json, sys
+    from nlspread import cli
+
+    code = cli.main(sys.argv[1:])
+    print(json.dumps({"exit": code, "loaded": [
+        m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]}))
+""")
+
+
+@pytest.mark.parametrize("task,scenario", [("simulate-fb", "wnv_spreading"),
+                                           ("simulate-cauchy", "cauchy_wnv_laplace")])
+def test_simulators_load_neither_scipy_stats_nor_optimize(task, scenario, tmp_path):
+    # dt reads lipschitz_bound, a numpy lattice of the state box
+    path = config.scenario_dir() / f"{scenario}.json"
+    doc = run_in_subprocess(CLI_RUN, task, "--config", str(path), "--out", str(tmp_path))
+    assert doc == {"exit": 0, "loaded": []}
+
+
+ASSUMPTIONS = textwrap.dedent("""
+    import json, sys
+    from nlspread import reactions
+
+    report = reactions.verify_assumptions(reactions.wnv(1.0, 1.0, 0.5, 0.5, 1.0, 1.0))
+    print(json.dumps({"n_samples": report.n_samples, "loaded": [
+        m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]}))
+""")
+
+
+def test_verify_assumptions_loads_neither_scipy_stats_nor_optimize():
+    assert run_in_subprocess(ASSUMPTIONS) == {"n_samples": 256, "loaded": []}

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -612,6 +612,7 @@ class TestUnitMass:
     @PROPERTY
     @given(st.sampled_from(sorted(_FAMILIES)), st.floats(0.5, 2.0),
            st.floats(0.05, 1.0), st.integers(1, 40) | st.integers(1, 3000))
+    @example("uniform", 1.0, 0.1875, 21)     # W < full_w, (W + 1/2) dx past the radius
     def test_weights_carry_unit_mass_or_the_analytic_tail(self, family, scale, frac,
                                                           max_half_width):
         kern = family_kernel(family, scale)
@@ -620,7 +621,7 @@ class TestUnitMass:
         W = (len(w) - 1) // 2
         eps = np.finfo(float).eps
         full_w = int(np.ceil(kern.cutoff_radius / dx - 1e-12))
-        if W >= full_w:
+        if W >= full_w or kern.tail((W + 0.5) * dx) == 0:
             assert abs(math.fsum(w) - 1.0) <= (2 * W + 1) * eps
         else:
             per_raw = w[W] / (float(kern.density(0.0)) * dx)     # 1 / normalizer

@@ -5,6 +5,7 @@ reductions derived by hand, never against the module's own Newton.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestEquilibria:
             u = rx.positive_equilibrium(model)
             scale = max(1.0, float(np.max(np.abs(u))))
             assert np.max(np.abs(rx.eval_F(model, u))) < 1e-12 * scale
+
+    def test_newton_stays_in_the_cone(self):
+        # an unclipped Newton iterate of this model reaches u1 < -1, where
+        # ln(1 + u1) is undefined; projected iterates raise no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = rx.positive_equilibrium(rx.concave(3.0, 0.2, 3.0, 3.0))
+        assert np.allclose(u, [0.9063, 9.678], rtol=1e-4)
 
     def test_equilibrium_cached_and_copied(self):
         model = wnv_default()
@@ -268,13 +277,20 @@ class TestAssumptionChecks:
 
 
 class TestLipschitzBound:
-    def test_wnv_bound_brackets_true_supremum(self):
-        model = wnv_default()
-        bound = rx.lipschitz_bound(model)
-        # true sup of the Jacobian row sums over the ceiling box is 2.5,
-        # attained at the mixed corners; the sample cannot exceed it
-        assert bound <= 1.5 * 2.5 + 1e-9
-        assert bound >= 2.5          # must dominate the interior values it saw
+    def test_stated_values_for_wnv_and_cholera(self):
+        # 1.5 x the largest row sum of |J|, attained at a corner of the box:
+        # wnv 2.5 at (0, e2), cholera 3.0 on the face u1 = 0
+        assert rx.lipschitz_bound(wnv_default()) == 3.75
+        assert rx.lipschitz_bound(cholera_default()) == 4.5
+
+    @pytest.mark.parametrize("build", [wnv_default, cholera_default,
+                                       lambda: rx.concave(1, 1, 2, 2)])
+    def test_dominates_padded_row_sums_on_a_fine_grid(self, build):
+        model = build()
+        hi = rx._state_box(model, rx.positive_equilibrium(model))
+        worst = max(float(np.max(np.sum(np.abs(rx.jacobian(model, u)), axis=1)))
+                    for u in rx._box_lattice(hi, 201).T)
+        assert rx.lipschitz_bound(model) >= 1.5 * worst
 
     def test_exceeds_jacobian_at_equilibrium(self):
         for model in (wnv_default(), cholera_default()):
