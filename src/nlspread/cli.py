@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -295,6 +294,12 @@ def _cmd_sweep(scenario: dict, out: Path, seed: int, config_path: Path,
     for name, code in zip(names, codes):
         print(f"{'ok' if code == 0 else 'FAILED'} {name} (exit {code})")
     return max(codes, default=0)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported when a sweep starts a pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _worker_count(text: str) -> int:

@@ -4,24 +4,35 @@ A scenario is one JSON object shared by every subcommand; each driver reads
 the sections it needs.  SCENARIO_SCHEMA is the shipped scenarios/schema.json,
 parsed at import; that file is the only copy of the schema.
 ``validate_scenario`` checks a scenario against it and adds the
-custom-model rules the schema cannot state.  The builders (``build_model``,
-``build_kernels`` and, one per subcommand, ``build_fb_config``,
-``build_cauchy_config`` and ``build_speeds``) read each field and apply to
-it the rule the library defines for it: the model and its positive
-equilibrium, the kernel count, the mesh and window checks, the expansion
-rates.  A rule that lives only in a constructor raises an exception that
-names its argument (``InvalidParameter``, ``InvalidLevel``,
-``WindowCapTooSmall``).  This is the only module that ties a rule to a
-scenario field: every rejection raises ConfigError with the JSON pointer
-of the field it read, and no pointer is taken from an error's text.
+custom-model rules the schema cannot state.  The check is a small
+interpreter of the JSON Schema (draft 2020-12) keywords that file uses
+(``_KEYWORDS``: ``$defs``, local ``$ref``, ``type``, ``enum``,
+``properties``, ``required``, ``additionalProperties``, ``items``,
+``contains``, ``anyOf``, ``minimum``, ``exclusiveMinimum``, ``minItems``,
+``maxItems``, ``minLength``); a schema that uses any other keyword raises
+NotImplementedError instead of having it skipped.  A rejection names one
+field: the shallowest value that fails, a missing or stray key at that
+key, and inside ``anyOf`` the deepest miss of any branch.
+
+The builders (``build_model``, ``build_kernels`` and, one per subcommand,
+``build_fb_config``, ``build_cauchy_config`` and ``build_speeds``) read
+each field and apply to it the rule the library defines for it: the model
+and its positive equilibrium, the kernel count, the mesh and window
+checks, the expansion rates.  A rule that lives only in a constructor
+raises an exception that names its argument (``InvalidParameter``,
+``InvalidLevel``, ``WindowCapTooSmall``).  This is the only module that
+ties a rule to a scenario field: every rejection raises ConfigError with
+the JSON pointer of the field it read, and no pointer is taken from an
+error's text.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .cauchy import CauchyConfig, InvalidLevel, WindowCapTooSmall
@@ -47,31 +58,148 @@ def scenario_dir() -> Path:
 
 
 SCENARIO_SCHEMA = json.loads((scenario_dir() / "schema.json").read_text(encoding="utf-8"))
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+# keyword -> (the JSON type it constrains, its failure test, its message)
+_BOUNDS = {
+    "minimum": ("number", lambda v, a: v < a, "{v!r} is less than the minimum of {a!r}"),
+    "exclusiveMinimum": ("number", lambda v, a: v <= a,
+                         "{v!r} is less than or equal to the minimum of {a!r}"),
+    "minItems": ("array", lambda v, a: len(v) < a, "{v!r} has fewer than {a} items"),
+    "maxItems": ("array", lambda v, a: len(v) > a, "{v!r} has more than {a} items"),
+    "minLength": ("string", lambda v, a: len(v) < a, "{v!r} is shorter than {a} characters"),
+}
+
+# every keyword the validator implements; any other raises NotImplementedError
+_KEYWORDS = frozenset({"$schema", "$defs", "$ref", "type", "enum", "anyOf", "contains",
+                      "items", "properties", "required", "additionalProperties", *_BOUNDS})
 
 
-def _pointer(err: jsonschema.ValidationError) -> str:
-    """The field an error names: a stray or missing key, else the value checked."""
-    parts = [str(p) for p in err.absolute_path]
-    if isinstance(err.instance, dict):
-        if err.validator == "additionalProperties":
-            allowed = set(err.schema.get("properties", {}))
-            names = sorted(set(err.instance) - allowed)
-        elif err.validator == "required":
-            names = [k for k in err.validator_value if k not in err.instance]
-        else:
-            names = []
-        parts += names[:1]
-    return "/" + "/".join(parts)
+def _is(value, kind: str) -> bool:
+    """JSON Schema's type test: a boolean is no number, and 1.0 is an integer."""
+    if kind in _TYPES:
+        return isinstance(value, _TYPES[kind])
+    if isinstance(value, bool):
+        return False
+    if kind == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if kind == "number":
+        return isinstance(value, numbers.Number)
+    raise NotImplementedError(f"schema type {kind!r}")
+
+
+class _Miss(NamedTuple):
+    """One keyword a value fails, at the path of that value."""
+
+    path: tuple
+    keyword: str
+    message: str
+    fits: bool              # the value has the type its schema names
+    key: str | None = None  # the missing or stray key of an object
+    branches: tuple = ()    # anyOf: the misses of every branch
+
+    @property
+    def pointer(self) -> str:
+        parts = self.path if self.key is None else (*self.path, self.key)
+        return "/" + "/".join(str(p) for p in parts)
+
+
+def _misses(schema: dict, value, path: tuple = (), root: dict | None = None):
+    """Yield a _Miss for each keyword of ``schema`` that ``value`` fails.
+
+    Keywords are read in the schema's order, and a subschema's misses come
+    at the keyword that applies it.  ``$ref`` names a part of ``root``
+    (default: ``schema``) by a local pointer such as ``#/$defs/kernel``.
+    """
+    root = schema if root is None else root
+    fits = "type" in schema and _is(value, schema["type"])
+
+    def miss(keyword, message, key=None, branches=()):
+        return _Miss(path, keyword, message, fits, key, branches)
+
+    for kw, arg in schema.items():
+        if kw not in _KEYWORDS:
+            raise NotImplementedError(f"schema keyword {kw!r} is not implemented")
+        if kw in _BOUNDS:
+            kind, fails, text = _BOUNDS[kw]
+            if _is(value, kind) and fails(value, arg):
+                yield miss(kw, text.format(v=value, a=arg))
+        elif kw == "$ref":
+            if not arg.startswith("#/"):
+                raise NotImplementedError(f"schema reference {arg!r}")
+            target = root
+            for part in arg[2:].split("/"):
+                target = target[part]
+            yield from _misses(target, value, path, root)
+        elif kw == "type" and not fits:
+            yield miss(kw, f"{value!r} is not of type {arg!r}")
+        elif kw == "enum" and value not in arg:
+            yield miss(kw, f"{value!r} is not one of {arg!r}")
+        elif kw == "anyOf":
+            branches = []
+            for sub in arg:
+                found = list(_misses(sub, value, path, root))
+                if not found:
+                    break
+                branches += found
+            else:
+                yield miss(kw, f"{value!r} is not valid under any of the given schemas",
+                           branches=tuple(branches))
+        elif kw == "contains" and isinstance(value, list):
+            if all(next(_misses(arg, item, path, root), None) for item in value):
+                yield miss(kw, f"{value!r} does not contain items matching the given schema")
+        elif kw == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _misses(arg, item, (*path, i), root)
+        elif kw == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _misses(sub, value[name], (*path, name), root)
+        elif kw == "required" and isinstance(value, dict):
+            for name in arg:
+                if name not in value:
+                    yield miss(kw, f"{name!r} is a required property", name)
+        elif kw == "additionalProperties" and isinstance(value, dict):
+            extra = [name for name in value if name not in schema.get("properties", {})]
+            if arg is False and extra:
+                names = ", ".join(repr(name) for name in sorted(extra))
+                verb = "was" if len(extra) == 1 else "were"
+                yield miss(kw, f"Additional properties are not allowed ({names} {verb} "
+                               "unexpected)", min(extra))
+            elif isinstance(arg, dict):
+                for name in extra:
+                    yield from _misses(arg, value[name], (*path, name), root)
+
+
+def _relevance(miss: _Miss) -> tuple:
+    """Sort key, most relevant greatest: the shallower miss, then the later
+    sibling, then a keyword other than anyOf, then a value of the wrong type."""
+    return (-len(miss.path), miss.path, miss.keyword != "anyOf", not miss.fits)
+
+
+def _reported(misses) -> _Miss:
+    """The miss a ConfigError names: the shallowest; inside anyOf, the deepest branch miss.
+
+    This is the choice jsonschema's ``best_match`` makes, so pointers do not
+    depend on which validator produced them.  When the two deepest branch
+    misses rank alike, the anyOf miss itself is reported.
+    """
+    best = max(misses, key=_relevance)
+    while best.branches:
+        first, *rest = sorted(best.branches, key=_relevance)
+        if rest and _relevance(rest[0]) == _relevance(first):
+            break
+        best = first
+    return best
 
 
 def validate_scenario(obj) -> None:
     """Structural pass, then the custom-model rules the schema cannot state."""
-    errors = sorted(_VALIDATOR.iter_errors(obj),
-                    key=lambda e: -len(list(e.absolute_path)))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(_pointer(best), best.message)
+    misses = list(_misses(SCENARIO_SCHEMA, obj))
+    if misses:
+        miss = _reported(misses)
+        raise ConfigError(miss.pointer, miss.message)
     model = obj.get("model", {})
     if model.get("model") == "custom":
         exprs = model.get("f")

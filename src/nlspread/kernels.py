@@ -19,7 +19,8 @@ split lives: ``first_moment`` finite gives a semi-wave speed c0,
 ``exp_abscissa`` > 0 (some exponential moment finite) gives a minimal
 speed c*, and heavier tails make fronts accelerate.  ``classify`` derives
 its two flags from those two functions; a sampled table counts as
-polynomial when its tail table fits a power law (``_tail_regression``).
+polynomial when its tail table fits a power law (``_tail_regression``)
+over a decade that reaches past the table's core.
 No other module compares family names or reads family parameters.
 """
 
@@ -33,6 +34,7 @@ import numpy as np
 INFINITE = math.inf
 
 TAIL_MESH_RATIO = 1.05     # geometric mesh ratio for the sampled tail table
+TAIL_FIT_CORES = 3.0       # a table's fit decade must reach this many core scales
 DEFAULT_EPS_TAIL = 1e-8
 
 # family -> {parameter: default}; None marks a required parameter
@@ -413,7 +415,8 @@ def _tail_regression(kernel: Kernel) -> tuple[float | None, float | None]:
     """Log-log slope of the tail table over its outer decade.
 
     Returns (gamma_hat, stderr), or (None, None) when the decay is
-    super-polynomial (slope keeps steepening) or the support is compact.
+    super-polynomial (slope keeps steepening), the support is compact, or
+    a table ends before its fit decade reaches TAIL_FIT_CORES core scales.
     """
     z = kernel.tail_z
     t = kernel.tail_values
@@ -425,6 +428,11 @@ def _tail_regression(kernel: Kernel) -> tuple[float | None, float | None]:
         # sampled kernels truncate at the grid edge where the tail collapses;
         # read the decay law from a decade ending well inside the support
         z_hi = 0.1 * float(z[-1])
+        if z_hi < TAIL_FIT_CORES * kernel.core_scale:
+            # inside a few core scales every shape's log-log slope is shallow
+            # (a Gaussian on [-8, 8] would read gamma 1.29): a table that
+            # short has no tail to read and counts as what it is, compact
+            return None, None
     else:
         z_hi = float(z[-1])
         if kernel.compact_support is not None:

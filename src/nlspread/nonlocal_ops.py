@@ -55,7 +55,6 @@ so the left flux of mirrored data is bitwise the right flux of the data.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +248,7 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
     if k == 1:
         transform(chunks[0])
     else:
+        from concurrent.futures import ThreadPoolExecutor    # with logging, ~10 ms to import
         with ThreadPoolExecutor(k - 1) as pool:
             pending = [pool.submit(transform, c) for c in chunks[1:]]
             transform(chunks[0])

@@ -3,11 +3,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlspread import config
 from nlspread.cauchy import CauchyConfig
 from nlspread.config import (SCENARIO_SCHEMA, ConfigError, build_cauchy_config,
                              build_fb_config, build_kernels, build_speeds, load_scenario,
@@ -363,3 +365,124 @@ class TestScenarioMutations:
         with pytest.raises(ConfigError) as e:
             _build(name, scenario)
         assert e.value.pointer == pointer
+
+
+def reference_pointer(obj):
+    """The pointer jsonschema's best match names, or None when the schema accepts obj.
+
+    jsonschema is the reference the in-house validator is held to: a stray
+    or missing key is named at that key, any other error at its value.
+    """
+    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if err is None:
+        return None
+    parts = list(err.absolute_path)
+    if isinstance(err.instance, dict):
+        if err.validator == "additionalProperties":
+            parts += sorted(set(err.instance) - set(err.schema.get("properties", {})))[:1]
+        elif err.validator == "required":
+            parts += [k for k in err.validator_value if k not in err.instance][:1]
+    return "/" + "/".join(str(p) for p in parts)
+
+
+def schema_pointer(obj):
+    """The pointer the in-house validator names, or None when the schema accepts obj."""
+    misses = list(config._misses(SCENARIO_SCHEMA, obj))
+    return config._reported(misses).pointer if misses else None
+
+
+def _schema_keywords(schema: dict) -> set:
+    """The keywords of a schema and of every subschema it applies."""
+    found = set(schema)
+    subs = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(),
+            *schema.get("anyOf", ())]
+    subs += [schema[k] for k in ("items", "contains", "additionalProperties")
+             if isinstance(schema.get(k), dict)]
+    for sub in subs:
+        found |= _schema_keywords(sub)
+    return found
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+    | st.sampled_from(["", "x", "laplace", "wnv", "speeds"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["family", "scale", "sigma", "component", "level", "stray"]),
+        inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def edited_scenarios(draw):
+    """A bundled or invalid scenario after one to three random edits of its tree."""
+    paths = sorted(scenario_dir().glob("*_*.json")) + sorted(
+        (scenario_dir() / "invalid").glob("*.json"))
+    doc = json.loads(draw(st.sampled_from(paths)).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_walk(doc))))
+        kind = draw(st.sampled_from(["replace", "drop", "add"]))
+        if kind == "add" and isinstance(node, (dict, list)):
+            value = draw(json_values)
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(["stray", "name", "family", "dx", "mu"]))] = value
+            else:
+                node.append(value)
+        elif path:
+            parent = _resolve(doc, _ptr(path[:-1]))
+            if kind == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(json_values)
+    return doc
+
+
+class TestValidatorAgainstJsonschema:
+    """The in-house validator accepts, rejects and points as jsonschema does."""
+
+    def test_schema_uses_only_implemented_keywords(self):
+        assert _schema_keywords(SCENARIO_SCHEMA) <= config._KEYWORDS
+
+    @pytest.mark.parametrize("schema,value", [
+        ({"maximum": 1}, 2), ({"oneOf": [{"type": "number"}]}, 1),
+        ({"properties": {"a": {"pattern": "^x"}}}, {"a": "y"}),
+        ({"$ref": "other.json#/kernel"}, 1), ({"type": "null"}, None),
+    ], ids=["maximum", "oneOf", "nested_pattern", "remote_ref", "null_type"])
+    def test_unimplemented_keyword_raises(self, schema, value):
+        with pytest.raises(NotImplementedError):
+            list(config._misses(schema, value))
+
+    @pytest.mark.parametrize("edit", [
+        {"h0": True}, {"h0": 2}, {"h0": float("nan")}, {"h0": float("inf")},
+        {"numerics": {"dx": 0.25, "t_end": 1.0, "sample_stride": 2.0}},
+        {"numerics": {"dx": 0.25, "t_end": 1.0, "sample_stride": 1.5}},
+        {"levels": [{"component": True, "level": 0.1}]},
+        {"mu": [0, 0]}, {"mu": []}, {"mu": [0, 1.5]},
+        {"kernels": {"stray": 1}}, {"kernels": {}}, {"kernels": [{}]}, {"kernels": []},
+        {"name": ""}, {"initial": {"amplitude": []}}, {"speeds": {"cstar": 1}},
+        {"fit": {"input": "f.csv", "window": [1, 2, 3]}},
+    ], ids=repr)
+    def test_edge_values(self, edit):
+        scenario = {**minimal_fb(), **edit}
+        assert schema_pointer(scenario) == reference_pointer(scenario)
+
+    def test_bundled_and_invalid_fixtures(self):
+        paths = sorted(scenario_dir().glob("*_*.json")) + sorted(
+            (scenario_dir() / "invalid").glob("*.json"))
+        rejected = 0
+        for path in paths:
+            doc = json.loads(path.read_text())
+            assert schema_pointer(doc) == reference_pointer(doc), path
+            rejected += reference_pointer(doc) is not None
+        assert rejected >= 4
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutated_scenarios())
+    def test_scenario_mutations(self, case):
+        _, scenario, _ = case
+        assert schema_pointer(scenario) == reference_pointer(scenario)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edited_scenarios())
+    def test_random_edits(self, scenario):
+        assert schema_pointer(scenario) == reference_pointer(scenario)

@@ -7,7 +7,10 @@ whole file stays fast.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlspread import cauchy as cy
 from nlspread import freeboundary as fb
 from nlspread import kernels as kn
 from nlspread import reactions as rx
@@ -272,3 +275,74 @@ class TestClassification:
         series = self.synthetic(t, -1.0 - t, 1.0 + t, 0.9 * np.ones_like(t),
                                 np.ones_like(t), cfg)
         assert fb.classify_outcome(series, cfg) == "Undetermined"
+
+
+def _on(gf, k_lo: int, n: int) -> np.ndarray:
+    """A snapshot's values on global nodes k_lo .. k_lo + n - 1, zero outside its range."""
+    return fb._embed(gf.values, gf.k_lo, k_lo, n)
+
+
+def _ordered_snapshots(lo, hi) -> None:
+    """Snapshot by snapshot, lo <= hi on the union of their node ranges."""
+    assert len(lo) == len(hi) > 0
+    for (t_lo, a), (t_hi, b) in zip(lo, hi):
+        assert t_lo == t_hi
+        k_lo = min(a.k_lo, b.k_lo)
+        n = max(a.k_hi, b.k_hi) - k_lo + 1
+        assert np.all(_on(a, k_lo, n) <= _on(b, k_lo, n) + 1e-12), t_lo
+
+
+@st.composite
+def ordered_data(draw):
+    """(h_u, u0, h_v, v0) with u0 <= v0 <= u* = 1/2, u0 zero outside [-h_u, h_u] within [-h_v, h_v].
+
+    Each profile is piecewise linear on seven knots and vanishes at its
+    range edges; v0 is the pointwise maximum of u0 and a second such profile.
+    """
+    h_v = draw(st.floats(1.0, 4.0))
+    h_u = h_v * draw(st.floats(0.5, 1.0))
+    heights = st.floats(0.0, 0.5)
+
+    def wedge(h):
+        knots = np.linspace(-h, h, 7)
+        vals = np.array([0.0, *draw(st.lists(heights, min_size=2, max_size=2)),
+                         draw(st.floats(0.05, 0.5)),
+                         *draw(st.lists(heights, min_size=2, max_size=2)), 0.0])
+        return lambda x: np.interp(x, knots, vals, left=0.0, right=0.0)
+
+    u0 = (wedge(h_u), wedge(h_u))
+    w0 = (wedge(h_v), wedge(h_v))
+    v0 = tuple((lambda x, u=u, w=w: np.maximum(u(x), w(x))) for u, w in zip(u0, w0))
+    return h_u, u0, h_v, v0
+
+
+KERNELS = [kn.KernelSpec.laplace(1.0), kn.KernelSpec.gaussian(1.0), kn.KernelSpec.uniform(2.0)]
+COMPARE = dict(model=wnv_model(), dx=0.25, t_end=6.0, snapshot_times=(0.0, 2.0, 4.0, 6.0))
+
+
+class TestComparisonPrinciple:
+    """Ordered initial data stay ordered under both explicit schemes (cooperative F)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(ordered_data(), st.sampled_from(KERNELS), st.floats(0.5, 4.0))
+    def test_moving_range(self, data, spec, mu):
+        h_u, u0, h_v, v0 = data
+        kern = kn.make_kernel(spec)
+        lo = fb.run(fb.FBConfig(kernels=kern, mu=mu, h0=h_u, initial_profiles=u0,
+                                sample_stride=1, **COMPARE))
+        hi = fb.run(fb.FBConfig(kernels=kern, mu=mu, h0=h_v, initial_profiles=v0,
+                                sample_stride=1, **COMPARE))
+        assert np.array_equal(lo.t, hi.t)
+        assert np.all(hi.g <= lo.g + 1e-12) and np.all(lo.h <= hi.h + 1e-12)
+        _ordered_snapshots(lo.snapshots, hi.snapshots)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(ordered_data(), st.sampled_from(KERNELS))
+    def test_whole_line(self, data, spec):
+        _, u0, h_v, v0 = data
+        kern = kn.make_kernel(spec)
+        lo = cy.run_cauchy(cy.CauchyConfig(kernels=kern, h0=h_v, initial_profiles=u0,
+                                           **COMPARE))
+        hi = cy.run_cauchy(cy.CauchyConfig(kernels=kern, h0=h_v, initial_profiles=v0,
+                                           **COMPARE))
+        _ordered_snapshots(lo.snapshots, hi.snapshots)

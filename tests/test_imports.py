@@ -30,6 +30,29 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     assert run_in_subprocess(code) == []
 
 
+SET_UP_ONLY = ("jsonschema", "referencing", "attrs", "rpds", "concurrent.futures", "logging",
+               "nlspread.verification")
+
+
+@pytest.mark.parametrize("module", ["nlspread", "nlspread.cli"])
+def test_import_loads_no_validator_pool_or_verification(module):
+    # the scenario schema is checked in-house; worker pools and the verify
+    # suites are imported by the code that first uses them
+    code = (f"import json, sys, {module}; "
+            f"print(json.dumps([m for m in {SET_UP_ONLY!r} if m in sys.modules]))")
+    assert run_in_subprocess(code) == []
+
+
+def test_verification_names_load_on_first_use():
+    code = ("import json, sys, nlspread; "
+            "before = 'nlspread.verification' in sys.modules; "
+            "run = nlspread.run_suite; "
+            "print(json.dumps([before, run.__module__, nlspread.CriterionResult.__name__]))")
+    assert run_in_subprocess(code) == [False, "nlspread.verification", "CriterionResult"]
+    with pytest.raises(AttributeError):
+        nlspread.no_such_name
+
+
 BUILD_BUNDLED = textwrap.dedent("""
     import json, sys
     from nlspread import config

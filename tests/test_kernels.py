@@ -226,6 +226,19 @@ class TestTableKernels:
         assert not rep.finite_first_moment, "sampled tail exponent 1.6 must read as divergent"
         assert not rep.finite_exponential_moment
 
+    @pytest.mark.parametrize("shape,span", [
+        (lambda x: np.exp(-0.5 * x ** 2), 8.0),      # fit decade [0.08, 0.8], core 1.18
+        (lambda x: np.exp(-np.abs(x)), 12.0),        # fit decade [0.12, 1.2], core 0.69
+    ], ids=["gaussian", "laplace"])
+    def test_short_thin_table_reads_no_power_law(self, shape, span):
+        # a fit decade inside the core reads any shape's shallow slope there
+        # as a power law; such a table has no tail to read
+        x = np.linspace(-span, span, 4001)
+        kern = make_kernel(KernelSpec.table(x, shape(x)))
+        rep = classify(kern)
+        assert rep.gamma_hat is None
+        assert rep.finite_first_moment and rep.finite_exponential_moment
+
     def test_negative_values_rejected(self):
         x = np.linspace(-1, 1, 11)
         v = np.ones_like(x)
