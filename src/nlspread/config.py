@@ -336,17 +336,20 @@ def build_cauchy_config(scenario: dict) -> CauchyConfig:
 def build_speeds(scenario: dict) -> tuple:
     """(model, kernels, mu, speeds section) for the edge and threshold speeds.
 
-    The mesh and the window lengths are checked as the profile solver
-    would check them, before any solve.
+    The section's mesh is ``speeds.dx``, else ``numerics.dx``.  It and the
+    window lengths are checked as the profile solver would check them,
+    before any solve.
     """
     model = build_model(scenario)
     kernels = build_kernels(scenario, model.m0)
     mu = scenario.get("mu", 1.0)
     _read("/mu", _component_mu, mu, model.m, model.m0)
     sp = scenario.get("speeds", {})
-    if "dx" in sp:
+    section = "speeds" if "dx" in sp else "numerics"
+    if "dx" in scenario.get(section, {}):
+        sp = {**sp, "dx": scenario[section]["dx"]}
         for kern in kernels:
-            _read("/speeds/dx", check_mesh, kern, sp["dx"])
+            _read(f"/{section}/dx", check_mesh, kern, sp["dx"])
     if "length" in sp:
         _read("/speeds/length", check_window, kernels, sp["length"])
     if sp.get("cstar", False):

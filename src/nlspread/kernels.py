@@ -242,8 +242,11 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
         tail_x = hx.copy()
         tail_v = ctail
         # core: half width at half maximum of the sampled shape
-        half = np.max(np.abs(xs_full[vs_full >= 0.5 * np.max(vs_full)]))
-        core = max(float(half), 1e-12)
+        peak = vs_full >= 0.5 * np.max(vs_full)
+        if np.count_nonzero(peak) < 3:
+            raise KernelError("table kernel has fewer than 3 samples at or above half "
+                              "its maximum; sample the peak finer")
+        core = float(np.max(np.abs(xs_full[peak])))
 
     kern = Kernel(
         spec=spec, eps_tail=float(eps_tail), normalizer=normalizer,

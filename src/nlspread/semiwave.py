@@ -19,9 +19,9 @@ Two speed readouts build on the solver:
 * ``find_c0`` locates the speed matched to a boundary expansion rule,
   the root of Psi(c) = c where Psi integrates the profile against the
   kernel tail weights.
-* ``estimate_cstar`` locates the largest speed for which a saturated
-  profile survives on growing windows, with a linearized rate/decay
-  diagnostic computed from the kernel moment generating functions.
+* ``estimate_cstar`` confirms the linear speed of the discrete problem
+  as the largest speed at which a saturated profile survives, with a
+  linearized diagnostic from the kernel moment generating functions.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ __all__ = [
     "BracketNotFound", "ThresholdNotBracketed",
     "SemiWaveSolution", "FrontSpeedResult", "MinimalSpeedResult",
     "check_window", "relaxation_step", "solve_profile", "flux_functional", "find_c0",
-    "linearized_front_speed", "estimate_cstar",
+    "linearized_front_speed", "discrete_linear_speed", "estimate_cstar",
 ]
 
 C0_TOL = 1e-8              # relaxation tolerance of the find_c0 probes
 C0_MAX_DOUBLINGS = 60      # find_c0 bracket search: doublings from tol_c
 CSTAR_TOL = 1e-6           # relaxation tolerance of the estimate_cstar probes
+CSTAR_MAX_DOUBLINGS = 16   # estimate_cstar fallback: offset doublings from c_h or c_L
 SCAN_FLOOR = 1e-17         # smallest r**shift the upwind scan still applies
 
 
@@ -91,9 +92,8 @@ class SemiWaveSolution:
     relaxation ended: "tol", "budget", or an early verdict, "dead"
     (midpoint below half saturation) or "sign" (flux functional at or
     below c).  ``start`` says what it started from: "saturated", a
-    supersolution from a smaller "window" or a lower "speed", or an
-    unfinished iterate at the same speed ("resume"); see
-    ``solve_profile``.
+    supersolution from a lower "speed", or an unfinished iterate at the
+    same speed ("resume"); see ``solve_profile``.
     """
 
     c: float
@@ -289,16 +289,13 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
       functional only decreases along the iterates and that sign is
       final too.  The test reads the same weights, in the same
       arithmetic, as the ``flux_integrals`` of the returned solution.
-    * ``start`` relaxes from an earlier solution instead of the
-      saturated state.  A solution on a smaller window with the same
-      mesh, extended by u* to the left, is a supersolution of T_J here
-      (``start="window"``): on the old nodes the sweep sees the same
-      data as before, and the new nodes are capped at u*.  A solution at
-      a lower speed on the same window is one too (``start="speed"``)
-      when it is nonincreasing in x: T_J,c(phi) - phi <= (s_lo - s)
-      (phi_k - phi_{k+1}) / (B + s) <= 0.  By the induction above both
-      are supersolutions of T, lie above the maximal fixed point, and
-      the iterates still decrease to it, so the early stops stay valid.
+    * ``start`` relaxes from an earlier solution on the same window and
+      mesh instead of the saturated state.  A solution at a lower speed
+      is a supersolution of T_J here (``start="speed"``) when it is
+      nonincreasing in x: T_J,c(phi) - phi <= (s_lo - s)
+      (phi_k - phi_{k+1}) / (B + s) <= 0.  By the induction above it is
+      a supersolution of T, lies above the maximal fixed point, and the
+      iterates still decrease to it, so the early stops stay valid.
       An unconverged solution at the same speed and window is resumed
       (``start="resume"``): a sweep depends on phi alone, so the run
       continues that solution's sequence bit for bit.  The sweep budget
@@ -383,26 +380,14 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
 def _start_from(phi: np.ndarray, start: SemiWaveSolution, c: float, dx: float) -> str:
     """Copy a supersolution into the saturated state ``phi``; name its source.
 
-    A start from a smaller window fills the right end of the grid and
-    leaves u* to its left; one from the same window replaces it whole.
-    The same speed on the same window is accepted only to resume an
-    unconverged solution.
+    The same speed is accepted only to resume an unconverged solution.
     """
-    n = phi.shape[1]
-    k = start.phi.shape[1]
-    if start.dx != dx or start.phi.shape[0] != phi.shape[0] or k > n:
-        raise ValueError("a warm start must come from the same mesh and a window "
-                         "no larger than this one")
-    if k < n:
-        source = "window" if start.c <= c else None
-    elif start.c == c:
-        source = None if start.converged else "resume"
-    else:
-        source = "speed" if start.c < c else None
-    if source is None:
+    if start.dx != dx or start.phi.shape != phi.shape:
+        raise ValueError("a warm start must come from the same mesh and window")
+    if start.c > c or (start.c == c and start.converged):
         raise ValueError(f"a warm start at c={start.c:g} is no supersolution at c={c:g}")
-    phi[:, n - k:] = start.phi
-    return source
+    phi[:] = start.phi
+    return "speed" if start.c < c else "resume"
 
 
 def flux_functional(sol: SemiWaveSolution, mu) -> float:
@@ -562,11 +547,13 @@ class MinimalSpeedResult:
 
     ``value`` is INFINITE when some dispersing kernel has no finite
     exponential moment; fronts then outrun every linear speed and no
-    threshold exists.  Otherwise it is the midpoint of ``bracket``.
-    ``stops`` holds the ``SemiWaveSolution.stop`` of each probe, in the
-    order of ``trace``: a verdict read from a "budget" stop is not final.
-    ``fallbacks`` counts the probes whose guarded relaxation rose above
-    the roundoff floor and were re-run cold from saturation.
+    threshold exists.  Otherwise it is c_h when two probes on the window
+    ``lengths`` confirm it, else the midpoint of ``bracket`` (see
+    ``estimate_cstar``; ``note`` says which).  ``stops`` holds the
+    ``SemiWaveSolution.stop`` of each probe, in the order of ``trace``: a
+    verdict read from a "budget" stop is not final.  ``fallbacks`` counts
+    the probes whose guarded relaxation rose above the roundoff floor and
+    were re-run cold from saturation.
     """
 
     value: float
@@ -579,76 +566,106 @@ class MinimalSpeedResult:
     stops: tuple[str, ...] = ()
 
 
-def linearized_front_speed(model: ReactionModel, kernels) -> float:
-    """Decay-rate optimized speed of the linearization at the empty state.
+def _minimal_speed(model: ReactionModel, kerns, moment, rate, lam_max: float = INFINITE):
+    """(min, argmin, speed) of the linearization at the empty state.
 
-    For decay rate lam the fastest growing linear mode travels at
-    s(lam) / lam where s(lam) is the spectral bound of the dispersal
-    moment matrix plus the rate jacobian at zero; the front speed
-    diagnostic is the minimum over admissible lam, read on a 600-point
-    geometric grid and zoomed: the cells around the argmin are rescanned
-    on 65 points until they span 1e-10 of lam.  INFINITE when some
-    dispersing kernel has no finite exponential moment.
+    The mode exp(-lam x) grows at s(lam), the spectral bound of
+    J0 + diag(d_i (moment(i, lam) - 1)) with J0 the rate jacobian at
+    zero, and travels at speed(lam) = s(lam) / rate(lam).  Its minimum
+    over the rates from 1e-4 core scales to the exponential abscissa
+    (200 core scales without one), the overflow rate and ``lam_max`` is
+    read on a 600-point geometric grid and zoomed: the cells around the
+    argmin are rescanned on 65 points until they span 1e-10 of lam.  The
+    minimum is INFINITE when some kernel has no finite exponential moment.
     """
-    kerns = _component_kernels(kernels, model.m0)
-    lam_hi = min(exp_abscissa(k) for k in kerns)
-    if lam_hi <= 0.0:
-        return INFINITE
     J0 = jacobian(model, np.zeros(model.m))
-    d = model.d
 
-    def s_over_lam(lam: float) -> float:
+    def speed(lam: float) -> float:
         A = J0.copy()
         for i in range(model.m0):
-            A[i, i] += d[i] * (two_sided_exp_moment(kerns[i], lam) - 1.0)
-        return float(np.max(np.real(np.linalg.eigvals(A)))) / lam
+            A[i, i] += model.d[i] * (moment(i, lam) - 1.0)
+        return float(np.max(np.real(np.linalg.eigvals(A)))) / rate(lam)
 
+    lam_hi = min(exp_abscissa(k) for k in kerns)
+    if lam_hi <= 0.0:
+        return INFINITE, math.nan, speed
     core = min(k.core_scale for k in kerns)
     hi = lam_hi * (1.0 - 1e-9) if math.isfinite(lam_hi) else 200.0 / core
-    hi = min(hi, *(overflow_rate(k) for k in kerns))
-    grid, best = np.geomspace(1e-4 / core, hi, 600), math.inf
+    hi = min(hi, lam_max, *(overflow_rate(k) for k in kerns))
+    grid, best, arg = np.geomspace(1e-4 / core, hi, 600), math.inf, math.nan
     while True:
-        vals = [s_over_lam(l) for l in grid]
+        vals = [speed(l) for l in grid]
         j = int(np.argmin(vals))
-        best = min(best, vals[j])
+        if vals[j] < best:
+            best, arg = vals[j], float(grid[j])
         a, b = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
         if b - a <= 1e-10 * b:
-            return best
+            return best, arg, speed
         grid = np.linspace(a, b, 65)
 
 
-def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
-                   dx: float | None = None, rel_tol: float = 1e-2) -> MinimalSpeedResult:
-    """Bracket the largest speed at which a saturated profile survives.
+def linearized_front_speed(model: ReactionModel, kernels) -> float:
+    """Decay-rate optimized speed of the linearization at the empty state.
 
-    A speed c is alive when the maximal profile on the largest scheduled
-    window still sits above half saturation at the window midpoint, and
-    dead when it has collapsed toward the empty state there.  Window
-    size matters in both directions: on short windows the transition
-    foot of a perfectly healthy profile can reach the midpoint and read
-    low, while a retreating interface needs enough relaxation sweeps to
-    cross half the window before its collapse is visible.  Probes
-    therefore escalate through ``lengths``, stopping early only when a
-    converged profile is decisively saturated; collapse verdicts always
-    come from the largest window, whose sweep budget is scaled so an
-    interface retreating at the bracket resolution has time to cross.
+    The minimum of s(lam) / lam with the kernels' two-sided moments
+    (``_minimal_speed``); INFINITE without a finite exponential moment.
+    """
+    kerns = _component_kernels(kernels, model.m0)
+    return _minimal_speed(model, kerns, lambda i, lam: two_sided_exp_moment(kerns[i], lam),
+                          lambda lam: lam)[0]
 
-    The threshold is scanned on ``c_grid`` (default: a band around the
-    linearized speed) and refined by bisection to ``rel_tol``.  The
-    one-sided advection stencil adds numerical dispersal of order
-    c*dx/2, which biases the threshold up by a few percent at the
-    default mesh; halve ``dx`` to tighten it.
 
-    Every probe stops at its dead verdict: relaxation from above only
-    lowers the profile, so a midpoint readout below 1/2 is final at the
-    first sweep it appears (``solve_profile``, ``stop_dead``).  Probes
-    also start from a supersolution when this call already holds one:
-    the converged, alive, monotone profile at the nearest lower speed on
-    the same window, or else this speed's last iterate on the next
-    smaller window.  Both start above the maximal fixed point, so the
-    verdicts, and with them the bracket, are those of cold runs.  A
-    probe whose sweeps rise above the roundoff floor is re-run cold from
-    saturation without the early stop and counted in ``fallbacks``.
+def discrete_linear_speed(model: ReactionModel, kernels, dx: float | None,
+                          L: float) -> tuple[float, float, float]:
+    """(c_h, lam*, K): the linear threshold speed of the profile sweep.
+
+    c_h is the minimum over lam, at lam*, of s_h(lam) dx / (1 - exp(-lam dx)):
+    s_h takes the moments of the stencils ``_Sweep`` builds on an L window,
+    and (1 - exp(-lam dx)) / dx is the symbol of its upwind difference.
+    c_h tends to ``linearized_front_speed`` to first order in dx.  The
+    window lowers the threshold the midpoint verdict reads to about
+    c_h - K / (L/2)^2, K = (pi^2 / 2) c_h''(lam*) by a central difference:
+    the Dirichlet correction of a pulled front (Ebert and van Saarloos,
+    Physica D 146, 2000).  (INFINITE, nan, nan) without a finite
+    exponential moment.
+    """
+    kerns = _component_kernels(kernels, model.m0)
+    n, h = _mesh(kerns, L, dx)
+    stencils = _Sweep(0.0, model, kerns, n, h).stencils
+    offsets = [h * np.arange(-half, half + 1) for _, half, _ in stencils]
+    # exp(lam * offset) stays below exp(700) on every stencil
+    c_h, lam, speed = _minimal_speed(
+        model, kerns, lambda i, lam: float(np.dot(stencils[i][0], np.exp(lam * offsets[i]))),
+        lambda lam: -math.expm1(-lam * h) / h, 700.0 / max(o[-1] for o in offsets))
+    if not math.isfinite(c_h):
+        return c_h, math.nan, math.nan
+    step = 1e-3 * lam
+    curvature = (speed(lam + step) - 2.0 * c_h + speed(lam - step)) / step ** 2
+    return c_h, lam, 0.5 * math.pi ** 2 * curvature
+
+
+def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None = None,
+                   rel_tol: float = 1e-2) -> MinimalSpeedResult:
+    """Confirm the discrete linear speed c_h as the threshold of profile existence.
+
+    A speed is alive when the maximal profile on the window sits above
+    half saturation at its midpoint.  For a pulled front the threshold on
+    a window of length L is about c_L = c_h - K / (L/2)^2, and c_h carries
+    the upwind stencil's first-order bias (+3% at the default mesh; see
+    ``discrete_linear_speed``).  Two probes on the largest of ``lengths``
+    (default 200 core scales) confirm it: dead at c_h (1 + rel_tol), and
+    alive to tolerance at c_L - rel_tol c_h, clear of critical slowing.
+    Otherwise (a pushed front, a window law that fails, or a probe left
+    at its sweep budget) the failed probe's offset doubles until its
+    verdict flips, at most CSTAR_MAX_DOUBLINGS times, and the bracket is
+    bisected to rel_tol c_h on the same window.
+
+    A dead verdict is final at its first sweep (``solve_profile``,
+    ``stop_dead``).  A bisection probe starts from the converged, alive,
+    monotone profile at the nearest lower speed, a supersolution, so its
+    verdict is that of a cold run; one whose sweeps rise above the
+    roundoff floor is re-run cold without the early stop and counted in
+    ``fallbacks``.
     """
     kerns = _component_kernels(kernels, model.m0)
     heavy = [i for i, k in enumerate(kerns) if not classify(k).finite_exponential_moment]
@@ -660,81 +677,56 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, c_grid=None,
                 "level sets accelerate and no finite minimal speed exists"))
 
     c_lin = linearized_front_speed(model, kerns)
-    scale = max(k.core_scale for k in kerns)
-    if lengths is None:
-        lengths = (50.0 * scale, 100.0 * scale, 200.0 * scale)
-    lengths = tuple(sorted(float(L) for L in lengths))
-    if c_grid is None:
-        c_grid = c_lin * np.linspace(0.3, 1.15, 10)
-    c_grid = np.sort(np.asarray(c_grid, dtype=float))
-    if c_grid.size < 2 or c_grid[0] <= 0:
-        raise ValueError("speed grid must hold at least two positive speeds")
-
-    width = max(1e-3, rel_tol * c_lin)
-    dtau = relaxation_step(model)
-
-    def budget(L: float) -> int:
-        return max(60_000, int(0.75 * L / (width * dtau)))
-
+    L = 200.0 * max(k.core_scale for k in kerns) if lengths is None else float(max(lengths))
+    c_h, _, K = discrete_linear_speed(model, kerns, dx, L)
+    c_L = c_h - K / (0.5 * L) ** 2
+    width = rel_tol * c_h
     trace: list[tuple[float, float, float]] = []
     stops: list[str] = []
-    # window starts need nested grids: one spacing for every window
-    nested = len({_mesh(kerns, L, dx)[1] for L in lengths}) == 1
-    # per window, the latest converged alive monotone profile; the scan
-    # and the bisection probe only speeds above it
-    lower: dict[float, SemiWaveSolution] = {}
-    fallbacks = 0
+    starts: list[SemiWaveSolution] = []
+    lo, hi, fallbacks = -INFINITE, INFINITE, 0     # the highest final alive, lowest dead
 
-    def probe(c: float, L: float, start: SemiWaveSolution | None) -> SemiWaveSolution:
-        nonlocal fallbacks
-        kw = dict(dx=dx, tol=CSTAR_TOL, max_iter=budget(L), strict=False)
+    def probe(c: float) -> bool:
+        """Read the verdict at c; False when it is left at the sweep budget."""
+        nonlocal lo, hi, fallbacks
+        start = max((s for s in starts if s.c < c), key=lambda s: s.c, default=None)
+        kw = dict(dx=dx, tol=CSTAR_TOL, strict=False)
         try:
-            return solve_profile(c, model, kerns, L, stop_dead=True, start=start, **kw)
+            sol = solve_profile(c, model, kerns, L, stop_dead=True, start=start, **kw)
         except NotMonotone:
             fallbacks += 1
-            return solve_profile(c, model, kerns, L, **kw)
+            sol = solve_profile(c, model, kerns, L, **kw)
+        trace.append((c, L, sol.mid_saturation))
+        stops.append(sol.stop)
+        if sol.mid_saturation < 0.5:
+            hi = min(hi, c)
+        elif sol.converged:
+            lo = max(lo, c)
+            if sol.monotone:
+                starts.append(sol)
+        return sol.mid_saturation < 0.5 or sol.converged
 
-    def alive(c: float) -> bool:
-        verdict = False
-        prev = None
-        for L in lengths:
-            start = lower.get(L)
-            if start is None or not start.c < c:
-                start = prev if nested else None
-            sol = probe(c, L, start)
-            trace.append((c, L, sol.mid_saturation))
-            stops.append(sol.stop)
-            verdict = sol.mid_saturation >= 0.5
-            if verdict and sol.converged and sol.monotone:
-                lower[L] = sol
-            if verdict and sol.converged and sol.mid_saturation >= 0.95:
-                break               # saturated fixed point; larger windows agree
-            prev = sol
-        return verdict
-
-    lo = None
-    hi = None
-    for c in c_grid:
-        if alive(c):
-            lo = float(c)
-        else:
-            hi = float(c)
-            break
-    if lo is None:
-        raise ThresholdNotBracketed(
-            f"no surviving profile even at c={c_grid[0]:g}; lower the grid floor")
-    if hi is None:
-        raise ThresholdNotBracketed(
-            f"profiles survive up to c={c_grid[-1]:g}; raise the grid ceiling")
-
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if alive(mid):
-            lo = mid
-        else:
-            hi = mid
-
+    probe(c_h + width)
+    probe(max(c_L - width, 0.0))
+    note = ""
+    if not -INFINITE < lo < hi < INFINITE:
+        note = f"c_h = {c_h:.6g} not confirmed on L = {L:g}; threshold bisected"
+        for k in range(1, CSTAR_MAX_DOUBLINGS + 1):
+            if hi < INFINITE:
+                break
+            probe(c_h + 2.0 ** k * width)
+        for k in range(1, CSTAR_MAX_DOUBLINGS + 1):
+            if lo > -INFINITE or c_L <= 2.0 ** (k - 1) * width:
+                break
+            probe(max(c_L - 2.0 ** k * width, 0.0))
+        if not -INFINITE < lo < hi < INFINITE:
+            raise ThresholdNotBracketed(
+                f"no threshold on L={L:g}: alive up to c={lo:g}, dead from c={hi:g}")
+        while hi - lo > width:
+            if not probe(0.5 * (lo + hi)):
+                note += "; a probe was left at its sweep budget"
+                break
     return MinimalSpeedResult(
-        value=0.5 * (lo + hi), linearized=c_lin, bracket=(lo, hi),
-        trace=tuple(trace), lengths=lengths, note="", fallbacks=fallbacks,
+        value=0.5 * (lo + hi) if note else c_h, linearized=c_lin, bracket=(lo, hi),
+        trace=tuple(trace), lengths=(L,), note=note, fallbacks=fallbacks,
         stops=tuple(stops))

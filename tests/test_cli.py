@@ -13,7 +13,7 @@ import pytest
 from nlspread import cli
 from nlspread.cli import main
 from nlspread.config import scenario_dir
-from nlspread.semiwave import MinimalSpeedResult
+from nlspread.semiwave import FirstMomentDiverges, MinimalSpeedResult
 
 WNV_MODEL = {"model": "wnv",
              "params": {"a1": 1.0, "a2": 1.0, "b1": 0.5, "b2": 0.5,
@@ -188,6 +188,34 @@ class TestSpeeds:
         assert main(["speeds", "--config", str(cfgp),
                      "--out", str(tmp_path / "sp")]) == 0
         assert len(seen) == 1 and seen[0]["dx"] == 0.25
+
+    def test_speeds_read_the_numerics_mesh(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_c0(model, kernels, mu, **kw):
+            seen.append(("c0", kw["dx"]))
+            raise FirstMomentDiverges("stub")
+
+        def fake_cstar(model, kernels, **kw):
+            seen.append(("cstar", kw["dx"]))
+            return MinimalSpeedResult(value=1.7, linearized=1.665,
+                                      bracket=(1.69, 1.71), trace=(),
+                                      lengths=(50.0,), note="")
+
+        monkeypatch.setattr(cli, "find_c0", fake_c0)
+        monkeypatch.setattr(cli, "estimate_cstar", fake_cstar)
+        cfgp = write_scenario(tmp_path, "mesh", {
+            "mu": 1.0, "numerics": {"dx": 0.25, "t_end": 0.0},
+            "speeds": {"cstar": True}})
+        assert main(["speeds", "--config", str(cfgp),
+                     "--out", str(tmp_path / "sp")]) == 0
+        assert seen == [("c0", 0.25), ("cstar", 0.25)]
+
+    def test_numerics_mesh_error_points_at_numerics(self, tmp_path, capsys):
+        cfgp = write_scenario(tmp_path, "coarse", {
+            "mu": 1.0, "numerics": {"dx": 0.5, "t_end": 0.0}, "speeds": {}})
+        assert main(["speeds", "--config", str(cfgp), "--out", str(tmp_path / "sp")]) == 2
+        assert "config error at /numerics/dx:" in capsys.readouterr().err
 
     def test_heavy_tail_reports_infinite_with_reason(self, tmp_path):
         cfgp = write_scenario(tmp_path, "heavy", {

@@ -91,8 +91,7 @@ PROFILE_PATH = textwrap.dedent("""
     semiwave.solve_profile(0.5, model, kern, 30.0, dx=0.25)
     semiwave.find_c0(model, kern, 1.0, L=30.0, dx=0.25, tol_c=0.05)
     profiles = sorted(set(scipy_modules()) - set(before))
-    semiwave.estimate_cstar(model, kern, lengths=(20.0,), c_grid=(1.0, 3.0), dx=0.25,
-                            rel_tol=0.5)
+    semiwave.estimate_cstar(model, kern, lengths=(20.0,), dx=0.25, rel_tol=0.5)
     cstar = sorted(set(scipy_modules()) - set(before))
     print(json.dumps({"profiles": profiles, "cstar": cstar}))
 """)

@@ -239,6 +239,13 @@ class TestTableKernels:
         assert rep.gamma_hat is None
         assert rep.finite_first_moment and rep.finite_exponential_moment
 
+    def test_peak_on_one_sample_rejected(self):
+        # at dx = 10 a sigma-1 Gaussian is its centre sample alone: the
+        # table would read as a triangle with core 1e-12 and gamma_hat 1.17
+        x = np.linspace(-4000.0, 4000.0, 801)
+        with pytest.raises(KernelError, match="half its maximum"):
+            make_kernel(KernelSpec.table(x, np.exp(-0.5 * x ** 2)))
+
     def test_negative_values_rejected(self):
         x = np.linspace(-1, 1, 11)
         v = np.ones_like(x)

@@ -6,6 +6,7 @@ cache hook, which also exercises its reuse path.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,13 +195,42 @@ class TestLinearizedSpeed:
         assert got == pytest.approx(expect, rel=1e-6)
 
 
+class TestDiscreteLinearSpeed:
+    def test_pinned_values(self, model, laplace1):
+        c_h, lam, K = sw.discrete_linear_speed(model, laplace1, 0.25, 100.0)
+        assert c_h == pytest.approx(1.76337, abs=5e-6)
+        assert lam == pytest.approx(0.4738, abs=1e-4)
+        assert K == pytest.approx(82.87, abs=0.01)
+        assert sw.discrete_linear_speed(model, laplace1, 0.125, 200.0)[0] == \
+            pytest.approx(1.71482, abs=5e-6)
+
+    def test_richardson_recovers_the_linearized_speed(self, model, laplace1):
+        # the upwind bias is first order in dx
+        coarse = sw.discrete_linear_speed(model, laplace1, 0.0625, 200.0)[0]
+        fine = sw.discrete_linear_speed(model, laplace1, 0.03125, 200.0)[0]
+        lin = sw.linearized_front_speed(model, laplace1)
+        assert abs(2.0 * fine - coarse - lin) <= 1e-4 * lin
+
+    @pytest.mark.parametrize("spec,bits", [
+        (KernelSpec.laplace(1.0), 1.6650953383927802),
+        (KernelSpec.gaussian(1.0), 1.0964019203015902),
+        (KernelSpec.uniform(1.0), 0.6129676147144262),
+    ], ids=["laplace", "gaussian", "uniform"])
+    def test_linearized_speed_bits(self, model, spec, bits):
+        # the shared minimizer reads the continuous symbol as before
+        assert sw.linearized_front_speed(model, make_kernel(spec)) == bits
+
+    def test_heavy_tail_infinite(self, model):
+        c_h, lam, K = sw.discrete_linear_speed(model, make_kernel(KernelSpec.powerlaw(2.5, 1.0)),
+                                               0.25, 50.0)
+        assert c_h == INFINITE and np.isnan(lam) and np.isnan(K)
+
+
 @pytest.fixture(scope="module")
 def threshold(model, laplace1):
-    # trimmed schedule and a grid wrapped around the known threshold keep
-    # this probe affordable; the full schedule is exercised by the
-    # acceptance suite
-    return sw.estimate_cstar(model, laplace1, lengths=(50.0, 100.0),
-                             c_grid=(1.3, 1.6, 1.8, 1.95))
+    # a trimmed window keeps this probe affordable; the library defaults
+    # are exercised by the acceptance suite
+    return sw.estimate_cstar(model, laplace1, lengths=(50.0, 100.0))
 
 
 class TestEstimateCstar:
@@ -212,11 +242,18 @@ class TestEstimateCstar:
     def test_exceeds_boundary_matched_speeds(self, threshold, c0_ladder):
         assert threshold.value > c0_ladder[8.0].speed
 
-    def test_trace_escalates_windows(self, threshold):
-        assert len(threshold.trace) >= 4
-        for c, L, ratio in threshold.trace:
-            assert L in threshold.lengths
-            assert 0.0 <= ratio <= 1.0 + 1e-12
+    def test_trace_holds_the_two_probes(self, model, laplace1, threshold):
+        c_h, _, K = sw.discrete_linear_speed(model, laplace1, None, 100.0)
+        assert threshold.value == c_h
+        assert threshold.lengths == (100.0,)
+        (up, L_up, up_mid), (down, L_down, down_mid) = threshold.trace
+        assert (L_up, L_down) == (100.0, 100.0)
+        assert 0.0 <= up_mid < 0.5 <= down_mid <= 1.0 + 1e-12
+        assert up == pytest.approx(1.01 * c_h, rel=1e-15)
+        assert down == pytest.approx(c_h - K / 50.0 ** 2 - 0.01 * c_h, rel=1e-15)
+        assert threshold.stops == ("dead", "tol")
+        assert threshold.bracket == (threshold.trace[1][0], threshold.trace[0][0])
+        assert (threshold.fallbacks, threshold.note) == (0, "")
 
     def test_heavy_tail_infinite(self, model):
         kern = make_kernel(KernelSpec.powerlaw(1.5, 1.0))
@@ -225,19 +262,33 @@ class TestEstimateCstar:
         assert res.linearized == INFINITE
         assert "exponential moment" in res.note
 
-    def test_grid_entirely_alive(self, model, laplace1):
-        with pytest.raises(sw.ThresholdNotBracketed):
-            sw.estimate_cstar(model, laplace1, lengths=(50.0,),
-                              c_grid=(0.05, 0.1))
+    def test_alive_at_every_doubling_raises(self, model, laplace1, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sw, "solve_profile", _stub_verdicts(lambda c: 1.0, seen))
+        with pytest.raises(sw.ThresholdNotBracketed, match="dead from c=inf"):
+            sw.estimate_cstar(model, laplace1, lengths=(50.0,))
+        assert len(seen) == 2 + sw.CSTAR_MAX_DOUBLINGS
 
-    def test_grid_floor_dead(self, model, laplace1):
-        with pytest.raises(sw.ThresholdNotBracketed):
-            sw.estimate_cstar(model, laplace1, lengths=(50.0,),
-                              c_grid=(2.5, 3.0))
+    def test_dead_down_to_zero_speed_raises(self, model, laplace1, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sw, "solve_profile", _stub_verdicts(lambda c: 0.0, seen))
+        with pytest.raises(sw.ThresholdNotBracketed, match="alive up to c=-inf, dead from c=0$"):
+            sw.estimate_cstar(model, laplace1, lengths=(50.0,))
+        assert seen[-1] == 0.0 and min(seen) >= 0.0
+
+
+def _stub_verdicts(mid, seen):
+    """A solve_profile that reads mid(c) at tolerance without relaxing."""
+    def stub(c, *args, **kw):
+        seen.append(c)
+        m = mid(c)
+        return SimpleNamespace(c=c, mid_saturation=m, stop="tol" if m >= 0.5 else "dead",
+                               converged=m >= 0.5, monotone=True)
+    return stub
 
 
 # ----------------------------------------------------------------------
-# threshold probes: dead stop, warm starts, and the cold search they replace
+# threshold probes: dead stop, warm starts, and the cold runs they stand for
 
 FAMILIES = {"laplace": KernelSpec.laplace, "gaussian": KernelSpec.gaussian,
             "uniform": KernelSpec.uniform,
@@ -256,57 +307,6 @@ def profile_problems(draw):
     return kern, dx, L
 
 
-def _verdicts(trace):
-    """Verdict per probed speed, read on the last window it reached."""
-    return {c: mid >= 0.5 for c, _, mid in trace}
-
-
-def _cold_search(model, kern, lengths, c_grid, dx, rel_tol, tol=TOL):
-    """``estimate_cstar``'s search with every probe cold and run to tol or budget.
-
-    This is the search before probes stopped at the dead verdict or
-    started from a supersolution; returns the bracket and the verdicts.
-    """
-    width = max(1e-3, rel_tol * sw.linearized_front_speed(model, kern))
-    dtau = sw.relaxation_step(model)
-    verdicts = {}
-
-    def alive(c):
-        verdict = False
-        for L in lengths:
-            sol = sw.solve_profile(c, model, kern, L, dx=dx, tol=tol, strict=False,
-                                   max_iter=max(60_000, int(0.75 * L / (width * dtau))))
-            verdict = sol.mid_saturation >= 0.5
-            if verdict and sol.converged and sol.mid_saturation >= 0.95:
-                break
-        verdicts[c] = verdict
-        return verdict
-
-    lo = hi = None
-    for c in c_grid:
-        if alive(c):
-            lo = float(c)
-        else:
-            hi = float(c)
-            break
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if alive(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi), verdicts
-
-
-# short windows move the threshold below the linearized 1.665
-CHEAP = dict(lengths=(20.0, 40.0), c_grid=(1.3, 1.45, 1.6, 1.75), dx=0.25, rel_tol=0.05)
-
-
-@pytest.fixture(scope="module")
-def cold_search(model, laplace1):
-    return _cold_search(model, laplace1, **CHEAP)
-
-
 def _recording(monkeypatch, seen, lower_start=False):
     """Route solve_profile through a recorder; optionally spoil every warm start."""
     orig = sw.solve_profile
@@ -323,29 +323,61 @@ def _recording(monkeypatch, seen, lower_start=False):
     monkeypatch.setattr(sw, "solve_profile", wrapper)
 
 
-class TestThresholdProbes:
-    def test_bracket_and_verdicts_match_cold_search_bitwise(self, model, laplace1,
-                                                            cold_search, monkeypatch):
-        seen = []
-        _recording(monkeypatch, seen)
-        res = sw.estimate_cstar(model, laplace1, **CHEAP)
-        bracket, verdicts = cold_search
-        assert res.bracket == bracket
-        assert _verdicts(res.trace) == verdicts
-        assert res.fallbacks == 0
-        # the shortcuts were taken: dead stops and both kinds of warm start
-        assert {stop for stop, _ in seen} >= {"dead"}
-        assert {start for _, start in seen} >= {"window", "speed"}
+# a short window: for wnv c_L = 1.556 and the probes sit at 1.468 and
+# 1.852; the pushed front's threshold lies above c_h = 2.7824
+CHEAP = dict(lengths=(40.0,), dx=0.25, rel_tol=0.05)
 
-    def test_spoiled_warm_starts_fall_back_to_the_cold_result(self, model, laplace1,
-                                                               cold_search, monkeypatch):
+
+@pytest.fixture(scope="module")
+def pushed():
+    return rx.custom(["u1*(1 - u1)*(1 + 8*u1)"], {})
+
+
+@pytest.fixture(scope="module")
+def pushed_threshold(pushed, laplace1):
+    return sw.estimate_cstar(pushed, laplace1, **CHEAP)
+
+
+def _verdicts(res):
+    return {c: mid >= 0.5 for c, _, mid in res.trace}
+
+
+class TestThresholdProbes:
+    def test_confirmation_probes_match_cold_runs_bitwise(self, model, laplace1):
+        res = sw.estimate_cstar(model, laplace1, **CHEAP)
+        (up, _, up_mid), (down, _, down_mid) = res.trace
+        assert res.value == sw.discrete_linear_speed(model, laplace1, 0.25, 40.0)[0]
+        assert res.bracket == (down, up) and res.stops == ("dead", "tol")
+        assert res.fallbacks == 0
+        kw = dict(dx=0.25, tol=sw.CSTAR_TOL, strict=False)
+        cold_dead = sw.solve_profile(up, model, laplace1, 40.0, **kw)
+        cold_alive = sw.solve_profile(down, model, laplace1, 40.0, **kw)
+        # the alive probe is the cold run; the dead one stopped on its way down
+        assert cold_alive.converged and down_mid == cold_alive.mid_saturation >= 0.5
+        assert cold_dead.converged and cold_dead.mid_saturation < 0.5 and up_mid < 0.5
+
+    def test_pushed_front_brackets_above_the_linear_speed(self, pushed, laplace1,
+                                                          pushed_threshold):
+        res = pushed_threshold
+        c_h = sw.discrete_linear_speed(pushed, laplace1, 0.25, 40.0)[0]
+        lo, hi = res.bracket
+        assert c_h < lo < res.value < hi and hi - lo <= 0.05 * c_h
+        assert res.value == 0.5 * (lo + hi)
+        last = dict(zip((c for c, _, _ in res.trace), res.stops))
+        assert last[lo] == "tol" and last[hi] in ("tol", "dead")
+        first, _, mid = res.trace[0]
+        assert first == pytest.approx(1.05 * c_h, rel=1e-15) and mid >= 0.5
+        assert "not confirmed" in res.note
+        assert res.fallbacks == 0
+
+    def test_spoiled_warm_starts_fall_back_to_the_cold_result(self, pushed, laplace1,
+                                                               pushed_threshold, monkeypatch):
         seen = []
         _recording(monkeypatch, seen, lower_start=True)
-        res = sw.estimate_cstar(model, laplace1, **CHEAP)
-        bracket, verdicts = cold_search
+        res = sw.estimate_cstar(pushed, laplace1, **CHEAP)
         assert res.fallbacks > 0
-        assert res.bracket == bracket
-        assert _verdicts(res.trace) == verdicts
+        assert res.bracket == pushed_threshold.bracket
+        assert _verdicts(res) == _verdicts(pushed_threshold)
         # every probe that got a warm start was re-run cold from saturation
         assert all(start == "saturated" for _, start in seen)
 
