@@ -80,7 +80,6 @@ class CauchySeries:
     origin: np.ndarray           # per-component values at x = 0, one row per sample
     snapshots: list
     final_state: CauchyState
-    dt: float
     leak_bound: float            # worst neglected-exterior bound seen at a reference point
     window_final: tuple
     capped: bool
@@ -236,6 +235,6 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
               for key, rows in level_rows.items()}
     return CauchySeries(t=np.asarray(ts), levels=levels,
                         origin=np.asarray(origin), snapshots=snapshots,
-                        final_state=state, dt=cfg.timestep(), leak_bound=leak,
+                        final_state=state, leak_bound=leak,
                         window_final=(state.x_left, state.x_right),
                         capped=capped, notes=tuple(notes))

@@ -130,9 +130,10 @@ def _json_speed(value: float):
 
 def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
     model, kernels, mu, sp = build_speeds(scenario)
-    cache: dict = {}
-    kw = {"tol_c": sp.get("tol_c", 1e-3), "cache": cache,
-          "L": sp.get("length"), "dx": sp.get("dx")}
+    # pass only the keys the scenario sets, so the defaults stay the library's
+    kw = {arg: sp[key] for key, arg in (("tol_c", "tol_c"), ("length", "L"), ("dx", "dx"))
+          if key in sp}
+    kw["cache"] = {}
     result: dict = {"name": scenario["name"], "seed": seed}
     brackets: dict = {}
 
@@ -163,10 +164,8 @@ def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
         result["c0_sweep"] = table
 
     if sp.get("cstar", False):
-        est = estimate_cstar(model, kernels,
-                             lengths=sp.get("lengths"),
-                             rel_tol=sp.get("rel_tol", 1e-2),
-                             dx=sp.get("dx"))
+        est = estimate_cstar(model, kernels, **{key: sp[key] for key in
+                                                ("lengths", "rel_tol", "dx") if key in sp})
         result["cstar"] = _json_speed(est.value)
         if est.note:
             result["cstar_note"] = est.note
@@ -253,16 +252,24 @@ def _dispatch(task: str, config_path: Path, out: Path | None, seed: int) -> int:
     raise ValueError(f"unknown task {task!r}")
 
 
+_FAILURES = (ConfigError, Instability, SemiwaveError)
+
+
+def _failed(e: Exception, prefix: str = "") -> int:
+    """Print one of ``_FAILURES`` on stderr and return its exit code."""
+    if isinstance(e, ConfigError):
+        print(f"{prefix}config error at {e}", file=sys.stderr)
+        return 2
+    print(f"{prefix}{e}", file=sys.stderr)
+    return 1
+
+
 def _sweep_entry(task: str, config_path: str, out: str, seed: int) -> int:
     """Module-level so the process pool can pickle it."""
     try:
         return _dispatch(task, Path(config_path), Path(out), seed)
-    except ConfigError as e:
-        print(f"{config_path}: config error at {e}", file=sys.stderr)
-        return 2
-    except (Instability, SemiwaveError) as e:
-        print(f"{config_path}: {e}", file=sys.stderr)
-        return 1
+    except _FAILURES as e:
+        return _failed(e, f"{config_path}: ")
 
 
 def _cmd_sweep(scenario: dict, out: Path, seed: int, config_path: Path,
@@ -351,12 +358,8 @@ def main(argv=None) -> int:
             return _cmd_sweep(scenario, args.out or Path(scenario["name"]),
                               args.seed, args.config, args.jobs)
         return _dispatch(args.command, args.config, args.out, args.seed)
-    except ConfigError as e:
-        print(f"config error at {e}", file=sys.stderr)
-        return 2
-    except (Instability, SemiwaveError) as e:
-        print(str(e), file=sys.stderr)
-        return 1
+    except _FAILURES as e:
+        return _failed(e)
 
 
 if __name__ == "__main__":

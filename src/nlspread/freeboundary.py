@@ -180,11 +180,6 @@ class FrontSeries:
     u_max: np.ndarray           # max over nodes of sum_i u_i
     snapshots: list
     final_state: FBState
-    dt: float
-    stability_bound: float
-    thresholds: Thresholds
-    h0: float
-    t_end: float
 
 
 def _active_range(g: float, h: float, dx: float) -> tuple[int, int]:
@@ -339,9 +334,7 @@ def run(cfg: FBConfig) -> FrontSeries:
                                   lambda st: step(st, cfg), record)
     t, g, h, core_min, u_max = (np.asarray(col) for col in zip(*samples))
     return FrontSeries(t=t, g=g, h=h, core_min=core_min, u_max=u_max,
-                       snapshots=snapshots, final_state=state, dt=cfg.timestep(),
-                       stability_bound=cfg.stability_limit(),
-                       thresholds=cfg.thresholds, h0=cfg.h0, t_end=cfg.t_end)
+                       snapshots=snapshots, final_state=state)
 
 
 def classify_outcome(series: FrontSeries, cfg: FBConfig) -> str:

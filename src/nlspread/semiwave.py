@@ -22,6 +22,9 @@ Two speed readouts build on the solver:
 * ``estimate_cstar`` confirms the linear speed of the discrete problem
   as the largest speed at which a saturated profile survives, with a
   linearized diagnostic from the kernel moment generating functions.
+
+Every profile probe of both runs through ``_Probes``, which holds the one
+warm-start rule, the cold re-run of a probe that breaks it, and the cache.
 """
 
 from __future__ import annotations
@@ -398,6 +401,44 @@ def flux_functional(sol: SemiWaveSolution, mu) -> float:
     return float(np.dot(mu_vec, sol.flux_integrals))
 
 
+class _Probes:
+    """The profile probes of one speed search on one window and mesh.
+
+    A cached profile at the probed speed answers when it is converged or
+    ``settled`` accepts it, and is otherwise resumed where it stopped.
+    Without one, a probe with an early stop (``stop_mu``, ``stop_dead``)
+    starts from the converged, monotone cached profile at the nearest
+    lower speed on the same window and mesh, a supersolution, and a run
+    without one starts cold from saturation.  A probe whose guarded
+    sweeps rise above the roundoff floor is re-run cold without the early
+    stop and counted in ``fallbacks``.  Every result is cached at its speed.
+    """
+
+    def __init__(self, model: ReactionModel, kerns, L: float, dx: float | None,
+                 tol: float, cache: dict, strict: bool = True):
+        self.args = (model, kerns, L)
+        self.kw = dict(dx=dx, tol=tol, strict=strict)
+        self.mesh = (L, _mesh(kerns, L, dx)[1])
+        self.cache = cache
+        self.fallbacks = 0
+
+    def __call__(self, c: float, settled=lambda sol: False, **stop) -> SemiWaveSolution:
+        sol = self.cache.get(c)
+        if sol is not None and (sol.converged or settled(sol)):
+            return sol
+        if sol is None and stop:
+            lower = [s for s in self.cache.values() if s.converged and s.monotone
+                     and s.c < c and (s.length, s.dx) == self.mesh]
+            sol = max(lower, key=lambda s: s.c, default=None)
+        try:
+            sol = solve_profile(c, *self.args, start=sol, **self.kw, **stop)
+        except NotMonotone:
+            self.fallbacks += 1
+            sol = solve_profile(c, *self.args, **self.kw)
+        self.cache[c] = sol
+        return sol
+
+
 # ----------------------------------------------------------------------
 # boundary-matched speed
 
@@ -434,14 +475,11 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
 
     Each probe stops at its sign verdict: relaxation from above only
     lowers the profile and with it Psi, so once Psi - c reads <= 0 the
-    converged value would too (``solve_profile``, ``stop_mu``).  A probe
-    starts from the converged, monotone profile at the nearest lower
-    speed on the same window and mesh when the cache holds one, and
-    from saturation otherwise; either way it relaxes to the maximal
-    profile from above.  A probe whose sweeps rise above the roundoff
-    floor is re-run cold from saturation without the early stop and
-    counted in ``fallbacks``.  The final midpoint is never started from
-    another speed, so ``solution`` is the cold computation.
+    converged value would too (``solve_profile``, ``stop_mu``).  Probes
+    start, resume and fall back to a cold run (``fallbacks``) as
+    ``_Probes`` says.  The final midpoint has no early stop, so it is
+    never started from another speed and ``solution`` is the cold
+    computation.
 
     ``cache`` maps speeds to profiles and may be shared between calls
     that use the same model, kernels, window and mesh.  An entry may be
@@ -460,40 +498,12 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     if L is None:
         L = 50.0 * max(k.core_scale for k in kerns)
     L = float(L)
-    h = _mesh(kerns, L, dx)[1]
-    if cache is None:
-        cache = {}
-
+    profile = _Probes(model, kerns, L, dx, C0_TOL, {} if cache is None else cache)
     trace: list[tuple[float, float]] = []
-    fallbacks = 0
-
-    def value(sol: SemiWaveSolution) -> float:
-        return float(np.dot(mu_vec, sol.flux_integrals)) - sol.c
-
-    def lower(c: float) -> SemiWaveSolution | None:
-        """The converged monotone cached profile at the nearest lower speed."""
-        best = None
-        for sol in cache.values():
-            if (sol.converged and sol.monotone and sol.c < c and sol.length == L
-                    and sol.dx == h and (best is None or sol.c > best.c)):
-                best = sol
-        return best
-
-    def probe(c: float, start: SemiWaveSolution | None, stop: bool) -> SemiWaveSolution:
-        nonlocal fallbacks
-        try:
-            return solve_profile(c, model, kerns, L, dx=dx, tol=C0_TOL, start=start,
-                                 stop_mu=mu_vec if stop else None)
-        except NotMonotone:
-            fallbacks += 1
-            return solve_profile(c, model, kerns, L, dx=dx, tol=C0_TOL)
 
     def G(c: float) -> float:
-        sol = cache.get(c)
-        if sol is None or not (sol.converged or value(sol) <= 0.0):
-            sol = probe(c, lower(c) if sol is None else sol, stop=True)
-            cache[c] = sol
-        val = value(sol)
+        sol = profile(c, lambda s: flux_functional(s, mu) - c <= 0.0, stop_mu=mu_vec)
+        val = flux_functional(sol, mu) - c
         trace.append((c, val))
         return val
 
@@ -530,12 +540,8 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
             "refine tol_c or the mesh")
 
     speed = 0.5 * (lo + hi)
-    sol = cache.get(speed)
-    if sol is None or not sol.converged:
-        sol = probe(speed, sol, stop=False)     # resume an unfinished iterate, else cold
-        cache[speed] = sol
-    return FrontSpeedResult(speed=speed, solution=sol, bracket=(lo, hi),
-                            trace=tuple(trace), length=L, fallbacks=fallbacks)
+    return FrontSpeedResult(speed=speed, solution=profile(speed), bracket=(lo, hi),
+                            trace=tuple(trace), length=L, fallbacks=profile.fallbacks)
 
 
 # ----------------------------------------------------------------------
@@ -661,11 +667,10 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     bisected to rel_tol c_h on the same window.
 
     A dead verdict is final at its first sweep (``solve_profile``,
-    ``stop_dead``).  A bisection probe starts from the converged, alive,
-    monotone profile at the nearest lower speed, a supersolution, so its
-    verdict is that of a cold run; one whose sweeps rise above the
-    roundoff floor is re-run cold without the early stop and counted in
-    ``fallbacks``.
+    ``stop_dead``).  The probes share a cache local to the call and start
+    and fall back (``fallbacks``) as ``_Probes`` says, so every verdict
+    is that of a cold run.  Every probe after a dead verdict lies below
+    its speed, so a start from a lower speed is an alive profile.
     """
     kerns = _component_kernels(kernels, model.m0)
     heavy = [i for i, k in enumerate(kerns) if not classify(k).finite_exponential_moment]
@@ -683,27 +688,19 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     width = rel_tol * c_h
     trace: list[tuple[float, float, float]] = []
     stops: list[str] = []
-    starts: list[SemiWaveSolution] = []
-    lo, hi, fallbacks = -INFINITE, INFINITE, 0     # the highest final alive, lowest dead
+    profile = _Probes(model, kerns, L, dx, CSTAR_TOL, {}, strict=False)
+    lo, hi = -INFINITE, INFINITE     # the highest final alive, lowest dead
 
     def probe(c: float) -> bool:
         """Read the verdict at c; False when it is left at the sweep budget."""
-        nonlocal lo, hi, fallbacks
-        start = max((s for s in starts if s.c < c), key=lambda s: s.c, default=None)
-        kw = dict(dx=dx, tol=CSTAR_TOL, strict=False)
-        try:
-            sol = solve_profile(c, model, kerns, L, stop_dead=True, start=start, **kw)
-        except NotMonotone:
-            fallbacks += 1
-            sol = solve_profile(c, model, kerns, L, **kw)
+        nonlocal lo, hi
+        sol = profile(c, stop_dead=True)
         trace.append((c, L, sol.mid_saturation))
         stops.append(sol.stop)
         if sol.mid_saturation < 0.5:
             hi = min(hi, c)
         elif sol.converged:
             lo = max(lo, c)
-            if sol.monotone:
-                starts.append(sol)
         return sol.mid_saturation < 0.5 or sol.converged
 
     probe(c_h + width)
@@ -728,5 +725,5 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
                 break
     return MinimalSpeedResult(
         value=0.5 * (lo + hi) if note else c_h, linearized=c_lin, bracket=(lo, hi),
-        trace=tuple(trace), lengths=(L,), note=note, fallbacks=fallbacks,
+        trace=tuple(trace), lengths=(L,), note=note, fallbacks=profile.fallbacks,
         stops=tuple(stops))

@@ -10,6 +10,7 @@ deterministic, so caching cannot change results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -39,93 +40,76 @@ def _row(name: str, passed: bool, measured: dict, detail: str) -> CriterionResul
 # ----------------------------------------------------------------------
 # memoized heavy artifacts
 
-_memo: dict = {}
-
-
-def _cached(key, builder):
-    if key not in _memo:
-        _memo[key] = builder()
-    return _memo[key]
-
-
 def _wnv():
     return wnv(1.0, 1.0, 0.5, 0.5, 1.0, 1.0)
 
 
+@cache
 def bundled(name: str) -> dict:
-    return _cached(("scenario", name),
-                   lambda: load_scenario(scenario_dir() / f"{name}.json"))
+    return load_scenario(scenario_dir() / f"{name}.json")
 
 
+@cache
 def fb_bundled(name: str):
     """(config, series) for one of the shipped moving-range scenarios."""
-    def build():
-        cfg = build_fb_config(bundled(name))
-        return cfg, run(cfg)
-    return _cached(("fb", name), build)
+    cfg = build_fb_config(bundled(name))
+    return cfg, run(cfg)
 
 
+@cache
 def cauchy_bundled(name: str):
-    def build():
-        cfg = build_cauchy_config(bundled(name))
-        return cfg, run_cauchy(cfg)
-    return _cached(("cauchy", name), build)
+    cfg = build_cauchy_config(bundled(name))
+    return cfg, run_cauchy(cfg)
 
 
 _C0_PROFILE_CACHE: dict = {}
 
 
+@cache
 def c0_result(mu: float):
     """Edge speed at the given expansion coefficient; profile cache shared."""
-    return _cached(("c0", mu),
-                   lambda: find_c0(_wnv(), make_kernel(KernelSpec.laplace(1.0)),
-                                   mu, cache=_C0_PROFILE_CACHE))
+    return find_c0(_wnv(), make_kernel(KernelSpec.laplace(1.0)), mu, cache=_C0_PROFILE_CACHE)
 
 
+@cache
 def cstar_result():
     """Minimal-speed estimate with library defaults (the slow artifact)."""
-    return _cached("cstar",
-                   lambda: estimate_cstar(_wnv(),
-                                          make_kernel(KernelSpec.laplace(1.0))))
+    return estimate_cstar(_wnv(), make_kernel(KernelSpec.laplace(1.0)))
 
 
+@cache
 def mu_triple():
     """Moving-range runs at mu in {1, 10, 100} plus the whole-line companion.
 
     Same model, kernel, lattice, default wedge data, and horizon, so the
     trajectories are directly comparable sample by sample.
     """
-    def build():
-        model = _wnv()
-        kern = make_kernel(KernelSpec.laplace(1.0))
-        shared = dict(model=model, kernels=kern, h0=10.0, dx=0.25, t_end=40.0)
-        runs = {m: run(FBConfig(mu=m, **shared)) for m in (1.0, 10.0, 100.0)}
-        comp = run_cauchy(CauchyConfig(**shared))
-        return runs, comp
-    return _cached("mu_triple", build)
+    model = _wnv()
+    kern = make_kernel(KernelSpec.laplace(1.0))
+    shared = dict(model=model, kernels=kern, h0=10.0, dx=0.25, t_end=40.0)
+    runs = {m: run(FBConfig(mu=m, **shared)) for m in (1.0, 10.0, 100.0)}
+    comp = run_cauchy(CauchyConfig(**shared))
+    return runs, comp
 
 
+@cache
 def powerlaw_fb(gamma: float, t_end: float):
-    def build():
-        cfg = FBConfig(model=_wnv(),
-                       kernels=make_kernel(KernelSpec.powerlaw(gamma)),
-                       mu=1.0, h0=10.0, dx=0.25, t_end=t_end)
-        return cfg, run(cfg)
-    return _cached(("fb_powerlaw", gamma, t_end), build)
+    cfg = FBConfig(model=_wnv(), kernels=make_kernel(KernelSpec.powerlaw(gamma)),
+                   mu=1.0, h0=10.0, dx=0.25, t_end=t_end)
+    return cfg, run(cfg)
 
 
+@cache
 def mesh_halving_pair():
     """Smoke scenario at (dx, dt) and (dx/2, dt/2)."""
-    def build():
-        model = _wnv()
-        kern = make_kernel(KernelSpec.laplace(1.0))
-        coarse = FBConfig(model=model, kernels=kern, mu=1.0, h0=10.0,
-                          dx=0.25, t_end=60.0)
-        dt = coarse.timestep()
-        fine = FBConfig(model=model, kernels=kern, mu=1.0, h0=10.0,
-                        dx=0.125, t_end=60.0, dt=dt / 2)
-        return run(coarse), run(fine)
-    return _cached("mesh_halving", build)
+    model = _wnv()
+    kern = make_kernel(KernelSpec.laplace(1.0))
+    coarse = FBConfig(model=model, kernels=kern, mu=1.0, h0=10.0,
+                      dx=0.25, t_end=60.0)
+    dt = coarse.timestep()
+    fine = FBConfig(model=model, kernels=kern, mu=1.0, h0=10.0,
+                    dx=0.125, t_end=60.0, dt=dt / 2)
+    return run(coarse), run(fine)
 
 
 def aitken_limit(seq) -> tuple[float | None, float | None]:
@@ -214,25 +198,18 @@ def suite_reactions(seed: int = 0) -> list[CriterionResult]:
     return rows
 
 
-def _smallest_tent(kern, eps=0.05, dx=0.25):
-    for l in range(5, 205, 5):
-        half = int(round(l / dx))
+def _smallest_width(kern, reach: int, shape, eps=0.05, dx=0.25):
+    """Smallest w in 5, 10, ..., 200 with J * phi >= (1 - eps) phi at every node.
+
+    phi = shape(x, w) on the nodes |x| <= reach w, zero outside.
+    """
+    for w in range(5, 205, 5):
+        half = int(round(reach * w / dx))
         x = np.arange(-half, half + 1) * dx
-        phi = l - np.abs(x)
+        phi = shape(x, w)
         conv = convolve_values(kern, phi, dx)
         if np.all(conv >= (1.0 - eps) * phi - 1e-12):
-            return l
-    return None
-
-
-def _smallest_ramp(kern, eps=0.05, dx=0.25):
-    for s in range(5, 205, 5):
-        half = int(round(2 * s / dx))
-        x = np.arange(-half, half + 1) * dx
-        phi = np.minimum(1.0, (2.0 * s - np.abs(x)) / s)
-        conv = convolve_values(kern, phi, dx)
-        if np.all(conv >= (1.0 - eps) * phi - 1e-12):
-            return s
+            return w
     return None
 
 
@@ -241,8 +218,8 @@ def suite_quadrature(seed: int = 0) -> list[CriterionResult]:
     for family, spec in (("uniform", KernelSpec.uniform(1.0)),
                          ("laplace", KernelSpec.laplace(1.0))):
         kern = make_kernel(spec)
-        tent = _smallest_tent(kern)
-        ramp = _smallest_ramp(kern)
+        tent = _smallest_width(kern, 1, lambda x, l: l - np.abs(x))
+        ramp = _smallest_width(kern, 2, lambda x, s: np.minimum(1.0, (2.0 * s - np.abs(x)) / s))
         ok = tent is not None and tent <= 200 and ramp is not None and ramp <= 200
         rows.append(_row(f"profile_smoothing_bounds_{family}", ok,
                          {"smallest_tent_halfwidth": tent,

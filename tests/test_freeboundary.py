@@ -239,26 +239,25 @@ class TestRun:
 
 
 class TestClassification:
-    def synthetic(self, t, g, h, core_min, u_max, cfg):
+    def synthetic(self, t, g, h, core_min, u_max):
         return fb.FrontSeries(t=np.asarray(t, dtype=float), g=np.asarray(g, dtype=float),
                               h=np.asarray(h, dtype=float),
                               core_min=np.asarray(core_min, dtype=float),
                               u_max=np.asarray(u_max, dtype=float), snapshots=[],
-                              final_state=None, dt=0.1, stability_bound=0.1,
-                              thresholds=cfg.thresholds, h0=cfg.h0, t_end=cfg.t_end)
+                              final_state=None)
 
     def test_spreading_signature(self):
         cfg = smoke_cfg(h0=1.0, t_end=100.0)
         t = np.linspace(0.0, 100.0, 201)
         series = self.synthetic(t, -1.0 - t, 1.0 + t, 0.9 * np.ones_like(t),
-                                np.ones_like(t), cfg)
+                                np.ones_like(t))
         assert fb.classify_outcome(series, cfg) == "Spreading"
 
     def test_vanishing_signature(self):
         cfg = smoke_cfg(h0=1.0, t_end=100.0)
         t = np.linspace(0.0, 100.0, 201)
         amp = 0.5 * np.exp(-0.2 * t)
-        series = self.synthetic(t, -np.ones_like(t), np.ones_like(t), amp, amp, cfg)
+        series = self.synthetic(t, -np.ones_like(t), np.ones_like(t), amp, amp)
         assert fb.classify_outcome(series, cfg) == "Vanishing"
 
     def test_thresholds_overridable(self):
@@ -266,14 +265,14 @@ class TestClassification:
                         thresholds=fb.Thresholds(growth_factor=1000.0))
         t = np.linspace(0.0, 100.0, 201)
         series = self.synthetic(t, -1.0 - t, 1.0 + t, 0.9 * np.ones_like(t),
-                                np.ones_like(t), cfg)
+                                np.ones_like(t))
         assert fb.classify_outcome(series, cfg) == "Undetermined"
 
     def test_truncated_series_undetermined(self):
         cfg = smoke_cfg(h0=1.0, t_end=100.0)
         t = np.linspace(0.0, 10.0, 21)
         series = self.synthetic(t, -1.0 - t, 1.0 + t, 0.9 * np.ones_like(t),
-                                np.ones_like(t), cfg)
+                                np.ones_like(t))
         assert fb.classify_outcome(series, cfg) == "Undetermined"
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nlspread.reactions as rx
@@ -279,10 +279,11 @@ class TestEstimateCstar:
 
 def _stub_verdicts(mid, seen):
     """A solve_profile that reads mid(c) at tolerance without relaxing."""
-    def stub(c, *args, **kw):
+    def stub(c, model, kernels, L, **kw):
         seen.append(c)
         m = mid(c)
-        return SimpleNamespace(c=c, mid_saturation=m, stop="tol" if m >= 0.5 else "dead",
+        return SimpleNamespace(c=c, length=L, dx=kw["dx"], mid_saturation=m,
+                               stop="tol" if m >= 0.5 else "dead",
                                converged=m >= 0.5, monotone=True)
     return stub
 
@@ -510,16 +511,20 @@ class TestUpwindSweep:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 2000), st.lists(st.floats(0.0, 1.0 - 1e-6), min_size=2, max_size=2),
            st.integers(0, 2**32 - 1))
+    @example(n=136, rs=[0.0, 1e-9], seed=0)
     def test_doubling_scan_is_the_sequential_recurrence(self, n, rs, seed):
         r = np.array(rs)[:, None]
         a = np.random.default_rng(seed).uniform(0.0, 1.0, (2, n))
         powers = sw._scan_powers(r, n)
         got = sw._upwind_scan(a.copy(), powers, np.empty_like(a))
-        # each pass rounds a power, a product and a sum of nonnegative terms
+        # each pass rounds a power, a product and a sum of nonnegative terms;
+        # the terms past the last power sum to r**(2 shift) phi_{k + 2 shift},
+        # below SCAN_FLOOR max(phi) (``_scan_powers``)
         rtol = 2.0 * (len(powers) + 1) * np.finfo(float).eps
         for i in range(2):
             want = _sequential_upwind(a[i].tolist(), rs[i])
-            np.testing.assert_allclose(got[i], want, rtol=rtol, atol=0.0)
+            np.testing.assert_allclose(got[i], want, rtol=rtol,
+                                       atol=sw.SCAN_FLOOR * np.max(want))
 
     @pytest.mark.parametrize("kind", sorted(PRESETS))
     @settings(max_examples=3, deadline=None)
