@@ -138,15 +138,13 @@ def fit_front(series, law: str = "linear", window: tuple | None = None,
         rmse=float(np.sqrt(np.mean(res ** 2))), stderr=float(np.sqrt(max(cov[0, 0], 0.0))))
 
 
-def best_growth_law(series, window: tuple | None = None,
-                    signal: str = "h") -> tuple[str, FitReport]:
+def best_growth_law(series, window: tuple | None = None) -> tuple[str, FitReport]:
     """Fit all three laws and return the winner by raw-position r².
 
     A margin below 1e-4 between the two leading laws marks the winner's
     report ``ambiguous``; the margin itself is attached either way.
     """
-    reports = {law: fit_front(series, law, window=window, signal=signal)
-               for law in LAWS}
+    reports = {law: fit_front(series, law, window=window) for law in LAWS}
     ranked = sorted(reports.items(), key=lambda kv: kv[1].r_squared, reverse=True)
     best_law, best = ranked[0]
     margin = best.r_squared - ranked[1][1].r_squared
@@ -192,27 +190,27 @@ def _common_window(ua, ub):
     return lo, va, vb
 
 
-def _state_violation(t: float, ua, ub, atol: float) -> Violation | None:
+def _state_violation(t: float, ua, ub) -> Violation | None:
     got = _common_window(ua, ub)
     if got is None:
         return None
     lo, va, vb = got
     gaps = va - vb
     worst = float(np.max(gaps))
-    if worst > atol:
+    if worst > 0.0:
         comp, node = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
         return Violation(t=t, field=f"u{comp + 1}", x=(lo + node) * ua.dx, gap=worst)
     return None
 
 
-def compare_orderings(a: FrontSeries, b: FrontSeries, atol: float = 0.0) -> OrderReport:
+def compare_orderings(a: FrontSeries, b: FrontSeries) -> OrderReport:
     """Check that run b dominates run a at every shared sample.
 
     Domination means h_a <= h_b, g_a >= g_b, and every state component of
     a below b's on the shared lattice nodes, at the sampled times, the
     common snapshot times, and the final state.  Requires identical
-    lattices and sampling; the default zero tolerance makes the check
-    exact, which the comparison structure of the dynamics supports.
+    lattices and sampling.  The check is exact, with no tolerance, which
+    the comparison structure of the dynamics supports.
     """
     if not (isinstance(a, FrontSeries) and isinstance(b, FrontSeries)):
         raise TypeError("compare_orderings expects two range-expansion series")
@@ -226,11 +224,11 @@ def compare_orderings(a: FrontSeries, b: FrontSeries, atol: float = 0.0) -> Orde
     checked = 0
     ah, bh = np.asarray(a.h, float), np.asarray(b.h, float)
     ag, bg = np.asarray(a.g, float), np.asarray(b.g, float)
-    bad = np.nonzero(ah - bh > atol)[0]
+    bad = np.nonzero(ah > bh)[0]
     if bad.size:
         i = int(bad[0])
         return OrderReport(False, Violation(float(ta[i]), "h", None, float(ah[i] - bh[i])), checked)
-    bad = np.nonzero(bg - ag > atol)[0]
+    bad = np.nonzero(bg > ag)[0]
     if bad.size:
         i = int(bad[0])
         return OrderReport(False, Violation(float(ta[i]), "g", None, float(bg[i] - ag[i])), checked)
@@ -241,7 +239,7 @@ def compare_orderings(a: FrontSeries, b: FrontSeries, atol: float = 0.0) -> Orde
     pairs.append((float(a.final_state.t), a.final_state.u, b.final_state.u))
     for t, ua, ub in sorted(pairs, key=lambda p: p[0]):
         checked += 1
-        v = _state_violation(t, ua, ub, atol)
+        v = _state_violation(t, ua, ub)
         if v is not None:
             return OrderReport(False, v, checked)
     return OrderReport(True, None, checked)

@@ -10,13 +10,13 @@ kernels can cap the window instead and get an auditable leak bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import classify, tail_mass
+from .kernels import classify
 from .nonlocal_ops import GridFunction
-from .freeboundary import _check_box, _integrate, _interior_rate, _Problem
+from .freeboundary import _euler, _integrate, _Problem
 from .reactions import positive_equilibrium
 
 GROW_BLOCK = 64        # nodes added per widening, per side
@@ -26,26 +26,31 @@ EDGE_BAND = 0.05       # fraction of nodes inspected at each edge
 class InvalidLevel(ValueError):
     """Level must lie strictly between 0 and the component's equilibrium."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
-        self.index = index        # position in CauchyConfig.levels, when known
+        self.index = index        # position in CauchyConfig.levels
 
 
 class WindowCapTooSmall(ValueError):
-    """The window cap x_max must cover the initial data on [-h0, h0]."""
+    """The initial data needs a wider window cap x_max, or one where there is none.
+
+    CauchyConfig raises it when the cap does not cover [-h0, h0], and
+    config reports that at /numerics/x_max.  make_initial_cauchy_state
+    raises it for uncapped data that does not decay towards the window
+    edges; the wedges a scenario gives always decay.
+    """
 
 
 @dataclass
 class CauchyConfig(_Problem):
     x_max: float | None = None            # hard window cap (heavy tails)
     levels: tuple = ()                    # (component, level) pairs to track
-    eps_edge: float | None = None
+    eps_edge: float = field(init=False)   # an edge band at or above it is hot
 
     def __post_init__(self):
         self._check_shared()
         u_star = positive_equilibrium(self.model)
-        if self.eps_edge is None:
-            self.eps_edge = 1e-8 * float(np.min(u_star))
+        self.eps_edge = 1e-8 * float(np.min(u_star))
         self.levels = tuple((int(i), float(lam)) for i, lam in self.levels)
         # components are 0-based here and 1-based in scenarios and messages
         for j, (i, lam) in enumerate(self.levels):
@@ -86,10 +91,10 @@ class CauchySeries:
     notes: tuple
 
 
-def _edges_hot(vals: np.ndarray, eps: float) -> tuple[bool, bool]:
+def _edge_maxima(vals: np.ndarray) -> tuple[float, float]:
+    """The largest value in the left and in the right edge band."""
     band = max(1, int(math.ceil(EDGE_BAND * vals.shape[1])))
-    return (float(np.max(vals[:, :band])) >= eps,
-            float(np.max(vals[:, vals.shape[1] - band:])) >= eps)
+    return float(np.max(vals[:, :band])), float(np.max(vals[:, vals.shape[1] - band:]))
 
 
 def _cap_indices(cfg: CauchyConfig) -> tuple[int | None, int | None]:
@@ -103,9 +108,9 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
     """Zero-pad until both edge bands are cold or the cap blocks growth."""
     k_min, k_max = _cap_indices(cfg)
     while True:
-        lhot, rhot = _edges_hot(vals, cfg.eps_edge)
-        pad_l = GROW_BLOCK if lhot else 0
-        pad_r = GROW_BLOCK if rhot else 0
+        left, right = _edge_maxima(vals)
+        pad_l = GROW_BLOCK if left >= cfg.eps_edge else 0
+        pad_r = GROW_BLOCK if right >= cfg.eps_edge else 0
         if k_min is not None:
             pad_l = min(pad_l, k_lo - k_min)
             pad_r = min(pad_r, k_max - (k_lo + vals.shape[1] - 1))
@@ -116,20 +121,29 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
 
 
 def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
-    """Default data: half-equilibrium wedges on [-h0, h0], zero outside."""
-    profiles = cfg._profiles()
+    """Default data: half-equilibrium wedges on [-h0, h0], zero outside.
+
+    Without a cap, data whose hot edge bands do not fall at each growth
+    step raises WindowCapTooSmall instead of growing the window without end.
+    """
     half = int(math.ceil(cfg.h0 / cfg.dx)) + GROW_BLOCK
-    k_min, k_max = _cap_indices(cfg)
+    _, k_max = _cap_indices(cfg)
     if k_max is not None:
         half = min(half, k_max)
     # the data is sampled, not zero-padded, while sizing the initial window:
-    # non-compact profiles (e.g. a constant state) must land intact
+    # non-compact profiles (e.g. a Laplace-shaped state) must land intact
+    peak = math.inf
     while True:
-        xs = np.arange(-half, half + 1) * cfg.dx
-        vals = np.stack([np.asarray(prof(xs), dtype=float) for prof in profiles])
-        hot = any(_edges_hot(vals, cfg.eps_edge))
-        if not hot or (k_max is not None and half >= k_max):
+        vals = cfg._sample(np.arange(-half, half + 1) * cfg.dx)
+        edge = max(_edge_maxima(vals))
+        # NaN data reads cold here and fails _check_initial below
+        if not edge >= cfg.eps_edge or (k_max is not None and half >= k_max):
             break
+        if k_max is None and edge >= peak:
+            raise WindowCapTooSmall(
+                f"initial data does not decay: {edge:.6g} at the edges of "
+                f"|x| <= {half * cfg.dx:g}; set the window cap x_max")
+        peak = edge
         half += GROW_BLOCK
         if k_max is not None:
             half = min(half, k_max)
@@ -139,13 +153,10 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
 
 def cstep(state: CauchyState, cfg: CauchyConfig) -> CauchyState:
     """One explicit whole-line update; widens the window when edges warm up."""
-    dt = cfg.timestep()
-    new_vals = _interior_rate(state.u.values, cfg)
-    new_vals *= dt
-    new_vals += state.u.values
-    new_vals = _check_box(new_vals, cfg, state.t + dt, state.u.k_lo)
+    t = state.t + cfg.timestep()
+    new_vals = _euler(state.u.values, cfg, t, state.u.k_lo)
     k_lo, new_vals = _widen(state.u.k_lo, new_vals, cfg)
-    return CauchyState(state.t + dt, GridFunction(cfg.dx, k_lo, new_vals))
+    return CauchyState(t, GridFunction(cfg.dx, k_lo, new_vals))
 
 
 def _outer_crossing(vals: np.ndarray, xs: np.ndarray, level: float) -> float | None:
@@ -160,17 +171,13 @@ def _outer_crossing(vals: np.ndarray, xs: np.ndarray, level: float) -> float | N
     return float(xs[idx] + frac * (xs[idx + 1] - xs[idx]))
 
 
-def level_set(state: CauchyState, component: int, level: float,
-              u_star: np.ndarray | None = None) -> tuple[float, float] | None:
+def level_set(state: CauchyState, component: int,
+              level: float) -> tuple[float, float] | None:
     """Outermost positions where the component crosses the level, or None.
 
     The right end scans the values as stored and the left end scans the
     reversal, so mirror-symmetric states give x_minus == -x_plus exactly.
     """
-    if u_star is not None and not 0.0 < level < u_star[component]:
-        raise InvalidLevel(
-            f"level {level} for component {component + 1} must lie in "
-            f"(0, {u_star[component]})")
     v = state.u.values[component]
     xs = state.u.x
     x_plus = _outer_crossing(v, xs, level)
@@ -186,7 +193,7 @@ def _leak_reference(cfg: CauchyConfig, state: CauchyState, x_ref: float) -> floa
     dist = max(min(state.x_right - x_ref, x_ref - state.x_left), 0.0)
     worst = 0.0
     for kern in cfg.kernels:
-        worst = max(worst, tail_mass(kern, dist))
+        worst = max(worst, float(kern.tail(dist)))
     return worst * max_u
 
 
@@ -214,7 +221,7 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
     def note_cap(st: CauchyState):
         nonlocal capped
         if k_max is not None and st.u.k_hi >= k_max:
-            capped = capped or any(_edges_hot(st.u.values, cfg.eps_edge))
+            capped = capped or max(_edge_maxima(st.u.values)) >= cfg.eps_edge
 
     def advance(st: CauchyState) -> CauchyState:
         st = cstep(st, cfg)

@@ -323,28 +323,29 @@ def main(argv=None) -> int:
                     "estimate front speeds, and fit growth laws.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", type=Path, required=needs_config,
-                       help="scenario JSON file")
+    def common(p):
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: scenario name)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed echoed into artifacts and used by sampling checks")
-        p.add_argument("--jobs", type=_worker_count, default=None,
-                       help="parallel workers, at least 1 (sweep only)")
 
     for name, hlp in (("simulate-fb", "integrate the moving-range problem"),
                       ("simulate-cauchy", "integrate on the whole line"),
                       ("speeds", "front speed estimates and sweeps"),
                       ("fit", "growth-law regression on a fronts CSV"),
                       ("sweep", "run several scenarios concurrently")):
-        common(sub.add_parser(name, help=hlp))
+        p = sub.add_parser(name, help=hlp)
+        p.add_argument("--config", type=Path, required=True, help="scenario JSON file")
+        common(p)
+        if name == "sweep":
+            p.add_argument("--jobs", type=_worker_count, default=None,
+                           help="parallel workers, at least 1")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True,
                     choices=["kernels", "reactions", "quadrature",
                              "dichotomy", "speeds", "limits"])
-    common(pv, needs_config=False)
+    common(pv)
 
     args = parser.parse_args(argv)
 

@@ -122,11 +122,17 @@ class _Problem:
         for kern in self.kernels:
             check_mesh(kern, self.dx)
 
-    def _profiles(self) -> tuple:
-        """The configured initial profiles, or half-equilibrium wedges."""
-        if self.initial_profiles is not None:
-            return self.initial_profiles
-        return _wedges(0.5 * positive_equilibrium(self.model), self.h0)
+    def _sample(self, xs: np.ndarray) -> np.ndarray:
+        """The initial profiles at the points xs, one row per component.
+
+        The configured profiles, or half-equilibrium wedges; a profile
+        that returns a scalar is broadcast to xs.
+        """
+        profiles = self.initial_profiles
+        if profiles is None:
+            profiles = _wedges(0.5 * positive_equilibrium(self.model), self.h0)
+        return np.stack([np.broadcast_to(np.asarray(prof(xs), dtype=float), xs.shape)
+                         for prof in profiles])
 
     def _check_initial(self, vals: np.ndarray) -> None:
         """Initial values must be finite, nonnegative and under the ceiling."""
@@ -191,32 +197,15 @@ def _active_range(g: float, h: float, dx: float) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def _embed(src: np.ndarray, src_klo: int, dst_klo: int, dst_n: int) -> np.ndarray:
-    """Copy rows of src into a zero array over the destination index range."""
-    out = np.zeros((src.shape[0], dst_n))
-    lo = src_klo - dst_klo
-    s0 = max(0, -lo)
-    d0 = max(0, lo)
-    count = min(src.shape[1] - s0, dst_n - d0)
-    if count > 0:
-        out[:, d0:d0 + count] = src[:, s0:s0 + count]
-    return out
-
-
 def make_initial_state(cfg: FBConfig) -> FBState:
     """Initial state on (-h0, h0); default profiles are half-equilibrium wedges."""
-    model = cfg.model
-    profiles = cfg._profiles()
     k_lo, k_hi = _active_range(-cfg.h0, cfg.h0, cfg.dx)
-    xs = np.arange(k_lo, k_hi + 1) * cfg.dx
-    vals = np.empty((model.m, xs.size))
-    for i, prof in enumerate(profiles):
-        vals[i] = np.asarray(prof(xs), dtype=float)
-        edge = max(abs(float(prof(np.array([-cfg.h0]))[0])),
-                   abs(float(prof(np.array([cfg.h0]))[0])))
-        scale = max(1.0, float(np.max(np.abs(vals[i]))))
-        if edge > 1e-9 * scale:
-            raise ValueError(f"initial profile {i} must vanish at the range edges")
+    vals = cfg._sample(np.arange(k_lo, k_hi + 1) * cfg.dx)
+    edge = np.max(np.abs(cfg._sample(np.array([-cfg.h0, cfg.h0]))), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    bad = np.nonzero(edge > 1e-9 * scale)[0]
+    if bad.size:
+        raise ValueError(f"initial profile {bad[0]} must vanish at the range edges")
     cfg._check_initial(vals)
     if not np.any(vals > 0):
         raise ValueError("initial profiles must be positive somewhere inside the range")
@@ -276,6 +265,14 @@ def _check_box(vals: np.ndarray, cfg: FBConfig, t: float, k_lo: int) -> np.ndarr
     return np.maximum(vals, 0.0, out=vals)
 
 
+def _euler(vals: np.ndarray, cfg: _Problem, t: float, k_lo: int) -> np.ndarray:
+    """vals + dt * du/dt as a fresh array, checked against the box at time t."""
+    new_vals = _interior_rate(vals, cfg)
+    new_vals *= cfg.timestep()
+    new_vals += vals
+    return _check_box(new_vals, cfg, t, k_lo)
+
+
 def step(state: FBState, cfg: FBConfig) -> FBState:
     """One explicit Euler update of interior values and range edges."""
     dt = cfg.timestep()
@@ -284,9 +281,12 @@ def step(state: FBState, cfg: FBConfig) -> FBState:
     g_new = state.g - dt * gp
     h_new = state.h + dt * hp
     k_lo, k_hi = _active_range(g_new, h_new, dx)
-    vals = _embed(state.u.values, state.u.k_lo, k_lo, k_hi - k_lo + 1)
-    new_vals = vals + dt * _interior_rate(vals, cfg)
-    new_vals = _check_box(new_vals, cfg, state.t + dt, k_lo)
+    # both edge fluxes are >= 0, so the range only grows and holds the old nodes
+    old = state.u.values
+    vals = np.zeros((old.shape[0], k_hi - k_lo + 1))
+    lo = state.u.k_lo - k_lo
+    vals[:, lo:lo + old.shape[1]] = old
+    new_vals = _euler(vals, cfg, state.t + dt, k_lo)
     return FBState(state.t + dt, g_new, h_new, GridFunction(dx, k_lo, new_vals))
 
 

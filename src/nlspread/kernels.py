@@ -3,7 +3,7 @@
 A kernel carries its analytic density J, the tail function
 Jtail(z) = integral of J over [z, infinity), a sampled tail table on a
 geometric mesh (used for decay classification and diagnostics), and a
-cutoff radius beyond which the tail mass is below a configured budget.
+cutoff radius beyond which the tail mass is below EPS_TAIL.
 
 Families (``_FAMILIES``, the one table of family -> parameters; the
 scenario schema's kernel object and the JSON reader follow it):
@@ -35,7 +35,7 @@ INFINITE = math.inf
 
 TAIL_MESH_RATIO = 1.05     # geometric mesh ratio for the sampled tail table
 TAIL_FIT_CORES = 3.0       # a table's fit decade must reach this many core scales
-DEFAULT_EPS_TAIL = 1e-8
+EPS_TAIL = 1e-8            # tail mass beyond the cutoff radius
 
 # family -> {parameter: default}; None marks a required parameter
 _FAMILIES = {
@@ -144,7 +144,6 @@ class Kernel:
     """Normalized kernel with tail table and cutoff radius. Treat as immutable."""
 
     spec: KernelSpec
-    eps_tail: float
     normalizer: float
     core_scale: float
     cutoff_radius: float
@@ -153,7 +152,6 @@ class Kernel:
     tail_values: np.ndarray = field(repr=False)
     _table_x: np.ndarray | None = field(default=None, repr=False)
     _table_v: np.ndarray | None = field(default=None, repr=False)
-    _table_tail_x: np.ndarray | None = field(default=None, repr=False)
     _table_tail_v: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -192,21 +190,19 @@ class Kernel:
         if fam == "powerlaw":
             w = self.core_scale
             return 0.5 * (w / (w + zs)) ** (self.spec.gamma - 1.0)
-        return np.interp(zs, self._table_tail_x, self._table_tail_v,
+        return np.interp(zs, self._table_x, self._table_tail_v,
                          left=self._table_tail_v[0], right=0.0)
 
 
 # ----------------------------------------------------------------------
 # construction
 
-def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
+def make_kernel(spec: KernelSpec) -> Kernel:
     """Build a normalized kernel with its tail table and cutoff radius."""
     spec.validate()
-    if not (0.0 < eps_tail <= 1e-4):
-        raise KernelError("eps_tail must lie in (0, 1e-4]")
 
     fam = spec.family
-    table_x = table_v = tail_x = tail_v = None
+    table_x = table_v = tail_v = None
     compact = None
     if fam == "uniform":
         normalizer = 1.0 / (2.0 * spec.radius)
@@ -239,7 +235,6 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
         ctail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) * normalizer
         table_x = hx
         table_v = hv
-        tail_x = hx.copy()
         tail_v = ctail
         # core: half width at half maximum of the sampled shape
         peak = vs_full >= 0.5 * np.max(vs_full)
@@ -249,11 +244,10 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
         core = float(np.max(np.abs(xs_full[peak])))
 
     kern = Kernel(
-        spec=spec, eps_tail=float(eps_tail), normalizer=normalizer,
+        spec=spec, normalizer=normalizer,
         core_scale=core, cutoff_radius=0.0, compact_support=compact,
         tail_z=np.empty(0), tail_values=np.empty(0),
-        _table_x=table_x, _table_v=table_v,
-        _table_tail_x=tail_x, _table_tail_v=tail_v,
+        _table_x=table_x, _table_v=table_v, _table_tail_v=tail_v,
     )
 
     # geometric tail mesh from a fraction of the core scale out to the cutoff
@@ -263,19 +257,19 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
     limit = compact if compact is not None else math.inf
     while True:
         t = float(kern.tail(min(z, limit)))
-        if (t < eps_tail and compact is None) or z >= limit:
+        if (t < EPS_TAIL and compact is None) or z >= limit:
             break
         z *= TAIL_MESH_RATIO
         mesh.append(min(z, limit))
         if len(mesh) > 20000:
-            raise KernelError("tail mesh budget exhausted; eps_tail too small for this family")
+            raise KernelError("tail mesh budget exhausted above EPS_TAIL")
     mesh_arr = np.asarray(mesh)
     tail_vals = np.asarray(kern.tail(mesh_arr), dtype=float)
 
     if compact is not None:
         cutoff = compact
     else:
-        below = np.nonzero(tail_vals < eps_tail)[0]
+        below = np.nonzero(tail_vals < EPS_TAIL)[0]
         cutoff = float(mesh_arr[below[0]]) if below.size else float(mesh_arr[-1])
 
     mesh_arr.setflags(write=False)
@@ -293,14 +287,6 @@ def make_kernel(spec: KernelSpec, eps_tail: float = DEFAULT_EPS_TAIL) -> Kernel:
 
 # ----------------------------------------------------------------------
 # moments
-
-def tail_mass(kernel: Kernel, z) -> float | np.ndarray:
-    """Integral of J over [z, inf); exact 0 beyond compact support."""
-    out = kernel.tail(z)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(out)
-    return out
-
 
 def _half_line_integral(kernel: Kernel, weight) -> float:
     """Trapezoid integral of weight(x)*J(x) over a table kernel's samples on [0, inf)."""

@@ -10,9 +10,9 @@ kernel, and treat every row alike; boundary_flux returns the left and the
 right flux of the block from one pass.
 
 DispersalOperator is what the simulators hold, one per problem.  It groups
-the dispersing rows whose kernels are equal (same spec and eps_tail), so
-each group is convolved in one call, and it keeps one stencil and one
-weight spectrum per group.  Either is rebuilt only when the half-width or
+the dispersing rows whose kernels have the same spec, so each group is
+convolved in one call, and it keeps one stencil and one weight spectrum
+per group.  Either is rebuilt only when the half-width or
 the FFT length changes, i.e. when the window grows, not on every step.
 It is also the only place that chooses between the direct and the FFT
 path; convolve_values runs a one-off operator.
@@ -284,7 +284,7 @@ class DispersalOperator:
         self.m0 = len(kernels)
         rows: dict = {}
         for i, kern in enumerate(kernels):
-            rows.setdefault((kern.spec, kern.eps_tail), []).append(i)
+            rows.setdefault(kern.spec, []).append(i)
         self.groups = tuple((kernels[r[0]], np.array(r)) for r in rows.values())
         self._stencils = [None] * len(self.groups)      # (W, weights)
         self._spectra = [None] * len(self.groups)       # (L, W, spectrum)

@@ -61,7 +61,6 @@ class ReactionModel:
     m: int
     m0: int
     d: np.ndarray
-    params: dict
     rate: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray] | None = None
     u_ceiling: np.ndarray | None = None
@@ -193,12 +192,11 @@ def _newton_multistart(model: ReactionModel) -> np.ndarray | None:
 # ----------------------------------------------------------------------
 # presets
 
-def _positive(kind: str, **params) -> dict:
-    """The preset's parameters by name, each checked to be positive."""
+def _positive(kind: str, **params) -> None:
+    """Check that each of the preset's parameters, by name, is positive."""
     for name, v in params.items():
         if not v > 0:
             raise InvalidParameter(f"{kind} parameter {name} must be positive", name)
-    return params
 
 
 def cholera(a: float, b: float, c: float, alpha: float, beta: float,
@@ -208,7 +206,7 @@ def cholera(a: float, b: float, c: float, alpha: float, beta: float,
     Rates: f1 = -a*u1 + c*u2, f2 = -b*u2 + alpha*u1/(1 + beta*u1).
     Reproduction number: alpha*c/(a*b); a positive equilibrium needs it > 1.
     """
-    params = _positive("cholera", a=a, b=b, c=c, alpha=alpha, beta=beta)
+    _positive("cholera", a=a, b=b, c=c, alpha=alpha, beta=beta)
 
     def rate(u):
         u1, u2 = u[0], u[1]
@@ -225,8 +223,8 @@ def cholera(a: float, b: float, c: float, alpha: float, beta: float,
         u1 = (alpha * c - a * b) / (a * b * beta)
         return np.array([u1, a * u1 / c])
 
-    return ReactionModel(name="cholera", m=2, m0=2, d=d, params=params,
-                         rate=rate, jac=jac, u_ceiling=None, _closed_form=closed_form)
+    return ReactionModel(name="cholera", m=2, m0=2, d=d, rate=rate, jac=jac,
+                         u_ceiling=None, _closed_form=closed_form)
 
 
 def wnv(a1: float, a2: float, b1: float, b2: float, e1: float, e2: float,
@@ -237,7 +235,7 @@ def wnv(a1: float, a2: float, b1: float, b2: float, e1: float, e2: float,
     Reproduction number: sqrt(a1*a2*e1*e2/(b1*b2)); positive equilibrium
     exists exactly when it exceeds 1.
     """
-    params = _positive("wnv", a1=a1, a2=a2, b1=b1, b2=b2, e1=e1, e2=e2)
+    _positive("wnv", a1=a1, a2=a2, b1=b1, b2=b2, e1=e1, e2=e2)
 
     def rate(u):
         u1, u2 = u[0], u[1]
@@ -257,9 +255,8 @@ def wnv(a1: float, a2: float, b1: float, b2: float, e1: float, e2: float,
         return np.array([gap / (a1 * a2 * e2 + b1 * a2),
                          gap / (a1 * a2 * e1 + a1 * b2)])
 
-    return ReactionModel(name="wnv", m=2, m0=2, d=d, params=params,
-                         rate=rate, jac=jac, u_ceiling=np.array([e1, e2]),
-                         _closed_form=closed_form)
+    return ReactionModel(name="wnv", m=2, m0=2, d=d, rate=rate, jac=jac,
+                         u_ceiling=np.array([e1, e2]), _closed_form=closed_form)
 
 
 def concave(a: float, b: float, alpha: float, beta: float, d=(1.0, 1.0)) -> ReactionModel:
@@ -268,7 +265,7 @@ def concave(a: float, b: float, alpha: float, beta: float, d=(1.0, 1.0)) -> Reac
     Rates: f1 = -a*u1 + alpha*u2/(1 + u2), f2 = -b*u2 + beta*ln(1 + u1).
     Positive equilibrium needs alpha*beta > a*b.
     """
-    params = _positive("concave", a=a, b=b, alpha=alpha, beta=beta)
+    _positive("concave", a=a, b=b, alpha=alpha, beta=beta)
 
     def rate(u):
         u1, u2 = u[0], u[1]
@@ -280,8 +277,8 @@ def concave(a: float, b: float, alpha: float, beta: float, d=(1.0, 1.0)) -> Reac
         return np.array([[-a, alpha / (1.0 + u2) ** 2],
                          [beta / (1.0 + u1), -b]])
 
-    model = ReactionModel(name="concave", m=2, m0=2, d=d, params=params,
-                          rate=rate, jac=jac, u_ceiling=None)
+    model = ReactionModel(name="concave", m=2, m0=2, d=d, rate=rate, jac=jac,
+                          u_ceiling=None)
     if alpha * beta <= a * b:
         def no_root():
             raise NoPositiveRoot(
@@ -336,7 +333,7 @@ def compile_rate_expression(expr: str, m: int, params: dict) -> Callable:
 
 
 def custom(exprs: list[str], params: dict, m0: int | None = None,
-           d=None, u_ceiling=None, name: str = "custom") -> ReactionModel:
+           d=None, u_ceiling=None) -> ReactionModel:
     """Build a model from per-component rate expressions."""
     m = len(exprs)
     if m < 1:
@@ -352,8 +349,8 @@ def custom(exprs: list[str], params: dict, m0: int | None = None,
                 for fn in fns]
         return np.stack(rows)
 
-    return ReactionModel(name=name, m=m, m0=m0, d=d, params=dict(params),
-                         rate=rate, jac=None, u_ceiling=u_ceiling)
+    return ReactionModel(name="custom", m=m, m0=m0, d=d, rate=rate, jac=None,
+                         u_ceiling=u_ceiling)
 
 
 _PRESETS = {f.__name__: f for f in (wnv, cholera, concave)}

@@ -458,7 +458,6 @@ class FrontSpeedResult:
     solution: SemiWaveSolution
     bracket: tuple[float, float]
     trace: tuple[tuple[float, float], ...]
-    length: float
     fallbacks: int = 0
 
 
@@ -541,7 +540,7 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
 
     speed = 0.5 * (lo + hi)
     return FrontSpeedResult(speed=speed, solution=profile(speed), bracket=(lo, hi),
-                            trace=tuple(trace), length=L, fallbacks=profile.fallbacks)
+                            trace=tuple(trace), fallbacks=profile.fallbacks)
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +553,7 @@ class MinimalSpeedResult:
     ``value`` is INFINITE when some dispersing kernel has no finite
     exponential moment; fronts then outrun every linear speed and no
     threshold exists.  Otherwise it is c_h when two probes on the window
-    ``lengths`` confirm it, else the midpoint of ``bracket`` (see
+    L of ``trace`` confirm it, else the midpoint of ``bracket`` (see
     ``estimate_cstar``; ``note`` says which).  ``stops`` holds the
     ``SemiWaveSolution.stop`` of each probe, in the order of ``trace``: a
     verdict read from a "budget" stop is not final.  ``fallbacks`` counts
@@ -566,7 +565,6 @@ class MinimalSpeedResult:
     linearized: float
     bracket: tuple[float, float] | None
     trace: tuple[tuple[float, float, float], ...]   # (c, L, mid saturation)
-    lengths: tuple[float, ...]
     note: str
     fallbacks: int = 0
     stops: tuple[str, ...] = ()
@@ -676,8 +674,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     heavy = [i for i, k in enumerate(kerns) if not classify(k).finite_exponential_moment]
     if heavy:
         return MinimalSpeedResult(
-            value=INFINITE, linearized=INFINITE, bracket=None, trace=(),
-            lengths=(), note=(
+            value=INFINITE, linearized=INFINITE, bracket=None, trace=(), note=(
                 f"kernel for component {heavy[0]} has a divergent exponential moment; "
                 "level sets accelerate and no finite minimal speed exists"))
 
@@ -725,5 +722,5 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
                 break
     return MinimalSpeedResult(
         value=0.5 * (lo + hi) if note else c_h, linearized=c_lin, bracket=(lo, hi),
-        trace=tuple(trace), lengths=(L,), note=note, fallbacks=profile.fallbacks,
+        trace=tuple(trace), note=note, fallbacks=profile.fallbacks,
         stops=tuple(stops))

@@ -177,8 +177,7 @@ class TestSpeeds:
         def fake_cstar(model, kernels, **kw):
             seen.append(kw)
             return MinimalSpeedResult(value=1.7, linearized=1.665,
-                                      bracket=(1.69, 1.71), trace=(),
-                                      lengths=(50.0,), note="")
+                                      bracket=(1.69, 1.71), trace=(), note="")
 
         monkeypatch.setattr(cli, "estimate_cstar", fake_cstar)
         cfgp = write_scenario(tmp_path, "mesh", {
@@ -199,8 +198,7 @@ class TestSpeeds:
         def fake_cstar(model, kernels, **kw):
             seen.append(("cstar", kw["dx"]))
             return MinimalSpeedResult(value=1.7, linearized=1.665,
-                                      bracket=(1.69, 1.71), trace=(),
-                                      lengths=(50.0,), note="")
+                                      bracket=(1.69, 1.71), trace=(), note="")
 
         monkeypatch.setattr(cli, "find_c0", fake_c0)
         monkeypatch.setattr(cli, "estimate_cstar", fake_cstar)

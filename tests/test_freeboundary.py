@@ -86,6 +86,11 @@ class TestInitialState:
         with pytest.raises(ValueError):
             fb.make_initial_state(cfg)
 
+    def test_scalar_profiles_are_broadcast(self):
+        cfg = smoke_cfg(initial_profiles=(lambda x: 0.0,) * 2)
+        with pytest.raises(ValueError, match="positive somewhere"):
+            fb.make_initial_state(cfg)
+
     def test_profile_above_ceiling_rejected(self):
         cfg = smoke_cfg(initial_profiles=(
             lambda x: 3.0 * (1 - np.abs(x) / 2.0),
@@ -278,7 +283,9 @@ class TestClassification:
 
 def _on(gf, k_lo: int, n: int) -> np.ndarray:
     """A snapshot's values on global nodes k_lo .. k_lo + n - 1, zero outside its range."""
-    return fb._embed(gf.values, gf.k_lo, k_lo, n)
+    out = np.zeros((gf.values.shape[0], n))
+    out[:, gf.k_lo - k_lo:gf.k_hi - k_lo + 1] = gf.values
+    return out
 
 
 def _ordered_snapshots(lo, hi) -> None:
@@ -316,6 +323,9 @@ def ordered_data(draw):
 
 
 KERNELS = [kn.KernelSpec.laplace(1.0), kn.KernelSpec.gaussian(1.0), kn.KernelSpec.uniform(2.0)]
+# expansion rates of both components, either of which may be zero
+MUS = st.tuples(st.just(0.0) | st.floats(0.5, 4.0), st.floats(0.5, 4.0)).flatmap(
+    lambda mu: st.sampled_from((mu, mu[::-1])))
 COMPARE = dict(model=wnv_model(), dx=0.25, t_end=6.0, snapshot_times=(0.0, 2.0, 4.0, 6.0))
 
 
@@ -323,7 +333,7 @@ class TestComparisonPrinciple:
     """Ordered initial data stay ordered under both explicit schemes (cooperative F)."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(ordered_data(), st.sampled_from(KERNELS), st.floats(0.5, 4.0))
+    @given(ordered_data(), st.sampled_from(KERNELS), MUS)
     def test_moving_range(self, data, spec, mu):
         h_u, u0, h_v, v0 = data
         kern = kn.make_kernel(spec)
@@ -333,6 +343,9 @@ class TestComparisonPrinciple:
                                 sample_stride=1, **COMPARE))
         assert np.array_equal(lo.t, hi.t)
         assert np.all(hi.g <= lo.g + 1e-12) and np.all(lo.h <= hi.h + 1e-12)
+        # every step is recorded: the range never shrinks
+        for series in (lo, hi):
+            assert np.all(np.diff(series.h) >= 0) and np.all(np.diff(series.g) <= 0)
         _ordered_snapshots(lo.snapshots, hi.snapshots)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from nlspread.kernels import (
+    EPS_TAIL,
     INFINITE,
     InvalidLambda,
     KernelError,
@@ -18,7 +19,6 @@ from nlspread.kernels import (
     first_moment,
     kernel_from_json,
     make_kernel,
-    tail_mass,
     two_sided_exp_moment,
 )
 
@@ -37,8 +37,8 @@ class TestConstruction:
         assert kern.cutoff_radius == 1.0, "compact support must give the exact radius"
 
     def test_powerlaw_mass_matches_quadrature_oracle(self):
-        # gamma=2, core width 1: density 0.5*(1+|x|)^-2, eps_tail=1e-6
-        kern = make_kernel(KernelSpec.powerlaw(2.0, 1.0), eps_tail=1e-6)
+        # gamma=2, core width 1: density 0.5*(1+|x|)^-2
+        kern = make_kernel(KernelSpec.powerlaw(2.0, 1.0))
         assert kern.normalizer == pytest.approx(0.5, abs=1e-15)
         R = kern.cutoff_radius
         # split at tens of scales so quad resolves the slow tail
@@ -48,10 +48,10 @@ class TestConstruction:
             v, _ = integrate.quad(lambda x: float(kern.density(x)), a, b, limit=200)
             total += v
         total *= 2.0
-        expected_inside = 1.0 - 2.0 * tail_mass(kern, R)
+        expected_inside = 1.0 - 2.0 * kern.tail(R)
         assert total == pytest.approx(expected_inside, abs=1e-8), (
             f"mass inside cutoff {total} vs tail-complement {expected_inside}")
-        assert 2.0 * tail_mass(kern, R) <= 2.0 * kern.eps_tail
+        assert 2.0 * kern.tail(R) <= 2.0 * EPS_TAIL
 
     def test_gaussian_mass_quadrature(self):
         kern = make_kernel(KernelSpec.gaussian(0.7))
@@ -69,10 +69,6 @@ class TestConstruction:
             make_kernel(KernelSpec.uniform(-1.0))
         with pytest.raises(KernelError):
             make_kernel(KernelSpec.laplace(0.0))
-        with pytest.raises(KernelError):
-            make_kernel(KernelSpec.laplace(1.0), eps_tail=0.0)
-        with pytest.raises(KernelError):
-            make_kernel(KernelSpec.laplace(1.0), eps_tail=1e-3)
 
     def test_tail_table_mesh_is_geometric(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
@@ -83,23 +79,21 @@ class TestConstruction:
         assert np.all(np.diff(kern.tail_values) <= 0), "tail must be nonincreasing"
 
     def test_smaller_eps_tail_extends_cutoff(self):
-        loose = make_kernel(KernelSpec.laplace(1.0), eps_tail=1e-6)
-        tight = make_kernel(KernelSpec.laplace(1.0), eps_tail=1e-8)
-        assert tight.cutoff_radius > loose.cutoff_radius
-        assert tail_mass(tight, tight.cutoff_radius) < 1e-8
+        kern = make_kernel(KernelSpec.laplace(1.0))
+        assert kern.tail(kern.cutoff_radius) < EPS_TAIL
 
 
 class TestTailMass:
     def test_uniform_tail_closed_form(self):
         kern = make_kernel(KernelSpec.uniform(1.0))
-        assert tail_mass(kern, 0.0) == 0.5
-        assert tail_mass(kern, 1.0) == 0.0
-        assert tail_mass(kern, 0.25) == pytest.approx(0.375, abs=1e-15)
-        assert tail_mass(kern, 5.0) == 0.0, "zero beyond compact support"
+        assert kern.tail(0.0) == 0.5
+        assert kern.tail(1.0) == 0.0
+        assert kern.tail(0.25) == pytest.approx(0.375, abs=1e-15)
+        assert kern.tail(5.0) == 0.0, "zero beyond compact support"
 
     def test_laplace_tail_closed_form(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
-        assert tail_mass(kern, 1.0) == pytest.approx(0.18393972058572117, abs=1e-15)
+        assert kern.tail(1.0) == pytest.approx(0.18393972058572117, abs=1e-15)
 
     def test_tail_matches_quadrature(self):
         for spec in (KernelSpec.laplace(0.8), KernelSpec.gaussian(1.3),
@@ -108,13 +102,13 @@ class TestTailMass:
             for z in (0.3, 1.7, 4.0):
                 ref, _ = integrate.quad(lambda x: float(kern.density(x)), z,
                                         kern.cutoff_radius, limit=400)
-                ref += tail_mass(kern, kern.cutoff_radius)
-                assert tail_mass(kern, z) == pytest.approx(ref, rel=1e-7), spec.family
+                ref += kern.tail(kern.cutoff_radius)
+                assert kern.tail(z) == pytest.approx(ref, rel=1e-7), spec.family
 
     def test_negative_argument_rejected(self):
         kern = make_kernel(KernelSpec.uniform(1.0))
         with pytest.raises(KernelError):
-            tail_mass(kern, -0.1)
+            kern.tail(-0.1)
 
 
 class TestMoments:

@@ -245,7 +245,6 @@ class TestEstimateCstar:
     def test_trace_holds_the_two_probes(self, model, laplace1, threshold):
         c_h, _, K = sw.discrete_linear_speed(model, laplace1, None, 100.0)
         assert threshold.value == c_h
-        assert threshold.lengths == (100.0,)
         (up, L_up, up_mid), (down, L_down, down_mid) = threshold.trace
         assert (L_up, L_down) == (100.0, 100.0)
         assert 0.0 <= up_mid < 0.5 <= down_mid <= 1.0 + 1e-12
