@@ -21,6 +21,7 @@ from .reactions import positive_equilibrium
 
 GROW_BLOCK = 64        # nodes added per widening, per side
 EDGE_BAND = 0.05       # fraction of nodes inspected at each edge
+MAX_WINDOW_NODES = 2 ** 20   # largest initial window sized without a cap
 
 
 class InvalidLevel(ValueError):
@@ -37,7 +38,8 @@ class WindowCapTooSmall(ValueError):
     CauchyConfig raises it when the cap does not cover [-h0, h0], and
     config reports that at /numerics/x_max.  make_initial_cauchy_state
     raises it for uncapped data that does not decay towards the window
-    edges; the wedges a scenario gives always decay.
+    edges fast enough to fit in MAX_WINDOW_NODES; the wedges a scenario
+    gives always decay.
     """
 
 
@@ -91,9 +93,14 @@ class CauchySeries:
     notes: tuple
 
 
+def _band(n: int) -> int:
+    """Nodes in each edge band of an n-node window."""
+    return max(1, int(math.ceil(EDGE_BAND * n)))
+
+
 def _edge_maxima(vals: np.ndarray) -> tuple[float, float]:
     """The largest value in the left and in the right edge band."""
-    band = max(1, int(math.ceil(EDGE_BAND * vals.shape[1])))
+    band = _band(vals.shape[1])
     return float(np.max(vals[:, :band])), float(np.max(vals[:, vals.shape[1] - band:]))
 
 
@@ -105,26 +112,47 @@ def _cap_indices(cfg: CauchyConfig) -> tuple[int | None, int | None]:
 
 
 def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndarray]:
-    """Zero-pad until both edge bands are cold or the cap blocks growth."""
+    """Zero-pad until both edge bands are cold or the cap blocks growth.
+
+    The bands are those of the padded window, and padding adds only cold
+    nodes, so the rule reads the outermost hot columns alone: add
+    GROW_BLOCK nodes, up to the cap, on each side whose band holds one,
+    until neither does; then pad once.
+    """
+    n = vals.shape[1]
+    k_hi = k_lo + n - 1
     k_min, k_max = _cap_indices(cfg)
+    if k_min is not None and k_lo == k_min and k_hi == k_max:
+        return k_lo, vals
+    hot = np.max(vals, axis=0) >= cfg.eps_edge
+    if not hot.any():
+        return k_lo, vals
+    first, last = int(np.argmax(hot)), n - 1 - int(np.argmax(hot[::-1]))
+    pad_l = pad_r = 0
     while True:
-        left, right = _edge_maxima(vals)
-        pad_l = GROW_BLOCK if left >= cfg.eps_edge else 0
-        pad_r = GROW_BLOCK if right >= cfg.eps_edge else 0
+        band = _band(n + pad_l + pad_r)
+        grow_l = GROW_BLOCK if first < band - pad_l else 0
+        grow_r = GROW_BLOCK if last >= n + pad_r - band else 0
         if k_min is not None:
-            pad_l = min(pad_l, k_lo - k_min)
-            pad_r = min(pad_r, k_max - (k_lo + vals.shape[1] - 1))
-        if pad_l == 0 and pad_r == 0:
-            return k_lo, vals
-        vals = np.pad(vals, ((0, 0), (pad_l, pad_r)))
-        k_lo -= pad_l
+            grow_l = min(grow_l, k_lo - pad_l - k_min)
+            grow_r = min(grow_r, k_max - (k_hi + pad_r))
+        if grow_l == 0 and grow_r == 0:
+            break
+        pad_l += grow_l
+        pad_r += grow_r
+    if pad_l == 0 and pad_r == 0:
+        return k_lo, vals
+    return k_lo - pad_l, np.pad(vals, ((0, 0), (pad_l, pad_r)))
 
 
 def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
     """Default data: half-equilibrium wedges on [-h0, h0], zero outside.
 
-    Without a cap, data whose hot edge bands do not fall at each growth
-    step raises WindowCapTooSmall instead of growing the window without end.
+    Without a cap, the window grows until its edge bands are cold.  Each
+    growth step forecasts the steps left by extending its fall of the
+    edge bands geometrically; data that decays slower than that (a power
+    law) needs more, so a forecast past MAX_WINDOW_NODES, or bands that do
+    not fall, raise WindowCapTooSmall instead of growing without end.
     """
     half = int(math.ceil(cfg.h0 / cfg.dx)) + GROW_BLOCK
     _, k_max = _cap_indices(cfg)
@@ -139,10 +167,14 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
         # NaN data reads cold here and fails _check_initial below
         if not edge >= cfg.eps_edge or (k_max is not None and half >= k_max):
             break
-        if k_max is None and edge >= peak:
-            raise WindowCapTooSmall(
-                f"initial data does not decay: {edge:.6g} at the edges of "
-                f"|x| <= {half * cfg.dx:g}; set the window cap x_max")
+        if k_max is None and peak < math.inf:
+            steps = (math.log(cfg.eps_edge / edge) / (math.log(edge) - math.log(peak))
+                     if edge < peak else math.inf)
+            if 2 * (half + GROW_BLOCK * steps) + 1 > MAX_WINDOW_NODES:
+                raise WindowCapTooSmall(
+                    f"initial data does not decay within {MAX_WINDOW_NODES} nodes: "
+                    f"{edge:.6g} at the edges of |x| <= {half * cfg.dx:g}; "
+                    "set the window cap x_max")
         peak = edge
         half += GROW_BLOCK
         if k_max is not None:
@@ -159,16 +191,20 @@ def cstep(state: CauchyState, cfg: CauchyConfig) -> CauchyState:
     return CauchyState(t, GridFunction(cfg.dx, k_lo, new_vals))
 
 
-def _outer_crossing(vals: np.ndarray, xs: np.ndarray, level: float) -> float | None:
-    """Rightmost downward crossing of level, linearly interpolated."""
+def _outer_crossing(vals: np.ndarray, k_lo: int, dx: float, level: float) -> float | None:
+    """Rightmost downward crossing of level, linearly interpolated.
+
+    Node j of vals sits at x = (k_lo + j) dx.
+    """
     above = np.nonzero(vals >= level)[0]
     if above.size == 0:
         return None
     idx = int(above[-1])
+    x0 = (k_lo + idx) * dx
     if idx == vals.size - 1:
-        return float(xs[-1])
+        return x0
     frac = (vals[idx] - level) / (vals[idx] - vals[idx + 1])
-    return float(xs[idx] + frac * (xs[idx + 1] - xs[idx]))
+    return float(x0 + frac * ((k_lo + idx + 1) * dx - x0))
 
 
 def level_set(state: CauchyState, component: int,
@@ -176,14 +212,14 @@ def level_set(state: CauchyState, component: int,
     """Outermost positions where the component crosses the level, or None.
 
     The right end scans the values as stored and the left end scans the
-    reversal, so mirror-symmetric states give x_minus == -x_plus exactly.
+    reversal, whose node j sits at (j - k_hi) dx, so mirror-symmetric
+    states give x_minus == -x_plus exactly.
     """
     v = state.u.values[component]
-    xs = state.u.x
-    x_plus = _outer_crossing(v, xs, level)
+    x_plus = _outer_crossing(v, state.u.k_lo, state.u.dx, level)
     if x_plus is None:
         return None
-    x_left = _outer_crossing(v[::-1], -xs[::-1], level)
+    x_left = _outer_crossing(v[::-1], -state.u.k_hi, state.u.dx, level)
     return (-x_left, x_plus)
 
 

@@ -9,7 +9,10 @@ runs, so a rejected scenario ends in a ConfigError naming its field,
 never in a traceback.  The four single-scenario subcommands and every run
 of a sweep go through ``_dispatch``.  Floats in CSV files carry 17
 significant digits so that a reread reproduces the binary values exactly;
-identical config and seed give byte-identical files.
+identical config and seed give byte-identical files.  Every CSV goes
+through ``_write_csv``, which formats a block of up to 4096 rows with one
+``%`` on the repeated line template; the bytes are those of formatting
+each float alone.
 
 Exit codes: 0 success, 1 runtime failure (Instability, failed verification),
 2 scenario rejected (``config error at <JSON pointer>: ...``).
@@ -39,12 +42,30 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One line per row tuple; "%.17g" % x is format(x, ".17g") for every double."""
-    fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+def _write_csv(path: Path, header: str, parts) -> None:
+    """Write the header line, then one line per row of each (lead, block) part.
+
+    ``block`` is a 2-D float array, formatted by one ``%`` on the line
+    template repeated for its rows; ``lead`` holds values that start every
+    row of the part, formatted once as a literal prefix of the template.
+    "%.17g" % x is format(x, ".17g") for every double.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
+        for lead, block in parts:
+            block = np.asarray(block, dtype=float)
+            line = "".join("%.17g," % v for v in lead) + ",".join(
+                ["%.17g"] * block.shape[1]) + "\n"
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _blocks(lead: tuple, *columns):
+    """(lead, block) parts of up to 4096 rows stacked from the columns.
+
+    Each column array holds one value per row (1-D) or several (2-D).
+    """
+    for a in range(0, len(columns[0]), 4096):
+        yield lead, np.column_stack([c[a:a + 4096] for c in columns])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -53,13 +74,11 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _snapshot_rows(snapshots):
-    """(t, x, u_1..u_m) per node, converted to Python floats 4096 nodes at a time."""
+def _snapshot_parts(snapshots):
+    """(t, x, u_1..u_m) rows, with each snapshot's time as the lead."""
     for t, gf in snapshots:
         xs = (gf.k_lo + np.arange(gf.values.shape[1])) * gf.dx
-        for a in range(0, xs.size, 4096):
-            for x, u in zip(xs[a:a + 4096].tolist(), gf.values[:, a:a + 4096].T.tolist()):
-                yield (t, x, *u)
+        yield from _blocks((t,), xs, gf.values.T)
 
 
 def _numerics_echo(cfg) -> dict:
@@ -86,10 +105,10 @@ def _cmd_simulate_fb(scenario: dict, out: Path, seed: int) -> int:
         return 1
     m = cfg.model.m
     _write_csv(out / "fronts.csv", "t,g,h",
-               zip(series.t, series.g, series.h))
+               _blocks((), series.t, series.g, series.h))
     _write_csv(out / "snapshots.csv",
                "t,x," + ",".join(f"u{i + 1}" for i in range(m)),
-               _snapshot_rows(series.snapshots))
+               _snapshot_parts(series.snapshots))
     _write_json(out / "summary.json",
                 {**base, "outcome": classify_outcome(series, cfg),
                  "final_t": series.final_state.t,
@@ -102,15 +121,15 @@ def _cmd_simulate_cauchy(scenario: dict, out: Path, seed: int) -> int:
     cfg = build_cauchy_config(scenario)
     series = run_cauchy(cfg)
     m = cfg.model.m
-    rows = []
+    parts = []
     for comp, lam in cfg.levels:
         arr = series.levels[(comp, lam)]
-        for t, x_lo, x_hi in arr:
-            rows.append((t, comp + 1, lam, x_lo, x_hi))
-    _write_csv(out / "levels.csv", "t,i,lambda,x_minus,x_plus", rows)
+        parts += _blocks((), arr[:, 0], np.broadcast_to((comp + 1.0, lam), (len(arr), 2)),
+                         arr[:, 1:])
+    _write_csv(out / "levels.csv", "t,i,lambda,x_minus,x_plus", parts)
     _write_csv(out / "snapshots.csv",
                "t,x," + ",".join(f"u{i + 1}" for i in range(m)),
-               _snapshot_rows(series.snapshots))
+               _snapshot_parts(series.snapshots))
     _write_json(out / "summary.json",
                 {"name": scenario["name"], "seed": seed,
                  "numerics": _numerics_echo(cfg),
@@ -142,12 +161,10 @@ def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
         result["c0"] = r0.speed
         brackets["c0"] = list(r0.bracket)
         sol = r0.solution
-        with open(out / "semiwave.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# c={_f(sol.c)} L={_f(sol.length)} "
-                     f"residual={_f(sol.residual)}\n")
-            fh.write("x," + ",".join(f"phi_{i + 1}" for i in range(model.m)) + "\n")
-            for j in range(sol.x.size):
-                fh.write(",".join(_f(v) for v in (sol.x[j], *sol.phi[:, j])) + "\n")
+        _write_csv(out / "semiwave.csv",
+                   f"# c={_f(sol.c)} L={_f(sol.length)} residual={_f(sol.residual)}\n"
+                   "x," + ",".join(f"phi_{i + 1}" for i in range(model.m)),
+                   _blocks((), sol.x, sol.phi.T))
     except FirstMomentDiverges as e:
         result["c0"] = "infinite"
         result["reason"] = str(e)

@@ -243,26 +243,32 @@ def _interior_rate(vals: np.ndarray, cfg: FBConfig) -> np.ndarray:
 def _check_box(vals: np.ndarray, cfg: FBConfig, t: float, k_lo: int) -> np.ndarray:
     """Clamp the tolerated [-1e-12, 0) band in place; raise Instability outside the box.
 
-    A failure names the worst node: its component and its x position
-    (``k_lo`` is the global lattice index of the first column).
+    The minimum and the per-row maxima decide every branch: a NaN makes
+    the minimum NaN, and an infinity shows in the minimum or in the
+    largest excess over the ceiling (over 0 without one).  A failure
+    names the worst node: its component and its x position (``k_lo`` is
+    the global lattice index of the first column).
     """
     def fail(message: str, score: np.ndarray):
         i, j = np.unravel_index(np.argmax(score), vals.shape)
         raise Instability(message, t, int(i) + 1, (k_lo + int(j)) * cfg.dx,
                           float(vals[i, j]))
 
-    if not np.all(np.isfinite(vals)):
+    lo = float(vals.min())
+    hi = vals.max(axis=1)
+    ceiling = cfg.model.u_ceiling
+    top = float((hi if ceiling is None else hi - ceiling).max())
+    if not (math.isfinite(lo) and math.isfinite(top)):
         fail("non-finite state value", ~np.isfinite(vals))
-    if float(np.min(vals)) < -1e-12:
+    if lo < -1e-12:
         fail("state value below zero", -vals)
-    if cfg.model.u_ceiling is not None:
-        excess = vals - cfg.model.u_ceiling[:, None]
-        over = float(np.max(excess))
-        if over > 1e-9:
-            fail(f"state exceeds ceiling by {over:.3e}", excess)
-    elif float(np.max(vals)) > 1e12:
+    if ceiling is not None:
+        if top > 1e-9:
+            fail(f"state exceeds ceiling by {top:.3e}", vals - ceiling[:, None])
+    elif top > 1e12:
         fail("state value above 1e12 in an unbounded model", vals)
-    return np.maximum(vals, 0.0, out=vals)
+    # a positive minimum leaves nothing to clamp
+    return vals if lo > 0 else np.maximum(vals, 0.0, out=vals)
 
 
 def _euler(vals: np.ndarray, cfg: _Problem, t: float, k_lo: int) -> np.ndarray:

@@ -68,9 +68,13 @@ class TestInitialState:
         assert got.u.k_lo == want.u.k_lo
         assert np.array_equal(got.u.values, want.u.values)
 
-    def test_uncapped_data_that_does_not_decay_is_rejected(self):
-        # in a child process, so that a window grown without end fails on
-        # the timeout instead of hanging the suite; decaying data still sizes
+    @staticmethod
+    def size_in_child(body: str):
+        """Run body in a child process and return the JSON it prints.
+
+        A window grown without end then fails on the timeout instead of
+        hanging the suite.
+        """
         code = textwrap.dedent("""
             import json
             import numpy as np
@@ -81,23 +85,117 @@ class TestInitialState:
                                        kernels=kn.make_kernel(kn.KernelSpec.laplace(1.0)),
                                        h0=2.0, dx=0.25, t_end=5.0, initial_profiles=(profile,) * 2)
 
-            try:
-                cy.make_initial_cauchy_state(cfg(lambda x: 0.3 + 0 * x))
-                error = None
-            except cy.WindowCapTooSmall as e:
-                error = str(e)
-            state = cy.make_initial_cauchy_state(cfg(lambda x: 0.3 * np.exp(-np.abs(x))))
-            print(json.dumps([error, state.x_right]))
-        """)
+            def size(profile):
+                try:
+                    return cy.make_initial_cauchy_state(cfg(profile)).u.n
+                except cy.WindowCapTooSmall as e:
+                    return str(e)
+        """) + textwrap.dedent(body)
         src = str(Path(cy.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
-        error, x_right = json.loads(out.stdout)
-        assert error is not None and "does not decay" in error
+        return json.loads(out.stdout)
+
+    def test_uncapped_data_that_does_not_decay_is_rejected(self):
+        error, x_right = self.size_in_child("""
+            error = size(lambda x: 0.3 + 0 * x)
+            state = cy.make_initial_cauchy_state(cfg(lambda x: 0.3 * np.exp(-np.abs(x))))
+            print(json.dumps([error, state.x_right]))
+        """)
+        assert isinstance(error, str) and "does not decay" in error
         # 0.3 exp(-x) falls below eps_edge = 5e-9 past x = 17.9
         assert x_right > 17.9
+
+    def test_uncapped_data_that_decays_too_slowly_is_rejected(self):
+        # 0.3 / sqrt(1 + |x|) reaches eps_edge = 5e-9 only near |x| = 4e15;
+        # each growth step lowers its edge bands a little, which the
+        # geometric forecast turns into a window past MAX_WINDOW_NODES
+        slow, fits = self.size_in_child("""
+            print(json.dumps([size(lambda x: 0.3 / np.sqrt(1 + np.abs(x))),
+                              size(lambda x: 0.3 / (1 + np.abs(x)) ** 2)]))
+        """)
+        assert isinstance(slow, str) and "x_max" in slow
+        assert str(cy.MAX_WINDOW_NODES) in slow
+        # an inverse square needs |x| near 7 700: the forecast of a power
+        # law undershoots, so data that fits is sized, not rejected
+        assert isinstance(fits, int) and 60_000 < fits <= cy.MAX_WINDOW_NODES
+
+
+def widen_reference(k_lo, vals, cfg):
+    """The widening rule one GROW_BLOCK at a time, on the padded array itself."""
+    k_min, k_max = cy._cap_indices(cfg)
+    while True:
+        left, right = cy._edge_maxima(vals)
+        pad_l = cy.GROW_BLOCK if left >= cfg.eps_edge else 0
+        pad_r = cy.GROW_BLOCK if right >= cfg.eps_edge else 0
+        if k_min is not None:
+            pad_l = min(pad_l, k_lo - k_min)
+            pad_r = min(pad_r, k_max - (k_lo + vals.shape[1] - 1))
+        if pad_l == 0 and pad_r == 0:
+            return k_lo, vals
+        vals = np.pad(vals, ((0, 0), (pad_l, pad_r)))
+        k_lo -= pad_l
+
+
+class TestWiden:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("cap", ["none", "open", "one side", "both sides"])
+    @pytest.mark.parametrize("hot", ["none", "left", "right", "both"])
+    def test_one_pad_is_the_iterative_rule(self, hot, cap, seed):
+        # cap is the cap reached: none set, set but not reached, or reached
+        # on one or both sides; hot says which edge bands start hot
+        rng = np.random.default_rng([seed, len(hot), len(cap)])
+        cfg = base_cfg(x_max=None if cap == "none" else 100.0)      # k in [-400, 400]
+        eps = cfg.eps_edge
+        gap_l, gap_r = (int(g) for g in rng.integers(0, 40, size=2))
+        if cap == "both sides":
+            k_lo, n = -400 + gap_l, 801 - gap_l - gap_r
+        elif cap == "one side":
+            n = int(rng.integers(1, 600))
+            k_lo = -400 + gap_l if hot != "right" else 400 - gap_r - n + 1
+        else:
+            n = int(rng.integers(1, 600))
+            k_lo = -(n // 2)
+        # cold values below eps_edge everywhere, then hot columns in the
+        # outer quarter on each hot side, one of them inside the edge band
+        vals = rng.uniform(0.0, 0.999, size=(2, n)) * eps
+        quarter, band = max(1, n // 4), cy._band(n)
+        for side in {"none": (), "left": ("l",), "right": ("r",), "both": ("l", "r")}[hot]:
+            cols = np.append(rng.integers(0, quarter, size=2), rng.integers(0, band))
+            cols = cols if side == "l" else n - 1 - cols
+            vals[rng.integers(0, 2, size=3), cols] = eps * rng.choice([1.0, 2.0, 1e6], size=3)
+        got_lo, got = cy._widen(k_lo, vals, cfg)
+        want_lo, want = widen_reference(k_lo, vals, cfg)
+        assert got_lo == want_lo
+        assert np.array_equal(got, want)
+        # each hot side ends at the cap when one is in reach, else nothing moves
+        at_cap = (got_lo == -400) + (got_lo + got.shape[1] - 1 == 400)
+        hot_sides = {"none": 0, "left": 1, "right": 1, "both": 2}[hot]
+        assert at_cap == {"none": 0, "open": 0, "one side": min(hot_sides, 1),
+                          "both sides": hot_sides}[cap]
+        assert (got is vals) == (hot == "none")
+
+    @pytest.mark.parametrize("n", [1, 19, 20, 21, 200, 613])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_one_hot_column_at_the_band_edge(self, n, inside):
+        # the last node of an edge band, or the first node past it, is the
+        # only hot one
+        cfg = base_cfg()
+        col = cy._band(n) - 1 if inside else cy._band(n)
+        for j in {col, n - 1 - col} & set(range(n)):
+            vals = np.zeros((2, n))
+            vals[1, j] = cfg.eps_edge
+            got_lo, got = cy._widen(-(n // 2), vals, cfg)
+            want_lo, want = widen_reference(-(n // 2), vals, cfg)
+            assert got_lo == want_lo and np.array_equal(got, want)
+
+    def test_at_the_cap_on_both_sides_nothing_moves(self):
+        cfg = base_cfg(x_max=10.0)
+        vals = np.ones((2, 81))
+        k_lo, out = cy._widen(-40, vals, cfg)
+        assert k_lo == -40 and out is vals
 
 
 class TestStep:

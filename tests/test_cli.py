@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlspread import cli
+from nlspread import cli, nonlocal_ops
 from nlspread.cli import main
 from nlspread.config import scenario_dir
+from nlspread.nonlocal_ops import GridFunction
 from nlspread.semiwave import FirstMomentDiverges, MinimalSpeedResult
 
 WNV_MODEL = {"model": "wnv",
@@ -67,10 +68,39 @@ class TestSimulateFB:
         values = np.concatenate([specials, bits, rng.normal(size=3000)])
         rows = [(float(t), 7, *v) for t, v in zip(values[::3], values.reshape(-1, 3))]
         path = tmp_path / "rows.csv"
-        cli._write_csv(path, "a,b,c,d,e", rows)
+        cli._write_csv(path, "a,b,c,d,e", [((), rows)])
         expected = "a,b,c,d,e\n" + "".join(
             ",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
         assert path.read_text() == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+    def test_snapshot_blocks_are_the_per_float_format(self, tmp_path, n, m):
+        # snapshot parts print one line per node, (t, x, u_1..u_m), as if
+        # every float were formatted alone; blocks break at 4096 rows
+        rng = np.random.default_rng(1000 * n + m)
+        specials = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+                             -1e308, 0.1, 1.0 / 3.0])
+        values = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-300, 300, size=(m, n))
+        values.flat[:specials.size] = specials[:values.size]
+        values[:, -1] = -0.0
+        snapshots = [(0.1 + 0.2, GridFunction(0.25, -(n // 3), values)),
+                     (12.000000000000002, GridFunction(0.1, 7, values[:, ::-1].copy()))]
+        header = "t,x," + ",".join(f"u{i + 1}" for i in range(m))
+        path = tmp_path / "snapshots.csv"
+        cli._write_csv(path, header, cli._snapshot_parts(snapshots))
+        expected = [header]
+        for t, gf in snapshots:
+            for j in range(gf.n):
+                row = (t, (gf.k_lo + j) * gf.dx, *gf.values[:, j])
+                expected.append(",".join(format(float(x), ".17g") for x in row))
+        text = path.read_text()
+        got = text.split("\n")
+        # the first differing line, not a diff of two long texts
+        first = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+        assert first is None, (first, got[first], expected[first])
+        assert text == "\n".join(expected) + "\n"
+        assert expected[1].startswith("0.30000000000000004,")
 
     def test_m0_violation_exits_2_with_field_path(self, tmp_path, capsys):
         cfgp = scenario_dir() / "invalid" / "bad_m0_exceeds_m.json"
@@ -95,6 +125,29 @@ class TestSimulateFB:
 
 
 class TestSimulateCauchy:
+    def test_reruns_byte_identical(self, tmp_path, monkeypatch):
+        # a capped power-law run: the window reaches its cap of 641 nodes,
+        # past the direct path's 512-node half-width, so rows go through FFT
+        fft_calls = []
+        convolve_fft = nonlocal_ops._convolve_fft
+        monkeypatch.setattr(nonlocal_ops, "_convolve_fft",
+                            lambda *a, **k: fft_calls.append(1) or convolve_fft(*a, **k))
+        cfgp = write_scenario(tmp_path, "capped_powerlaw", {
+            "kernels": {"family": "powerlaw", "gamma": 1.5, "core_width": 1.0},
+            "mu": 1.0, "h0": 2.0,
+            "levels": [{"component": 1, "level": 0.1}],
+            "numerics": {"dx": 0.25, "t_end": 2.0, "x_max": 80.0,
+                         "snapshot_times": [1.0, 2.0]}})
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate-cauchy", "--config", str(cfgp), "--out", str(a)]) == 0
+        assert main(["simulate-cauchy", "--config", str(cfgp), "--out", str(b)]) == 0
+        assert fft_calls
+        summary = json.loads((a / "summary.json").read_text())
+        assert summary["capped"] and summary["window_final"] == [-80.0, 80.0]
+        assert len((a / "levels.csv").read_text().splitlines()) > 10
+        for fname in ("levels.csv", "snapshots.csv", "summary.json"):
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
     def test_empty_level_list_header_only(self, tmp_path):
         cfgp = write_scenario(tmp_path, "quiet", {
             "mu": 1.0, "h0": 2.0,

@@ -212,11 +212,17 @@ class TestRun:
 
     @pytest.mark.parametrize("bad, message", [
         (np.nan, "non-finite state value"),
+        (np.inf, "non-finite state value"),
+        (-np.inf, "non-finite state value"),
         (-0.25, "state value below zero"),
-        (1.75, "state exceeds ceiling by 7.500e-01")])
+        (1.75, "state exceeds ceiling by 7.500e-01"),
+        (2e12, "state value above 1e12 in an unbounded model")])
     def test_box_failure_locates_the_worst_node(self, bad, message):
-        # component 2 at local index 3 of a window starting at k = -5
+        # component 2 at local index 3 of a window starting at k = -5; the
+        # last case runs a model without a ceiling
         cfg = smoke_cfg()
+        if "unbounded" in message:
+            cfg = smoke_cfg(model=rx.custom(["u1 * (1 - u1)", "u2 * (1 - u2)"], {}))
         vals = np.full((2, 8), 0.5)
         vals[0, 6] = -1e-13                          # inside the tolerated band
         vals[1, 3] = bad
@@ -225,6 +231,30 @@ class TestRun:
         e = info.value
         assert (e.component, e.x, e.t) == (2, -0.5, 2.5)
         assert e.value == bad or (np.isnan(e.value) and np.isnan(bad))
+        assert str(e) == (f"{message}: component 2, x = -0.5, value {bad:.6g} (t = 2.5)")
+
+    def test_box_failure_names_the_first_non_finite_node(self):
+        # NaN in component 1 while component 2 sits inside the box, and a
+        # later -inf: the first non-finite node in row order is named
+        vals = np.full((2, 8), 0.5)
+        vals[0, 6] = np.nan
+        vals[0, 7] = -np.inf
+        with pytest.raises(fb.Instability, match="non-finite state value") as info:
+            fb._check_box(vals, smoke_cfg(), 1.0, k_lo=-5)
+        e = info.value
+        assert (e.component, e.x) == (1, 0.25) and np.isnan(e.value)
+
+    @pytest.mark.parametrize("low", [-1e-13, -0.0, 0.0])
+    def test_box_keeps_values_and_clamps_the_tolerated_band(self, low):
+        # the clamp turns the tolerated band and -0.0 into +0.0; a state
+        # with a positive minimum comes back as it is
+        cfg = smoke_cfg()
+        vals = np.array([[0.25, low, 1e-300], [1e-13, 0.5, 1.0]])
+        out = fb._check_box(vals.copy(), cfg, 0.0, k_lo=0)
+        assert np.array_equal(out, np.maximum(vals, 0.0))
+        assert not np.signbit(out).any()
+        positive = np.array([[0.25, 1e-300], [0.5, 1.0]])
+        assert fb._check_box(positive, cfg, 0.0, k_lo=0) is positive
 
     def test_refinement_consistency(self):
         coarse = fb.run(smoke_cfg(t_end=4.0, dx=0.2, dt=0.08))
