@@ -214,17 +214,20 @@ def make_initial_state(cfg: FBConfig) -> FBState:
 
 def _edge_fluxes(state: FBState, cfg: FBConfig) -> tuple[float, float]:
     """Outward dispersal rates (left, right); equal bitwise for mirror states."""
-    left = np.empty(cfg.model.m0)
-    right = np.empty(cfg.model.m0)
+    mu = cfg.mu.tolist()
+    left = [0.0] * len(mu)
+    right = [0.0] * len(mu)
     for kern, rows in cfg.operator().groups:
-        left[rows], right[rows] = boundary_flux(kern, state.u, rows, state.g, state.h)
+        group_left, group_right = boundary_flux(kern, state.u, rows, state.g, state.h)
+        for i, lf, rf in zip(rows.tolist(), group_left.tolist(), group_right.tolist()):
+            left[i], right[i] = lf, rf
     gp = 0.0
     hp = 0.0
-    for i in range(cfg.model.m0):
-        if cfg.mu[i] == 0.0:
+    for mu_i, lf, rf in zip(mu, left, right):
+        if mu_i == 0.0:
             continue
-        gp += cfg.mu[i] * left[i]
-        hp += cfg.mu[i] * right[i]
+        gp += mu_i * lf
+        hp += mu_i * rf
     return gp, hp
 
 
@@ -296,12 +299,28 @@ def step(state: FBState, cfg: FBConfig) -> FBState:
     return FBState(state.t + dt, g_new, h_new, GridFunction(dx, k_lo, new_vals))
 
 
+def _core_range(k_lo: int, n: int, dx: float, h0: float) -> tuple[int, int]:
+    """Local index range [lo, hi) of the nodes with |k*dx| <= h0 among k_lo..k_lo+n-1.
+
+    k*dx is monotone in k and odd, so those nodes are -K..K for the
+    largest K with K*dx <= h0, found from the float quotient and settled
+    by the same product the mask would compute.
+    """
+    K = int(h0 / dx)
+    while (K + 1) * dx <= h0:
+        K += 1
+    while K * dx > h0:
+        K -= 1
+    lo = max(-K - k_lo, 0)
+    return lo, max(min(K - k_lo + 1, n), lo)
+
+
 def _track(state: FBState, h0: float) -> tuple[float, float]:
-    total = np.sum(state.u.values, axis=0)
-    xs = state.u.x
-    core = total[np.abs(xs) <= h0]
-    core_min = float(np.min(core)) if core.size else 0.0
-    return core_min, float(np.max(total))
+    u = state.u
+    total = u.values.sum(axis=0)
+    lo, hi = _core_range(u.k_lo, u.n, u.dx, h0)
+    core_min = float(total[lo:hi].min()) if hi > lo else 0.0
+    return core_min, float(total.max())
 
 
 def _integrate(cfg: _Problem, state, advance, record) -> tuple:

@@ -176,7 +176,7 @@ class Kernel:
     def tail(self, z) -> np.ndarray:
         """Tail mass Jtail(z) = integral of J over [z, inf); z >= 0."""
         zs = np.asarray(z, dtype=float)
-        if np.any(zs < 0):
+        if (zs < 0).any():
             raise KernelError("tail mass is defined for z >= 0")
         fam = self.spec.family
         if fam == "uniform":

@@ -7,7 +7,11 @@ kernel convolution (trapezoid weights, direct or FFT path) and the
 dispersal flux across the two range edges (tail-function quadrature).
 Both take a row block, an (m, n) array of the components that share one
 kernel, and treat every row alike; boundary_flux returns the left and the
-right flux of the block from one pass.
+right flux of the block from one pass: the node distances to both edges
+in one clamped (2, n) buffer, one tail evaluation, one center-paired
+reduction for every (edge, row), and the trapezoid end terms and partial
+cells added in Python floats, the arithmetic of the vectorized formula
+term by term.
 
 DispersalOperator is what the simulators hold, one per problem.  It groups
 the dispersing rows whose kernels have the same spec, so each group is
@@ -28,13 +32,13 @@ run.  The transforms are numpy.fft's, which write into given buffers: the
 operator keeps one workspace per group (the zero-padded input, the
 spectrum product and the inverse output) and replaces it only when L
 changes, so the transforms write into kept buffers, not fresh arrays
-on every step.  The pad tail is
-zeroed on every call, since a narrower window at the same L leaves data
-there.  pocketfft releases the GIL, so the rows of a group are transformed
-on threads started and joined within the call, one chunk of rows per
-usable CPU; each row's transform is the same computation on any thread,
-so a block gives bitwise the per-row results.  No pool outlives a call,
-which keeps the process safe to fork.
+on every step.  A call zeroes the part of the pad tail that an earlier,
+wider window at the same L left data in, and only that part.  pocketfft
+releases the GIL, so the rows of a group are transformed on plain threads
+started and joined within the call, one chunk of rows per usable CPU;
+each row's transform is the same computation on any thread, so a block
+gives bitwise the per-row results.  No thread outlives a call, which
+keeps the process safe to fork.
 
 Symmetry note: simulations must preserve mirror symmetry of symmetric
 data to roundoff over thousands of steps.  The direct path returns
@@ -201,9 +205,19 @@ def _weight_spectrum(weights: np.ndarray, L: int) -> np.ndarray:
     return np.fft.rfft(circular)
 
 
-def _fft_workspace(rows: int, L: int) -> tuple:
-    """(padded input, spectrum product, inverse output) for rows of length L."""
-    return np.empty((rows, L)), np.empty((rows, L // 2 + 1), complex), np.empty((rows, L))
+class _FFTWorkspace:
+    """The padded input, spectrum product and inverse output of a row block at length L.
+
+    ``dirty`` is the end of the data the last call wrote into ``padded``
+    (L before any call), so a call zeroes only the part of its pad tail
+    that an earlier, wider window filled.
+    """
+
+    def __init__(self, rows: int, L: int):
+        self.padded = np.empty((rows, L))
+        self.product = np.empty((rows, L // 2 + 1), complex)
+        self.full = np.empty((rows, L))
+        self.dirty = L
 
 
 def _cpus() -> int:
@@ -215,11 +229,11 @@ def _cpus() -> int:
 
 def _convolve_fft(values: np.ndarray, weights: np.ndarray,
                   spectrum: np.ndarray | None = None,
-                  work: tuple | None = None) -> np.ndarray:
+                  work: _FFTWorkspace | None = None) -> np.ndarray:
     """Circular convolution of a row block at length L >= n + W (module note).
 
     ``spectrum`` is ``_weight_spectrum(weights, L)`` and ``work`` is
-    ``_fft_workspace(rows, L)`` at L = ``_fft_length(n, W)`` when the
+    ``_FFTWorkspace(rows, L)`` at L = ``_fft_length(n, W)`` when the
     caller keeps them; otherwise they are made here.  The result is a view
     of the workspace's inverse output, valid until its next use.
     """
@@ -230,10 +244,12 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
     if spectrum is None:
         spectrum = _weight_spectrum(weights, L)
     if work is None:
-        work = _fft_workspace(rows.shape[0], L)
-    padded, product, full = work
+        work = _FFTWorkspace(rows.shape[0], L)
+    padded, product, full = work.padded, work.product, work.full
     padded[:, :n] = rows
-    padded[:, n:] = 0.0
+    if work.dirty > n:
+        padded[:, n:work.dirty] = 0.0
+    work.dirty = n
 
     def transform(chunk: slice) -> None:
         np.fft.rfft(padded[chunk], out=product[chunk])
@@ -248,12 +264,26 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
     if k == 1:
         transform(chunks[0])
     else:
-        from concurrent.futures import ThreadPoolExecutor    # with logging, ~10 ms to import
-        with ThreadPoolExecutor(k - 1) as pool:
-            pending = [pool.submit(transform, c) for c in chunks[1:]]
+        import threading
+        failures = []
+
+        def transform_reporting(chunk: slice) -> None:
+            try:
+                transform(chunk)
+            except Exception as e:      # raised again in the calling thread
+                failures.append(e)
+
+        threads = [threading.Thread(target=transform_reporting, args=(c,))
+                   for c in chunks[1:]]
+        for t in threads:
+            t.start()
+        try:
             transform(chunks[0])
-            for p in pending:
-                p.result()
+        finally:
+            for t in threads:
+                t.join()
+        if failures:
+            raise failures[0]
     return full[:, :n].reshape(values.shape)
 
 
@@ -286,19 +316,22 @@ class DispersalOperator:
         for i, kern in enumerate(kernels):
             rows.setdefault(kern.spec, []).append(i)
         self.groups = tuple((kernels[r[0]], np.array(r)) for r in rows.values())
-        self._stencils = [None] * len(self.groups)      # (W, weights)
+        self._stencils = [None] * len(self.groups)      # (n, W, weights)
         self._spectra = [None] * len(self.groups)       # (L, W, spectrum)
-        self._workspaces = [None] * len(self.groups)    # _fft_workspace at length L
+        self._workspaces = [None] * len(self.groups)    # _FFTWorkspace at length L
 
     def _stencil(self, group: int, n: int) -> np.ndarray:
         """The group's stencil for an n-node window, rebuilt when W changes."""
-        kern = self.groups[group][0]
-        W, _ = _half_width(kern, self.dx, n - 1)
         cached = self._stencils[group]
-        if cached is None or cached[0] != W:
-            cached = (W, kernel_weights(kern, self.dx, max_half_width=n - 1))
-            self._stencils[group] = cached
-        return cached[1]
+        if cached is None or cached[0] != n:
+            kern = self.groups[group][0]
+            W, _ = _half_width(kern, self.dx, n - 1)
+            if cached is None or cached[1] != W:
+                weights = kernel_weights(kern, self.dx, max_half_width=n - 1)
+            else:
+                weights = cached[2]
+            cached = self._stencils[group] = (n, W, weights)
+        return cached[2]
 
     def _fft_buffers(self, group: int, weights: np.ndarray, n: int) -> tuple:
         """The group's weight spectrum and FFT workspace for an n-node window.
@@ -313,8 +346,8 @@ class DispersalOperator:
             cached = (L, W, _weight_spectrum(weights, L))
             self._spectra[group] = cached
         work = self._workspaces[group]
-        if work is None or work[0].shape[1] != L:
-            work = _fft_workspace(len(self.groups[group][1]), L)
+        if work is None or work.padded.shape[1] != L:
+            work = _FFTWorkspace(len(self.groups[group][1]), L)
             self._workspaces[group] = work
         return cached[2], work
 
@@ -343,8 +376,7 @@ def mirror_stable_sum(a: np.ndarray) -> float | np.ndarray:
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     half = n // 2
-    pairs = a[..., :half] + a[..., :n - half - 1:-1]
-    s = np.sum(pairs, axis=-1)
+    s = (a[..., :half] + a[..., :n - half - 1:-1]).sum(axis=-1)
     if n % 2:
         s = s + a[..., half]
     return float(s) if a.ndim == 1 else s
@@ -366,18 +398,30 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
     if not (g < h):
         raise ValueError("need g < h")
     rows = np.atleast_1d(rows)
-    if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= f.m:
+    listed = rows.tolist()
+    if rows.ndim != 1 or not listed or min(listed) < 0 or max(listed) >= f.m:
         raise IndexError(f"rows {rows} out of range for m={f.m}")
-    xs = f.x
-    if xs[0] < g - 1e-9 * f.dx or xs[-1] > h + 1e-9 * f.dx:
+    dx, n = f.dx, f.n
+    # the end nodes' coordinates, with the bits of f.x[0] and f.x[-1]
+    x_first, x_last = f.k_lo * dx, (f.k_lo + n - 1) * dx
+    if x_first < g - 1e-9 * dx or x_last > h + 1e-9 * dx:
         raise ValueError("active nodes must lie inside [g, h]")
-    lo, hi = xs[0] - g, h - xs[-1]          # partial cells at the left and right edge
-    if lo > f.dx * (1 + 1e-9) or hi > f.dx * (1 + 1e-9):
+    lo, hi = x_first - g, h - x_last         # partial cells at the left and right edge
+    if lo > dx * (1 + 1e-9) or hi > dx * (1 + 1e-9):
         raise ValueError("edges must align with the active range within one cell")
-    tails = np.asarray(kernel.tail(np.maximum(np.stack((xs - g, h - xs)), 0.0)), dtype=float)
-    integrand = tails[:, None, :] * f.values[rows]          # (edge, row, node)
-    left, right = f.dx * (mirror_stable_sum(integrand)
-                          - 0.5 * (integrand[..., 0] + integrand[..., -1]))
-    left = left + 0.5 * integrand[0, :, -1] * hi + 0.5 * integrand[0, :, 0] * lo
-    right = right + 0.5 * integrand[1, :, 0] * lo + 0.5 * integrand[1, :, -1] * hi
-    return left, right
+    xs = f.x
+    reach = np.empty((2, n))                 # distance of each node to g and to h
+    np.subtract(xs, g, out=reach[0])
+    np.subtract(h, xs, out=reach[1])
+    np.maximum(reach, 0.0, out=reach)
+    integrand = kernel.tail(reach)[:, None, :] * f.values[rows]      # (edge, row, node)
+    # one paired reduction for every (edge, row), then the trapezoid end
+    # terms and the partial cells, far cell first, in Python floats
+    (s_left, s_right), (a_left, a_right), (b_left, b_right) = (
+        mirror_stable_sum(integrand).tolist(), integrand[..., 0].tolist(),
+        integrand[..., -1].tolist())
+    left = [dx * (s - 0.5 * (a + b)) + 0.5 * b * hi + 0.5 * a * lo
+            for s, a, b in zip(s_left, a_left, b_left)]
+    right = [dx * (s - 0.5 * (a + b)) + 0.5 * a * lo + 0.5 * b * hi
+             for s, a, b in zip(s_right, a_right, b_right)]
+    return np.array(left), np.array(right)

@@ -238,9 +238,20 @@ def wnv(a1: float, a2: float, b1: float, b2: float, e1: float, e2: float,
     _positive("wnv", a1=a1, a2=a2, b1=b1, b2=b2, e1=e1, e2=e2)
 
     def rate(u):
+        # the operations of the two formulas above, in their order, written
+        # into one buffer; out[0, ...] stays an array view for 1-D states
         u1, u2 = u[0], u[1]
-        return np.stack([a1 * (e1 - u1) * u2 - b1 * u1,
-                         a2 * (e2 - u2) * u1 - b2 * u2])
+        out = np.empty((2,) + np.shape(u1))
+        f1, f2 = out[0, ...], out[1, ...]
+        np.subtract(e1, u1, out=f1)
+        f1 *= a1
+        f1 *= u2
+        f1 -= b1 * u1
+        np.subtract(e2, u2, out=f2)
+        f2 *= a2
+        f2 *= u1
+        f2 -= b2 * u2
+        return out
 
     def jac(u):
         u1, u2 = u[0], u[1]

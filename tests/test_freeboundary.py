@@ -7,14 +7,14 @@ whole file stays fast.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlspread import cauchy as cy
 from nlspread import freeboundary as fb
 from nlspread import kernels as kn
 from nlspread import reactions as rx
-from nlspread.nonlocal_ops import MeshTooCoarse
+from nlspread.nonlocal_ops import GridFunction, MeshTooCoarse
 
 
 def laplace1():
@@ -153,6 +153,44 @@ class TestStep:
         off = a.k_lo - b.k_lo
         assert off >= 0
         assert np.all(a.values <= b.values[:, off:off + a.n] + 1e-12)
+
+
+class TestTrack:
+    """_track reads the core |x| <= h0 as an index range; it must be the mask's node set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0.025, 0.1, 0.25, 0.3]), st.integers(0, 400),
+           st.sampled_from(["on", "decimal", "off"]), st.floats(0.0, 1.0),
+           st.integers(-60, 900), st.integers(1, 900))
+    def test_core_range_is_the_mask(self, dx, K, where, frac, shift, n):
+        # "on": h0 = K*dx as the lattice computes it; "decimal": the same
+        # rounded to 6 digits, a hair on either side (7*0.1 > 0.7); "off":
+        # between two nodes.  k_lo = -K + shift puts the core whole,
+        # partly or not at all inside the window.
+        h0 = {"on": K * dx, "decimal": round(K * dx, 6), "off": (K + frac) * dx}[where]
+        assume(h0 > 0)
+        k_lo = -K + shift
+        gf = GridFunction(dx, k_lo, np.random.default_rng(n).uniform(0.0, 1.0, (2, n)))
+        mask = np.abs(gf.x) <= h0
+        lo, hi = fb._core_range(k_lo, n, dx, h0)
+        assert np.array_equal(np.arange(lo, hi), np.nonzero(mask)[0])
+        total = gf.values.sum(axis=0)
+        core = total[mask]
+        state = fb.FBState(0.0, gf.x[0] - 0.5 * dx, gf.x[-1] + 0.5 * dx, gf)
+        assert fb._track(state, h0) == (float(core.min()) if core.size else 0.0,
+                                        float(total.max()))
+
+    @pytest.mark.parametrize("dx,h0,k_lo,n,expect", [
+        (0.1, 0.7, -10, 21, (4, 17)),        # 7*0.1 > 0.7: the core stops at 6 nodes
+        (0.3, 0.9, -5, 11, (2, 9)),          # 3*0.3 < 0.9: the core reaches 3 nodes
+        (0.25, 10.0, -20, 100, (0, 61)),     # window starts inside the core
+        (0.25, 10.0, 41, 5, (0, 0)),         # window right of the core
+        (0.025, 1.0, -100, 20, (0, 0)),      # window left of the core
+    ])
+    def test_core_range_cases(self, dx, h0, k_lo, n, expect):
+        assert range(*fb._core_range(k_lo, n, dx, h0)) == range(*expect)
+        xs = GridFunction(dx, k_lo, np.zeros((1, n))).x
+        assert np.array_equal(np.arange(*expect), np.nonzero(np.abs(xs) <= h0)[0])
 
 
 class TestRun:

@@ -164,6 +164,47 @@ class TestMirrorStableSum:
         assert mirror_stable_sum(a) == pytest.approx(float(np.sum(a)), abs=1e-12)
 
 
+def reference_boundary_flux(kernel, f, rows, g, h):
+    """The vectorized edge-flux formula: boundary_flux must give its bits."""
+    rows = np.atleast_1d(rows)
+    xs = f.x
+    lo, hi = xs[0] - g, h - xs[-1]
+    tails = np.asarray(kernel.tail(np.maximum(np.stack((xs - g, h - xs)), 0.0)), dtype=float)
+    integrand = tails[:, None, :] * f.values[rows]          # (edge, row, node)
+    n, half = xs.size, xs.size // 2                          # the center-paired sum
+    sums = np.sum(integrand[..., :half] + integrand[..., :n - half - 1:-1], axis=-1)
+    if n % 2:
+        sums = sums + integrand[..., half]
+    left, right = f.dx * (sums - 0.5 * (integrand[..., 0] + integrand[..., -1]))
+    left = left + 0.5 * integrand[0, :, -1] * hi + 0.5 * integrand[0, :, 0] * lo
+    right = right + 0.5 * integrand[1, :, 0] * lo + 0.5 * integrand[1, :, -1] * hi
+    return left, right
+
+
+FLUX_KERNELS = [("laplace", 1.0), ("gaussian", 0.7), ("uniform", 1.0), ("uniform", 1.1),
+                ("powerlaw", 1.0), ("table", 1.0)]
+
+
+@st.composite
+def flux_cases(draw):
+    """(kernel, dx, k_lo, m, n, rows, lo/dx, hi/dx): 1-600 nodes, edges in (0, dx]."""
+    kernel = draw(st.sampled_from(FLUX_KERNELS))
+    dx = draw(st.sampled_from([0.05, 0.1, 0.125, 0.25]) | st.floats(0.01, 0.3))
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    edge = st.floats(1e-6, 1.0)
+    return (kernel, dx, draw(st.integers(-700, 100)), m, draw(st.integers(1, 600)), rows,
+            draw(edge), draw(edge))
+
+
+def flux_setup(case):
+    """The kernel, grid function, rows and edges of a flux_cases draw."""
+    (family, scale), dx, k_lo, m, n, rows, lo, hi = case
+    gf = GridFunction(dx=dx, k_lo=k_lo,
+                      values=np.random.default_rng((n, m, k_lo + 700)).uniform(0.0, 2.0, (m, n)))
+    return family_kernel(family, scale), gf, rows, gf.x[0] - lo * dx, gf.x[-1] + hi * dx
+
+
 class TestBoundaryFlux:
     def test_uniform_kernel_constant_data_closed_form(self):
         # right-edge flux of f=1 on [-2, 2] under the uniform(1) kernel:
@@ -226,10 +267,36 @@ class TestBoundaryFlux:
     def test_misaligned_range_rejected(self):
         kern = make_kernel(KernelSpec.uniform(1.0))
         gf = GridFunction(dx=0.1, k_lo=-10, values=np.ones((1, 21)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="within one cell"):
             boundary_flux(kern, gf, [0], -1.0, 1.5)   # gap > one cell
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"inside \[g, h\]"):
             boundary_flux(kern, gf, [0], -0.5, 1.05)  # nodes outside [g, h]
+        with pytest.raises(ValueError, match=r"inside \[g, h\]"):
+            boundary_flux(kern, gf, [0], -1.05, 0.5)
+        with pytest.raises(ValueError, match="within one cell"):
+            boundary_flux(kern, gf, [0], -1.5, 1.0)
+        with pytest.raises(ValueError, match="need g < h"):
+            boundary_flux(kern, gf, [0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("rows", [[-1], [0, 3], [3], [], np.array([], dtype=int)])
+    def test_rows_out_of_range_rejected(self, rows):
+        kern = make_kernel(KernelSpec.laplace(1.0))
+        gf = GridFunction(dx=0.1, k_lo=-10, values=np.ones((3, 21)))
+        with pytest.raises(IndexError, match="out of range for m=3"):
+            boundary_flux(kern, gf, rows, -1.05, 1.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(flux_cases())
+    @example((("uniform", 1.0), 0.1, -37, 3, 75, [0, 2], 1.0, 1.0))     # support edge on nodes
+    @example((("table", 1.0), 0.25, 0, 3, 1, [2, 0], 0.5, 1.0))         # one node
+    def test_matches_the_reference_bitwise_and_mirrors(self, case):
+        kern, gf, rows, g, h = flux_setup(case)
+        left, right = boundary_flux(kern, gf, rows, g, h)
+        ref_left, ref_right = reference_boundary_flux(kern, gf, rows, g, h)
+        assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
+        mirror = GridFunction(gf.dx, -gf.k_hi, gf.values[:, ::-1])
+        mirror_left, mirror_right = boundary_flux(kern, mirror, rows, -h, -g)
+        assert np.array_equal(mirror_left, right) and np.array_equal(mirror_right, left)
 
 
 def _hat_and_conv(kern, profile_fn, half_width, dx):
@@ -552,7 +619,9 @@ class TestFFTWorkspace:
     @PROPERTY
     @given(blocks(min_n=20, max_n=200), st.data())
     def test_narrower_window_at_the_same_length_reads_fresh(self, block, data):
-        # the wider window leaves data in the pad tail of the kept input buffer
+        # a wider window leaves data in the pad tail of the kept input
+        # buffer; windows at one L, in any order, must read what a fresh
+        # operator reads
         kern, dx, vals = block
         by_length = {}
         for k in range(2, vals.shape[1] + 1):
@@ -561,14 +630,16 @@ class TestFFTWorkspace:
         shared = [ks for ks in by_length.values() if len(ks) > 1]
         assume(shared)
         ks = data.draw(st.sampled_from(shared))
+        order = [ks[-1], ks[0], *data.draw(st.permutations(ks))]
         op = DispersalOperator((kern,) * vals.shape[0], dx)
         with forced("fft"):
-            op.convolve(vals[:, :ks[-1]])
+            op.convolve(vals[:, :order[0]])
             work = op._workspaces[0]
-            got = op.convolve(vals[:, :ks[0]])
-            assert op._workspaces[0] is work
-            fresh = DispersalOperator((kern,) * vals.shape[0], dx).convolve(vals[:, :ks[0]])
-        assert np.array_equal(got, fresh)
+            for k in order[1:]:
+                got = op.convolve(vals[:, :k])
+                assert op._workspaces[0] is work
+                fresh = DispersalOperator((kern,) * vals.shape[0], dx).convolve(vals[:, :k])
+                assert np.array_equal(got, fresh)
 
     @PROPERTY
     @given(blocks(min_n=5))

@@ -121,6 +121,21 @@ class TestRateAndJacobian:
             J_fd = rx._fd_jacobian(model, u)
             assert np.allclose(J, J_fd, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("u", [
+        np.array([0.2, 0.3]),
+        np.array([1.5, 0.0]),
+        np.random.default_rng(4).uniform(0.0, 2.0, size=(2, 1)),
+        np.random.default_rng(5).uniform(0.0, 2.0, size=(2, 257)),
+        np.random.default_rng(6).uniform(0.0, 2.0, size=(2, 40))[:, ::-3],    # strided view
+    ])
+    def test_wnv_rate_is_the_stacked_formulas_bitwise(self, u):
+        a1, a2, b1, b2, e1, e2 = 0.8, 1.1, 0.3, 0.45, 1.5, 2.0
+        u1, u2 = u[0], u[1]
+        ref = np.stack([a1 * (e1 - u1) * u2 - b1 * u1,
+                        a2 * (e2 - u2) * u1 - b2 * u2])
+        got = rx.eval_F(rx.wnv(a1, a2, b1, b2, e1, e2), u, validate=False)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
     def test_cone_and_ceiling_validation(self):
         model = wnv_default()
         with pytest.raises(rx.OutOfCone):
