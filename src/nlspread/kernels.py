@@ -60,7 +60,7 @@ class NegativeTableValue(KernelError):
 
 
 class InvalidLambda(KernelError):
-    """Exponential-moment rate must be positive and finite."""
+    """Exponential-moment rate must be finite."""
 
 
 @dataclass(frozen=True)
@@ -349,28 +349,11 @@ def overflow_rate(kernel: Kernel) -> float:
     return 700.0 / kernel.compact_support
 
 
-def exp_moment(kernel: Kernel, lam: float) -> float:
-    """Integral of exp(lam*x)*J(x) over [0, inf); INFINITE when divergent."""
-    if not (lam > 0) or not math.isfinite(lam):
-        raise InvalidLambda("exponential-moment rate must satisfy 0 < lam < inf")
-    if not lam < exp_abscissa(kernel):
-        return INFINITE
-    spec = kernel.spec
-    fam = spec.family
-    if fam == "uniform":
-        r = spec.radius
-        return (math.expm1(lam * r)) / (2.0 * r * lam)
-    if fam == "laplace":
-        return 1.0 / (2.0 * (1.0 - lam * spec.scale))
-    if fam == "gaussian":
-        s = spec.sigma
-        return 0.5 * math.exp(0.5 * (lam * s) ** 2) * (1.0 + math.erf(lam * s / math.sqrt(2.0)))
-    return _half_line_integral(kernel, lambda x: np.exp(lam * x))
-
-
 def two_sided_exp_moment(kernel: Kernel, lam: float) -> float:
-    """Integral of exp(lam*x)*J(x) over the whole line (even in lam)."""
+    """Integral of exp(lam*x)*J(x) over the whole line (even in lam); INFINITE when divergent."""
     lam = abs(float(lam))
+    if not math.isfinite(lam):
+        raise InvalidLambda("exponential-moment rate must be finite")
     if lam == 0.0:
         return 1.0
     if not lam < exp_abscissa(kernel):

@@ -47,13 +47,15 @@ row with the symmetric stencil and R reverses.  For the mirrored row R(v)
 this is 0.5 * (C(R(v)) + R(C(v))), the reversal of the same two arrays
 added in the other order, and IEEE addition commutes, so mirrored inputs
 give bitwise-mirrored outputs by construction, whatever order the dot
-products inside C sum in.  C reads a copy of the row in a fresh padded
-buffer, so it sees the same bits at the same offsets wherever the row sat
-in memory (the row-block tests check offset and reversed views).  Rows
-are convolved one at a time, so a row block gives bitwise the per-row
-results.  Edge fluxes reduce arrays with a center-pairing sum for the
-same reason, and each edge adds its far partial cell before its near one,
-so the left flux of mirrored data is bitwise the right flux of the data.
+products inside C sum in.  C reads a copy of the row at offset W of a
+zero-padded buffer (the operator keeps one per group and makes it anew
+when n changes; no call writes its pad), so it sees the same bits at the
+same offsets wherever the row sat in memory (the row-block tests check
+offset and reversed views).  Rows are convolved one at a time, so a row
+block gives bitwise the per-row results.  Edge fluxes reduce arrays with
+a center-pairing sum for the same reason, and each edge adds its far
+partial cell before its near one, so the left flux of mirrored data is
+bitwise the right flux of the data.
 """
 
 from __future__ import annotations
@@ -155,26 +157,33 @@ def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None)
     return np.concatenate([w_half[:0:-1], w_half])      # symmetric, length 2W+1
 
 
-def _convolve_direct(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _convolve_direct(values: np.ndarray, weights: np.ndarray, *,
+                     padded: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Windowed sum of a row block, 0.5 * (C(v) + R(C(R(v)))) per row.
 
     C is np.correlate of the zero-padded row with the stencil, which is
     the convolution because the stencil is symmetric; R reverses.  See the
     module note for why the pair makes the result mirror-exact.
+    ``padded`` is a zero vector of length n + 2W and ``out`` an array of
+    the block's shape when the caller keeps them; a call writes only the
+    middle n entries of ``padded``, so its pad stays zero for the next.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     W = (len(weights) - 1) // 2
-    rows = values.reshape(-1, n)
-    out = np.empty(rows.shape)
-    padded = np.zeros(n + 2 * W)
-    for row, dst in zip(rows, out):
-        padded[W:W + n] = row
-        dst[:] = np.correlate(padded, weights, "valid")
-        padded[W:W + n] = row[::-1]
-        dst += np.correlate(padded, weights, "valid")[::-1]
+    if padded is None:
+        padded = np.zeros(n + 2 * W)
+    if out is None:
+        out = np.empty(values.shape)
+    slot = padded[W:W + n]
+    for row, dst in zip(values.reshape(-1, n), out.reshape(-1, n)):
+        slot[:] = row
+        first = np.correlate(padded, weights, "valid")
+        slot[:] = row[::-1]
+        np.add(first, np.correlate(padded, weights, "valid")[::-1], out=dst)
     out *= 0.5
-    return out.reshape(values.shape)
+    return out
 
 
 def _smooth_length(t: int) -> int:
@@ -316,12 +325,21 @@ class DispersalOperator:
         for i, kern in enumerate(kernels):
             rows.setdefault(kern.spec, []).append(i)
         self.groups = tuple((kernels[r[0]], np.array(r)) for r in rows.values())
-        self._stencils = [None] * len(self.groups)      # (n, W, weights)
+        # a run of consecutive rows is indexed by a slice, so that the
+        # convolution reads and writes it as a view, not through copies
+        self._rows = [slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
+                      for r in rows.values()]
+        self._stencils = [None] * len(self.groups)      # (n, W, weights, padded row)
         self._spectra = [None] * len(self.groups)       # (L, W, spectrum)
         self._workspaces = [None] * len(self.groups)    # _FFTWorkspace at length L
 
-    def _stencil(self, group: int, n: int) -> np.ndarray:
-        """The group's stencil for an n-node window, rebuilt when W changes."""
+    def _stencil(self, group: int, n: int) -> tuple:
+        """The group's stencil for an n-node window, rebuilt when W changes.
+
+        Returns (weights, padded), where padded is the zero row of length
+        n + 2W the direct path copies each row into (None on the FFT path),
+        made anew when n changes.
+        """
         cached = self._stencils[group]
         if cached is None or cached[0] != n:
             kern = self.groups[group][0]
@@ -330,8 +348,9 @@ class DispersalOperator:
                 weights = kernel_weights(kern, self.dx, max_half_width=n - 1)
             else:
                 weights = cached[2]
-            cached = self._stencils[group] = (n, W, weights)
-        return cached[2]
+            padded = np.zeros(n + 2 * W) if W <= FFT_WINDOW_THRESHOLD else None
+            cached = self._stencils[group] = (n, W, weights, padded)
+        return cached[2:]
 
     def _fft_buffers(self, group: int, weights: np.ndarray, n: int) -> tuple:
         """The group's weight spectrum and FFT workspace for an n-node window.
@@ -355,10 +374,13 @@ class DispersalOperator:
         """(m0, n) array of J_i * u_i for the first m0 rows of vals."""
         n = vals.shape[-1]
         out = np.empty((self.m0, n))
-        for group, (_, rows) in enumerate(self.groups):
-            weights = self._stencil(group, n)
-            if (len(weights) - 1) // 2 <= FFT_WINDOW_THRESHOLD:
-                out[rows] = _convolve_direct(vals[rows], weights)
+        for group, rows in enumerate(self._rows):
+            weights, padded = self._stencil(group, n)
+            if padded is not None:      # W <= FFT_WINDOW_THRESHOLD: the direct path
+                # out[rows] is a view for a slice, so the assignment copies
+                # nothing; for an index array it scatters the result
+                out[rows] = _convolve_direct(vals[rows], weights, padded=padded,
+                                             out=out[rows])
             else:
                 out[rows] = _convolve_fft(vals[rows], weights,
                                           *self._fft_buffers(group, weights, n))

@@ -162,27 +162,37 @@ def _scan_powers(r: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
     return powers
 
 
-def _upwind_scan(a: np.ndarray, powers, tmp: np.ndarray) -> np.ndarray:
-    """Solve phi_k = a_k + r phi_{k+1} right to left, in place in ``a``.
+def _scan_passes(a: np.ndarray, powers, tmp: np.ndarray) -> list:
+    """The views each pass of ``_upwind_scan`` works on, for the state ``a``.
 
-    ``a`` and ``tmp`` are C-contiguous (m, n) arrays and ``a[:, -1]``
-    holds phi_{n-1}.  After the pass with shift s each node holds the
-    sum of r^j a_{k+j} over j < 2s, so log2 n passes do what a loop
-    over the nodes does.
+    ``a`` and ``tmp`` are C-contiguous (m, n) arrays; a pass with shift s
+    reads a from node s on, multiplies by its weights into tmp and adds
+    that to a up to node m n - s, all on the arrays flattened row by row.
     """
     x, t = a.reshape(-1), tmp.reshape(-1)
-    for shift, w in powers:
-        k = x.size - shift
-        np.multiply(x[shift:], w, out=t[:k])
-        x[:k] += t[:k]
-    return a
+    return [(x[shift:], w, t[:w.size], x[:w.size]) for shift, w in powers]
+
+
+def _upwind_scan(passes) -> None:
+    """Solve phi_k = a_k + r phi_{k+1} right to left, in place in the state.
+
+    ``passes`` are the ``_scan_passes`` of a state whose last column holds
+    phi_{n-1}.  After the pass with shift s each node holds the sum of
+    r^j a_{k+j} over j < 2s, so log2 n passes do what a loop over the
+    nodes does.
+    """
+    for source, w, product, target in passes:
+        np.multiply(source, w, out=product)
+        np.add(target, product, out=target)
 
 
 class _Sweep:
     """The relaxation sweep T at speed c on an n-node grid of [-L, 0].
 
-    Holds the kernel stencils, the scan powers and the buffers that
-    persist across sweeps; ``step`` holds T(phi) - phi of the last call.
+    Holds the kernel stencils, the scan passes and the buffers that
+    persist across sweeps: the state ``a`` the scan runs on, and ``step``,
+    T(phi) - phi of the last call.  Each call returns the fresh array of
+    its ``eval_F`` call, which the model's rate allocates.
     """
 
     def __init__(self, c: float, model: ReactionModel, kerns, n: int, dx: float):
@@ -192,7 +202,6 @@ class _Sweep:
         self.dtau = relaxation_step(model)
         s = self.dtau * self.c_dx
         bs = 1.0 + self.dtau * model.d[:, None] + s      # B_i + s
-        self.powers = _scan_powers(s / bs, n)
         # per-row constants spelled out over the grid: ufuncs on operands
         # of one shape skip the slower broadcasting loops
         self.ceiling, self.d, self.bs = (np.repeat(v, n, axis=1)
@@ -209,27 +218,30 @@ class _Sweep:
             ext[:half] = u_star[i]
             self.stencils.append((w, half, ext))
         self.conv = np.zeros((model.m, n))
-        self.tmp = np.empty((model.m, n))
+        self.a = np.empty((model.m, n))
+        self.passes = _scan_passes(self.a, _scan_powers(s / bs, n), np.empty((model.m, n)))
         self.step = np.empty((model.m, n))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
         n = u.shape[1]
+        # the stencils are symmetric, so the correlation is the convolution
         for i, (w, half, ext) in enumerate(self.stencils):
             ext[half:half + n] = u[i]
-            self.conv[i] = np.convolve(ext, w, mode="valid")
+            self.conv[i] = np.correlate(ext, w, "valid")
         return self.conv
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        new = np.ascontiguousarray(eval_F(self.model, phi, validate=False))
-        new += np.multiply(self.d, self.convolve(phi), out=self.conv)
-        new *= self.dtau
-        new += phi
-        new /= self.bs
-        new[:, -1] = 0.0
-        _upwind_scan(new, self.powers, self.tmp)
-        new[:, 0] = self.u_star
-        np.maximum(new, 0.0, out=new)
-        np.minimum(new, self.ceiling, out=new)
+        rate = eval_F(self.model, phi, validate=False)
+        a = np.add(rate, np.multiply(self.d, self.convolve(phi), out=self.conv), out=self.a)
+        a *= self.dtau
+        a += phi
+        a /= self.bs
+        a[:, -1] = 0.0
+        _upwind_scan(self.passes)
+        a[:, 0] = self.u_star
+        np.maximum(a, 0.0, out=a)
+        # the rate's fresh array takes the result, one allocation per sweep
+        new = np.minimum(a, self.ceiling, out=rate)
         np.subtract(new, phi, out=self.step)
         return new
 
@@ -342,21 +354,22 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
 
     guarded = stop_dead or stop_mu is not None or start is not None
     floor = 8.0 * np.finfo(float).eps * float(np.max(u_star))
+    tol_step = tol * sweep.dtau
+    step = sweep.step
     mid = (n - 1) // 2
     it = 0
     stop = "budget"
     for it in range(1, max_iter + 1):
         phi = sweep(phi)
-        rise = float(np.max(sweep.step))
+        rise = float(step.max())
         if guarded and rise > floor:
             raise NotMonotone(
                 f"profile relaxation at c={c:g}, L={L:g} from the {source} start "
                 f"rose by {rise:.3g} at sweep {it}")
-        delta = max(rise, -float(np.min(sweep.step)))
-        if delta < tol * sweep.dtau:
+        if max(rise, -float(step.min())) < tol_step:
             stop = "tol"
             break
-        if stop_dead and float(np.min(phi[:, mid] / u_star)) < 0.5:
+        if stop_dead and float((phi[:, mid] / u_star).min()) < 0.5:
             stop = "dead"
             break
         if stop_mu is not None and float(np.dot(stop_mu, flux_integrals(phi))) - c <= 0.0:
@@ -579,16 +592,22 @@ def _minimal_speed(model: ReactionModel, kerns, moment, rate, lam_max: float = I
     over the rates from 1e-4 core scales to the exponential abscissa
     (200 core scales without one), the overflow rate and ``lam_max`` is
     read on a 600-point geometric grid and zoomed: the cells around the
-    argmin are rescanned on 65 points until they span 1e-10 of lam.  The
+    argmin are rescanned on 65 points until they span 1e-10 of lam.  Each
+    grid is one stacked eigenvalue call, and ``speed`` reads one rate
+    through the same arithmetic, so it returns the grid's bits.  The
     minimum is INFINITE when some kernel has no finite exponential moment.
     """
     J0 = jacobian(model, np.zeros(model.m))
 
-    def speed(lam: float) -> float:
-        A = J0.copy()
+    def speeds(lams: np.ndarray) -> np.ndarray:
+        A = np.repeat(J0[None], lams.size, axis=0)
         for i in range(model.m0):
-            A[i, i] += model.d[i] * (moment(i, lam) - 1.0)
-        return float(np.max(np.real(np.linalg.eigvals(A)))) / rate(lam)
+            A[:, i, i] += model.d[i] * (np.array([moment(i, lam) for lam in lams]) - 1.0)
+        growth = np.linalg.eigvals(A).real.max(axis=1)
+        return growth / np.array([rate(lam) for lam in lams])
+
+    def speed(lam: float) -> float:
+        return float(speeds(np.array([lam]))[0])
 
     lam_hi = min(exp_abscissa(k) for k in kerns)
     if lam_hi <= 0.0:
@@ -598,10 +617,10 @@ def _minimal_speed(model: ReactionModel, kerns, moment, rate, lam_max: float = I
     hi = min(hi, lam_max, *(overflow_rate(k) for k in kerns))
     grid, best, arg = np.geomspace(1e-4 / core, hi, 600), math.inf, math.nan
     while True:
-        vals = [speed(l) for l in grid]
+        vals = speeds(grid)
         j = int(np.argmin(vals))
         if vals[j] < best:
-            best, arg = vals[j], float(grid[j])
+            best, arg = float(vals[j]), float(grid[j])
         a, b = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
         if b - a <= 1e-10 * b:
             return best, arg, speed

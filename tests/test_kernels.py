@@ -15,7 +15,6 @@ from nlspread.kernels import (
     NegativeTableValue,
     NonNormalizable,
     classify,
-    exp_moment,
     first_moment,
     kernel_from_json,
     make_kernel,
@@ -134,32 +133,33 @@ class TestMoments:
 
     def test_laplace_exp_moment(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
-        assert exp_moment(kern, 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert exp_moment(kern, 1.0) == INFINITE
-        assert exp_moment(kern, 1.5) == INFINITE
+        assert two_sided_exp_moment(kern, 0.5) == pytest.approx(4.0 / 3.0, abs=1e-15)
+        assert two_sided_exp_moment(kern, -0.5) == two_sided_exp_moment(kern, 0.5)
+        assert two_sided_exp_moment(kern, 1.0) == INFINITE
+        assert two_sided_exp_moment(kern, 1.5) == INFINITE
 
     def test_exp_moment_against_quadrature(self):
         kern = make_kernel(KernelSpec.gaussian(0.8))
         # integrand peaks near lam*sigma^2 and is negligible past ~20 sigma
         ref, _ = integrate.quad(lambda x: math.exp(0.7 * x) * float(kern.density(x)),
-                                0, 20.0, limit=400)
-        assert exp_moment(kern, 0.7) == pytest.approx(ref, rel=1e-8)
+                                -20.0, 20.0, limit=400, points=[0.0])
+        assert two_sided_exp_moment(kern, 0.7) == pytest.approx(ref, rel=1e-8)
         kern = make_kernel(KernelSpec.uniform(2.0))
         ref, _ = integrate.quad(lambda x: math.exp(1.1 * x) * float(kern.density(x)),
-                                0, 2.0, limit=200)
-        assert exp_moment(kern, 1.1) == pytest.approx(ref, rel=1e-10)
+                                -2.0, 2.0, limit=200, points=[0.0])
+        assert two_sided_exp_moment(kern, 1.1) == pytest.approx(ref, rel=1e-10)
 
     def test_powerlaw_exp_moment_always_infinite(self):
         for gamma in (1.5, 2.0, 3.0, 6.0):
             kern = make_kernel(KernelSpec.powerlaw(gamma, 1.0))
-            assert exp_moment(kern, 0.01) == INFINITE
+            assert two_sided_exp_moment(kern, 0.01) == INFINITE
 
     def test_invalid_lambda(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
-        with pytest.raises(InvalidLambda):
-            exp_moment(kern, 0.0)
-        with pytest.raises(InvalidLambda):
-            exp_moment(kern, -1.0)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidLambda):
+                two_sided_exp_moment(kern, lam)
+        assert two_sided_exp_moment(kern, 0.0) == 1.0
 
     def test_two_sided_moment_closed_forms(self):
         lap = make_kernel(KernelSpec.laplace(1.0))

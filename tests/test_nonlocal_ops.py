@@ -560,6 +560,13 @@ class TestDispersalOperator:
         assert kernels[0] is not kernels[2]
         op = DispersalOperator(kernels, 0.25)
         assert [list(rows) for _, rows in op.groups] == [[0, 2], [1]]
+        # rows 0 and 2 are gathered and scattered, row 1 is a slice: each
+        # row of the block result is that row's own direct convolution
+        vals = np.random.default_rng(0).uniform(0.0, 1.0, (3, 120))
+        got = op.convolve(vals)
+        for i, kern in enumerate(kernels):
+            w = kernel_weights(kern, 0.25, max_half_width=119)
+            assert np.array_equal(got[i], _convolve_direct(vals[i], w))
 
     def test_one_stencil_build_per_half_width(self):
         kern = make_kernel(KernelSpec.laplace(1.0))

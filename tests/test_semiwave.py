@@ -5,6 +5,7 @@ profiles are cached across speed-functional calls through the shared
 cache hook, which also exercises its reuse path.
 """
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import nlspread.reactions as rx
 from nlspread import semiwave as sw
-from nlspread.kernels import INFINITE, KernelSpec, make_kernel
+from nlspread.kernels import (INFINITE, KernelSpec, exp_abscissa, make_kernel, overflow_rate,
+                              two_sided_exp_moment)
 
 
 @pytest.fixture(scope="module")
@@ -482,9 +484,14 @@ PRESETS = {"wnv": rx.wnv, "cholera": rx.cholera, "concave": rx.concave}
 
 
 @st.composite
-def preset_models(draw, kind):
-    """The preset ``kind`` with drawn parameters and a positive equilibrium."""
+def preset_models(draw, kind, dispersal=False):
+    """The preset ``kind`` with drawn parameters and a positive equilibrium.
+
+    With ``dispersal`` the two dispersal rates are drawn too (else 1).
+    """
     params = {p: draw(st.floats(0.2, 3.0)) for p in rx.PRESET_PARAMS[kind]}
+    if dispersal:
+        params["d"] = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)))
     model = PRESETS[kind](**params)
     try:
         rx.positive_equilibrium(model)
@@ -515,7 +522,8 @@ class TestUpwindSweep:
         r = np.array(rs)[:, None]
         a = np.random.default_rng(seed).uniform(0.0, 1.0, (2, n))
         powers = sw._scan_powers(r, n)
-        got = sw._upwind_scan(a.copy(), powers, np.empty_like(a))
+        got = a.copy()
+        sw._upwind_scan(sw._scan_passes(got, powers, np.empty_like(a)))
         # each pass rounds a power, a product and a sum of nonnegative terms;
         # the terms past the last power sum to r**(2 shift) phi_{k + 2 shift},
         # below SCAN_FLOOR max(phi) (``_scan_powers``)
@@ -657,3 +665,264 @@ class TestEdgeSpeedProbes:
         sol = sw.solve_profile(0.3, model, kern, 30.0, dx=0.25, tol=TOL, strict=False)
         expect = [np.trapezoid(sol.phi[i] * kern.tail(-sol.x), sol.x) for i in range(2)]
         np.testing.assert_allclose(sol.flux_integrals, expect, rtol=1e-15, atol=0.0)
+
+
+# ----------------------------------------------------------------------
+# frozen references: the sweep, the relaxation loop and the linear speeds
+# in their plain form (one np.convolve per row, the scan building its
+# views on every pass, np.max / np.min on the step, one eigenvalue
+# call per rate).  The solver trims numpy calls, never arithmetic, so it
+# must give these bits exactly.
+
+class _ReferenceSweep:
+    """The relaxation sweep as first written; ``__call__`` returns (T(phi), T(phi) - phi)."""
+
+    def __init__(self, c, model, kerns, n, dx):
+        self.model = model
+        self.u_star = u_star = rx.positive_equilibrium(model)
+        self.c_dx = c / dx
+        self.dtau = sw.relaxation_step(model)
+        s = self.dtau * self.c_dx
+        bs = 1.0 + self.dtau * model.d[:, None] + s
+        self.powers = sw._scan_powers(s / bs, n)
+        self.ceiling, self.d, self.bs = (np.repeat(v, n, axis=1)
+                                         for v in (u_star[:, None], model.d[:, None], bs))
+        self.stencils = []
+        for i, k in enumerate(kerns):
+            cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
+            w = sw.kernel_weights(k, dx, max_half_width=cap)
+            half = (w.size - 1) // 2
+            ext = np.zeros(n + 2 * half)
+            ext[:half] = u_star[i]
+            self.stencils.append((w, half, ext))
+
+    def convolve(self, u):
+        n = u.shape[1]
+        conv = np.zeros((self.model.m, n))
+        for i, (w, half, ext) in enumerate(self.stencils):
+            ext[half:half + n] = u[i]
+            conv[i] = np.convolve(ext, w, mode="valid")
+        return conv
+
+    def __call__(self, phi):
+        new = np.ascontiguousarray(rx.eval_F(self.model, phi, validate=False))
+        new += self.d * self.convolve(phi)
+        new *= self.dtau
+        new += phi
+        new /= self.bs
+        new[:, -1] = 0.0
+        x = new.reshape(-1)
+        t = np.empty_like(x)
+        for shift, w in self.powers:
+            k = x.size - shift
+            np.multiply(x[shift:], w, out=t[:k])
+            x[:k] += t[:k]
+        new[:, 0] = self.u_star
+        np.maximum(new, 0.0, out=new)
+        np.minimum(new, self.ceiling, out=new)
+        return new, new - phi
+
+
+def _reference_solve(c, model, kernels, L, dx, tol=1e-8, max_iter=60_000, *,
+                     stop_dead=False, stop_mu=None, start=None):
+    """The relaxation loop as first written: (phi, iterations, stop, start, flux integrals)."""
+    kerns = sw._component_kernels(kernels, model.m0)
+    n, dx = sw._mesh(kerns, L, dx)
+    x = np.linspace(-L, 0.0, n)
+    sweep = _ReferenceSweep(c, model, kerns, n, dx)
+    u_star = sweep.u_star
+    half_gap = 0.5 * np.diff(x)
+    trap = np.zeros(n)
+    trap[:-1] += half_gap
+    trap[1:] += half_gap
+    tail_w = np.array([k.tail(-x) for k in kerns]) * trap
+
+    def flux_integrals(u):
+        return np.vecdot(u[:model.m0], tail_w)
+
+    if stop_mu is not None:
+        stop_mu = np.full(model.m0, float(stop_mu))
+    phi = np.repeat(u_star[:, None], n, axis=1)
+    phi[:, -1] = 0.0
+    source = "saturated"
+    if start is not None:
+        phi[:] = start.phi
+        source = "speed" if start.c < c else "resume"
+    guarded = stop_dead or stop_mu is not None or start is not None
+    floor = 8.0 * np.finfo(float).eps * float(np.max(u_star))
+    mid = (n - 1) // 2
+    stop = "budget"
+    for it in range(1, max_iter + 1):
+        phi, step = sweep(phi)
+        rise = float(np.max(step))
+        if guarded and rise > floor:
+            raise sw.NotMonotone(f"rose by {rise:.3g} at sweep {it}")
+        delta = max(rise, -float(np.min(step)))
+        if delta < tol * sweep.dtau:
+            stop = "tol"
+            break
+        if stop_dead and float(np.min(phi[:, mid] / u_star)) < 0.5:
+            stop = "dead"
+            break
+        if stop_mu is not None and float(np.dot(stop_mu, flux_integrals(phi))) - c <= 0.0:
+            stop = "sign"
+            break
+    return phi, it, stop, source, flux_integrals(phi)
+
+
+def _reference_minimal_speed(model, kerns, moment, rate, lam_max=INFINITE):
+    """The minimizer of s(lam) / rate(lam) as first written, one eigenvalue call per rate."""
+    J0 = rx.jacobian(model, np.zeros(model.m))
+
+    def speed(lam):
+        A = J0.copy()
+        for i in range(model.m0):
+            A[i, i] += model.d[i] * (moment(i, lam) - 1.0)
+        return float(np.max(np.real(np.linalg.eigvals(A)))) / rate(lam)
+
+    lam_hi = min(exp_abscissa(k) for k in kerns)
+    if lam_hi <= 0.0:
+        return INFINITE, math.nan, speed
+    core = min(k.core_scale for k in kerns)
+    hi = lam_hi * (1.0 - 1e-9) if math.isfinite(lam_hi) else 200.0 / core
+    hi = min(hi, lam_max, *(overflow_rate(k) for k in kerns))
+    grid, best, arg = np.geomspace(1e-4 / core, hi, 600), math.inf, math.nan
+    while True:
+        vals = [speed(lam) for lam in grid]
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, arg = vals[j], float(grid[j])
+        a, b = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+        if b - a <= 1e-10 * b:
+            return best, arg, speed
+        grid = np.linspace(a, b, 65)
+
+
+def _reference_linearized_speed(model, kern):
+    kerns = (kern,) * model.m0
+    return _reference_minimal_speed(model, kerns,
+                                    lambda i, lam: two_sided_exp_moment(kerns[i], lam),
+                                    lambda lam: lam)[0]
+
+
+def _reference_discrete_speed(model, kern, dx, L):
+    kerns = (kern,) * model.m0
+    n, h = sw._mesh(kerns, L, dx)
+    stencils = _ReferenceSweep(0.0, model, kerns, n, h).stencils
+    offsets = [h * np.arange(-half, half + 1) for _, half, _ in stencils]
+    c_h, lam, speed = _reference_minimal_speed(
+        model, kerns, lambda i, lam: float(np.dot(stencils[i][0], np.exp(lam * offsets[i]))),
+        lambda lam: -math.expm1(-lam * h) / h, 700.0 / max(o[-1] for o in offsets))
+    if not math.isfinite(c_h):
+        return c_h, math.nan, math.nan
+    step = 1e-3 * lam
+    curvature = (speed(lam + step) - 2.0 * c_h + speed(lam - step)) / step ** 2
+    return c_h, lam, 0.5 * math.pi ** 2 * curvature
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _table_kernel(scale):
+    x = np.linspace(-30.0 * scale, 30.0 * scale, 2401)
+    return make_kernel(KernelSpec.table(x, np.exp(-np.abs(x) / scale)))
+
+
+# every family, with a core scale of 4 dx (8 dx for the table, whose core is
+# its half width at half maximum); the uniform support edge on and off a
+# node; the power law's stencil cut at 64 core scales, past the window
+SWEEP_KERNELS = {
+    "laplace": lambda dx: make_kernel(KernelSpec.laplace(4.0 * dx)),
+    "gaussian": lambda dx: make_kernel(KernelSpec.gaussian(4.0 * dx)),
+    "uniform_on_a_node": lambda dx: make_kernel(KernelSpec.uniform(6.0 * dx)),
+    "uniform_off_the_nodes": lambda dx: make_kernel(KernelSpec.uniform(6.37 * dx)),
+    "powerlaw_at_the_cap": lambda dx: make_kernel(KernelSpec.powerlaw(1.5, 4.0 * dx)),
+    "table": lambda dx: _table_kernel(8.0 * dx),
+}
+
+
+@st.composite
+def sweep_problems(draw, family, kind):
+    """(model, kernels, n, dx) for a kernel family and a preset, or a custom model with m0 < m."""
+    dx = draw(st.sampled_from((0.125, 0.25)))
+    kern = SWEEP_KERNELS[family](dx)
+    if kind == "custom":
+        model = rx.custom(["(1 - u1)*u2 - 0.5*u1", "(1 - u2)*u1 - 0.5*u2"],
+                          {}, m0=1, u_ceiling=[1.0, 1.0])
+    else:
+        model = draw(preset_models(kind, dispersal=True))
+    n = draw(st.integers(20, 40)) * int(round(kern.core_scale / dx)) + 1
+    return model, (kern,) * model.m0, n, dx
+
+
+class TestFrozenReferences:
+    @pytest.mark.parametrize("kind", sorted(PRESETS) + ["custom"])
+    @pytest.mark.parametrize("family", sorted(SWEEP_KERNELS))
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data(), c=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sweep_is_the_reference_bitwise(self, family, kind, data, c, seed):
+        model, kerns, n, dx = data.draw(sweep_problems(family, kind))
+        T = sw._Sweep(c, model, kerns, n, dx)
+        ref = _ReferenceSweep(c, model, kerns, n, dx)
+        rng = np.random.default_rng(seed)
+        phi = T.u_star[:, None] * rng.uniform(0.0, 1.0, (model.m, n))
+        # two calls in a row: the kept buffers carry nothing into the next
+        first = T(phi)
+        want, step = ref(phi)
+        assert _bits(first) == _bits(want) and _bits(T.step) == _bits(step)
+        second = T(first)
+        want, step = ref(want)
+        assert _bits(second) == _bits(want) and _bits(T.step) == _bits(step)
+        assert _bits(first) == _bits(ref(phi)[0])
+
+    @pytest.mark.parametrize("c,kw,stop", [
+        (0.3, dict(tol=1e-10), "tol"),
+        (2.5, dict(stop_dead=True), "dead"),
+        (0.5, dict(stop_mu=1.0), "sign"),
+        (0.5, dict(max_iter=40, strict=False), "budget"),
+    ], ids=["tol", "dead", "sign", "budget"])
+    def test_every_stop_is_the_reference_bitwise(self, model, laplace1, c, kw, stop):
+        sol = sw.solve_profile(c, model, laplace1, 30.0, dx=0.25, **kw)
+        kw.pop("strict", None)
+        want = _reference_solve(c, model, laplace1, 30.0, 0.25, **kw)
+        assert (sol.stop, sol.start) == (stop, "saturated")
+        self._same(sol, want)
+
+    def test_every_start_is_the_reference_bitwise(self, model, laplace1):
+        kw = dict(dx=0.25, tol=1e-10)
+        low = sw.solve_profile(0.3, model, laplace1, 30.0, **kw)
+        self._same(low, _reference_solve(0.3, model, laplace1, 30.0, 0.25, tol=1e-10))
+        warm = sw.solve_profile(0.5, model, laplace1, 30.0, start=low, **kw)
+        assert warm.start == "speed"
+        self._same(warm, _reference_solve(0.5, model, laplace1, 30.0, 0.25, tol=1e-10,
+                                          start=low))
+        part = sw.solve_profile(0.5, model, laplace1, 30.0, max_iter=25, strict=False, **kw)
+        resumed = sw.solve_profile(0.5, model, laplace1, 30.0, start=part, **kw)
+        assert resumed.start == "resume"
+        self._same(resumed, _reference_solve(0.5, model, laplace1, 30.0, 0.25, tol=1e-10,
+                                             start=part))
+
+    @staticmethod
+    def _same(sol, want):
+        phi, iterations, stop, start, flux = want
+        assert _bits(sol.phi) == _bits(phi)
+        assert (sol.iterations, sol.stop, sol.start) == (iterations, stop, start)
+        assert _bits(sol.flux_integrals) == _bits(flux)
+
+    @pytest.mark.parametrize("kind", sorted(PRESETS))
+    @pytest.mark.parametrize("spec", [
+        KernelSpec.laplace(1.0), KernelSpec.gaussian(0.8), KernelSpec.uniform(1.3),
+        KernelSpec.powerlaw(3.0, 1.0)], ids=lambda spec: spec.family)
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_linear_speeds_are_the_reference_bitwise(self, kind, spec, data):
+        model = data.draw(preset_models(kind, dispersal=True))
+        kern = make_kernel(spec)
+        lin = sw.linearized_front_speed(model, kern)
+        assert _bits(lin) == _bits(_reference_linearized_speed(model, kern))
+        got = sw.discrete_linear_speed(model, kern, 0.125, 50.0)
+        assert _bits(got) == _bits(_reference_discrete_speed(model, kern, 0.125, 50.0))
+        # a power-law tail has no exponential moment: the INFINITE return
+        assert (lin == INFINITE) == (got[0] == INFINITE) == (spec.family == "powerlaw")

@@ -58,7 +58,8 @@ def test_simulators_call_through_the_traced_globals(monkeypatch):
                        t_end=0.3, dt=0.1))
     # one stencil for the run, one block convolution and one flux call per step
     assert [c[0] for c in calls].count("kernel_weights") == 1
-    assert [c for c in calls if c[0] == "_convolve_direct"] == [("_convolve_direct", 2, [])] * 3
+    assert [c for c in calls if c[0] == "_convolve_direct"] == [
+        ("_convolve_direct", 2, ["out", "padded"])] * 3
     assert [c for c in calls if c[0] == "boundary_flux"] == [("boundary_flux", 5, [])] * 3
     calls.clear()
     # a window capped at 561 nodes: half-width 560, past the direct limit
