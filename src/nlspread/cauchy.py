@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import classify
 from .nonlocal_ops import GridFunction
 from .freeboundary import _euler, _integrate, _Problem
 from .reactions import positive_equilibrium
@@ -271,7 +270,7 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
     if capped:
         notes.append(f"window capped at |x| <= {cfg.x_max}; exterior leak bound {leak:.3e}")
     if cfg.model.u_ceiling is not None and not all(
-            classify(kern).finite_exponential_moment for kern in cfg.kernels):
+            kern.exp_abscissa > 0.0 for kern in cfg.kernels):
         notes.append("bounded-ceiling model with heavy-tailed dispersal: "
                      "accelerated-rate statements assume an unbounded ceiling")
     levels = {key: np.asarray(rows, dtype=float).reshape(-1, 3)

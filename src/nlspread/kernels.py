@@ -14,12 +14,13 @@ scenario schema's kernel object and the JSON reader follow it):
     powerlaw(gamma, core_width=1)   (core_width + |x|)^-gamma, gamma > 1
     table(x, values)                sampled on an even grid, linear between
 
-Classification is read off the moments, which is where the paper's case
-split lives: ``first_moment`` finite gives a semi-wave speed c0,
+``make_kernel`` computes everything a kernel is in one pass and stores
+the facts as ``Kernel`` fields.  The paper's case split is read off
+them: a finite ``first_moment`` gives a semi-wave speed c0, an
 ``exp_abscissa`` > 0 (some exponential moment finite) gives a minimal
-speed c*, and heavier tails make fronts accelerate.  ``classify`` derives
-its two flags from those two functions; a sampled table counts as
-polynomial when its tail table fits a power law (``_tail_regression``)
+speed c*, and heavier tails make fronts accelerate.  A sampled table
+counts as polynomial when its tail table fits a power law
+(``_tail_regression``, the fields ``gamma_hat`` and ``gamma_stderr``)
 over a decade that reaches past the table's core.
 No other module compares family names or reads family parameters.
 """
@@ -36,6 +37,8 @@ INFINITE = math.inf
 TAIL_MESH_RATIO = 1.05     # geometric mesh ratio for the sampled tail table
 TAIL_FIT_CORES = 3.0       # a table's fit decade must reach this many core scales
 EPS_TAIL = 1e-8            # tail mass beyond the cutoff radius
+_MESH_NODES = 20000        # tail mesh budget, the node 0 included
+_MESH_BLOCK = 256          # mesh nodes made per vectorized step
 
 # family -> {parameter: default}; None marks a required parameter
 _FAMILIES = {
@@ -141,18 +144,36 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Normalized kernel with tail table and cutoff radius. Treat as immutable."""
+    """Normalized kernel with its tail table, cutoff radius and moment facts.
+
+    ``make_kernel`` computes every field once; treat the kernel as immutable.
+    ``first_moment`` is the integral of x*J(x) over [0, inf), INFINITE when
+    the tail is too heavy.  ``exp_abscissa`` is the supremum of the rates
+    lam > 0 with a finite exponential moment, 0 for none (a table whose tail
+    fits a power law has none); both moments are INFINITE from it on.
+    ``overflow_rate`` is the rate from which the moments overflow double
+    precision: exp_abscissa when finite, else where their largest exponent
+    reaches 700 (exp(700) is about 1e304), at lam * support for a compact
+    kernel and (lam * sigma)^2 / 2 for a Gaussian.  ``gamma_hat`` and
+    ``gamma_stderr`` are the tail table's fitted polynomial exponent and its
+    standard error (``_tail_regression``), None when the decay is faster.
+    """
 
     spec: KernelSpec
     normalizer: float
     core_scale: float
     cutoff_radius: float
     compact_support: float | None      # exact support radius, or None
+    first_moment: float
+    exp_abscissa: float
+    overflow_rate: float
+    gamma_hat: float | None
+    gamma_stderr: float | None
     tail_z: np.ndarray = field(repr=False)
     tail_values: np.ndarray = field(repr=False)
-    _table_x: np.ndarray | None = field(default=None, repr=False)
-    _table_v: np.ndarray | None = field(default=None, repr=False)
-    _table_tail_v: np.ndarray | None = field(default=None, repr=False)
+    _table_x: np.ndarray | None = field(repr=False)
+    _table_v: np.ndarray | None = field(repr=False)
+    _table_tail_v: np.ndarray | None = field(repr=False)
 
     # ------------------------------------------------------------------
     def density(self, x) -> np.ndarray:
@@ -175,30 +196,33 @@ class Kernel:
 
     def tail(self, z) -> np.ndarray:
         """Tail mass Jtail(z) = integral of J over [z, inf); z >= 0."""
-        zs = np.asarray(z, dtype=float)
-        if (zs < 0).any():
-            raise KernelError("tail mass is defined for z >= 0")
-        fam = self.spec.family
-        if fam == "uniform":
-            r = self.spec.radius
-            return np.clip(r - zs, 0.0, None) / (2.0 * r)
-        if fam == "laplace":
-            return 0.5 * np.exp(-zs / self.spec.scale)
-        if fam == "gaussian":
-            from scipy import special     # deferred: costs 0.3 s at import time
-            return 0.5 * special.erfc(zs / (self.spec.sigma * math.sqrt(2.0)))
-        if fam == "powerlaw":
-            w = self.core_scale
-            return 0.5 * (w / (w + zs)) ** (self.spec.gamma - 1.0)
-        return np.interp(zs, self._table_x, self._table_tail_v,
-                         left=self._table_tail_v[0], right=0.0)
+        return _tail(self.spec, self.core_scale, self._table_x, self._table_tail_v, z)
+
+
+def _tail(spec: KernelSpec, core: float, table_x, table_tail_v, z) -> np.ndarray:
+    """Jtail(z) from the family's closed form, or a table's cumulative tail."""
+    zs = np.asarray(z, dtype=float)
+    if (zs < 0).any():
+        raise KernelError("tail mass is defined for z >= 0")
+    fam = spec.family
+    if fam == "uniform":
+        r = spec.radius
+        return np.clip(r - zs, 0.0, None) / (2.0 * r)
+    if fam == "laplace":
+        return 0.5 * np.exp(-zs / spec.scale)
+    if fam == "gaussian":
+        from scipy import special     # deferred: costs 0.3 s at import time
+        return 0.5 * special.erfc(zs / (spec.sigma * math.sqrt(2.0)))
+    if fam == "powerlaw":
+        return 0.5 * (core / (core + zs)) ** (spec.gamma - 1.0)
+    return np.interp(zs, table_x, table_tail_v, left=table_tail_v[0], right=0.0)
 
 
 # ----------------------------------------------------------------------
 # construction
 
 def make_kernel(spec: KernelSpec) -> Kernel:
-    """Build a normalized kernel with its tail table and cutoff radius."""
+    """Build a normalized kernel: tail table, cutoff radius and moment facts."""
     spec.validate()
 
     fam = spec.family
@@ -207,15 +231,22 @@ def make_kernel(spec: KernelSpec) -> Kernel:
     if fam == "uniform":
         normalizer = 1.0 / (2.0 * spec.radius)
         core = compact = spec.radius
+        first, abscissa, overflow = spec.radius / 4.0, INFINITE, 700.0 / compact
     elif fam == "laplace":
         normalizer = 1.0 / (2.0 * spec.scale)
         core = spec.scale
+        first, abscissa = spec.scale / 2.0, 1.0 / spec.scale
+        overflow = abscissa
     elif fam == "gaussian":
         normalizer = 1.0 / (spec.sigma * math.sqrt(2.0 * math.pi))
         core = spec.sigma
+        first = spec.sigma / math.sqrt(2.0 * math.pi)
+        abscissa, overflow = INFINITE, math.sqrt(2.0 * 700.0) / spec.sigma
     elif fam == "powerlaw":
         core = spec.core_width if spec.core_width is not None else 1.0
         normalizer = 0.5 * (spec.gamma - 1.0) * core ** (spec.gamma - 1.0)
+        first = INFINITE if spec.gamma <= 2.0 else core / (2.0 * (spec.gamma - 2.0))
+        abscissa = overflow = 0.0
     else:
         xs_full = np.asarray(spec.x, dtype=float)
         vs_full = np.asarray(spec.values, dtype=float)
@@ -229,125 +260,79 @@ def make_kernel(spec: KernelSpec) -> Kernel:
             v0 = float(np.interp(0.0, xs_full, vs_full))
             hx = np.concatenate([[0.0], hx])
             hv = np.concatenate([[v0], hv])
-        compact = float(hx[-1])
+        table_x, table_v, compact = hx, hv, float(hx[-1])
         # cumulative tail on the sample grid (exact for the interpolated density)
         seg = 0.5 * (hv[1:] + hv[:-1]) * np.diff(hx)
-        ctail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) * normalizer
-        table_x = hx
-        table_v = hv
-        tail_v = ctail
+        tail_v = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) * normalizer
         # core: half width at half maximum of the sampled shape
         peak = vs_full >= 0.5 * np.max(vs_full)
         if np.count_nonzero(peak) < 3:
             raise KernelError("table kernel has fewer than 3 samples at or above half "
                               "its maximum; sample the peak finer")
         core = float(np.max(np.abs(xs_full[peak])))
+        # moments of the samples, unless the tail fit below reads a power law
+        first = float(np.trapezoid(hx * (hv * normalizer), hx))
+        abscissa, overflow = INFINITE, 700.0 / compact
 
-    kern = Kernel(
-        spec=spec, normalizer=normalizer,
-        core_scale=core, cutoff_radius=0.0, compact_support=compact,
-        tail_z=np.empty(0), tail_values=np.empty(0),
+    def tail(z):
+        return _tail(spec, core, table_x, tail_v, z)
+
+    mesh = _tail_mesh(tail, core, compact)
+    tail_vals = tail(mesh)
+    cutoff = float(mesh[-1])
+    mesh.setflags(write=False)
+    tail_vals.setflags(write=False)
+
+    # construction sanity: the mass inside [-R, R] must equal 1 minus the tail budget
+    inside = 1.0 - 2.0 * float(tail(cutoff))
+    if not (0.0 < inside <= 1.0 + 1e-12):
+        raise NonNormalizable("kernel mass inside the cutoff is not positive")
+
+    gamma_hat, gamma_se = _tail_regression(mesh, tail_vals, fam, core, compact)
+    if fam == "table" and gamma_hat is not None:
+        # a sampled power law: no exponential moment, and no first moment
+        # when the exponent is <= 2
+        abscissa = overflow = 0.0
+        if gamma_hat <= 2.0:
+            first = INFINITE
+
+    return Kernel(
+        spec=spec, normalizer=normalizer, core_scale=core, cutoff_radius=cutoff,
+        compact_support=compact, first_moment=first, exp_abscissa=abscissa,
+        overflow_rate=overflow, gamma_hat=gamma_hat, gamma_stderr=gamma_se,
+        tail_z=mesh, tail_values=tail_vals,
         _table_x=table_x, _table_v=table_v, _table_tail_v=tail_v,
     )
 
-    # geometric tail mesh from a fraction of the core scale out to the cutoff
-    z0 = core / 16.0
-    mesh = [0.0, z0]
-    z = z0
+
+def _tail_mesh(tail, core: float, compact: float | None) -> np.ndarray:
+    """Geometric mesh 0, z0, z0 r, ... (z0 = core / 16, r = TAIL_MESH_RATIO) to the cutoff.
+
+    The cutoff is the first node whose tail is below EPS_TAIL, or the
+    support edge of a compact kernel.  Each block of nodes is one
+    multiply.accumulate continuing from the last node, so the nodes are
+    the sequential products z *= r bit for bit.  Blocks stay short: the
+    nodes past the cutoff of one 20 000-node block overflow z / scale in
+    a narrow Laplace kernel's tail.
+    """
     limit = compact if compact is not None else math.inf
-    while True:
-        t = float(kern.tail(min(z, limit)))
-        if (t < EPS_TAIL and compact is None) or z >= limit:
-            break
-        z *= TAIL_MESH_RATIO
-        mesh.append(min(z, limit))
-        if len(mesh) > 20000:
-            raise KernelError("tail mesh budget exhausted above EPS_TAIL")
-    mesh_arr = np.asarray(mesh)
-    tail_vals = np.asarray(kern.tail(mesh_arr), dtype=float)
-
-    if compact is not None:
-        cutoff = compact
-    else:
-        below = np.nonzero(tail_vals < EPS_TAIL)[0]
-        cutoff = float(mesh_arr[below[0]]) if below.size else float(mesh_arr[-1])
-
-    mesh_arr.setflags(write=False)
-    tail_vals.setflags(write=False)
-    object.__setattr__(kern, "tail_z", mesh_arr)
-    object.__setattr__(kern, "tail_values", tail_vals)
-    object.__setattr__(kern, "cutoff_radius", cutoff)
-
-    # construction sanity: the mass inside [-R, R] must equal 1 minus the tail budget
-    inside = 1.0 - 2.0 * float(kern.tail(cutoff))
-    if not (0.0 < inside <= 1.0 + 1e-12):
-        raise NonNormalizable("kernel mass inside the cutoff is not positive")
-    return kern
+    steps = np.full(_MESH_BLOCK + 1, TAIL_MESH_RATIO)
+    steps[0] = core / 16.0
+    parts, n = [np.zeros(1)], 1
+    while n < _MESH_NODES:
+        with np.errstate(over="ignore"):    # as in float arithmetic: inf, whose tail is 0
+            run = np.multiply.accumulate(steps)
+        z, steps[0] = np.minimum(run[:-1], limit), run[-1]
+        stop = np.flatnonzero(z >= limit if compact is not None else tail(z) < EPS_TAIL)
+        parts.append(z[:stop[0] + 1] if stop.size else z)
+        n += parts[-1].size
+        if stop.size and n <= _MESH_NODES:
+            return np.concatenate(parts)
+    raise KernelError("tail mesh budget exhausted above EPS_TAIL")
 
 
 # ----------------------------------------------------------------------
 # moments
-
-def _half_line_integral(kernel: Kernel, weight) -> float:
-    """Trapezoid integral of weight(x)*J(x) over a table kernel's samples on [0, inf)."""
-    xs = kernel._table_x
-    return float(np.trapezoid(weight(xs) * (kernel._table_v * kernel.normalizer), xs))
-
-
-def first_moment(kernel: Kernel) -> float:
-    """Integral of x*J(x) over [0, inf); INFINITE when the tail is too heavy."""
-    spec = kernel.spec
-    fam = spec.family
-    if fam == "uniform":
-        return spec.radius / 4.0
-    if fam == "laplace":
-        return spec.scale / 2.0
-    if fam == "gaussian":
-        return spec.sigma / math.sqrt(2.0 * math.pi)
-    if fam == "powerlaw":
-        if spec.gamma <= 2.0:
-            return INFINITE
-        w = kernel.core_scale
-        return w / (2.0 * (spec.gamma - 2.0))
-    # table: declared divergent when the sampled tail decays like a
-    # polynomial with exponent <= 2, otherwise integrate the samples
-    g, _ = _tail_regression(kernel)
-    if g is not None and g <= 2.0:
-        return INFINITE
-    return _half_line_integral(kernel, lambda x: x)
-
-
-def exp_abscissa(kernel: Kernel) -> float:
-    """Supremum of the rates lam > 0 with a finite exponential moment; 0 for none.
-
-    Both exponential moments are INFINITE from this rate on.  A sampled
-    table whose tail fits a power law counts as polynomial: no rate.
-    """
-    fam = kernel.spec.family
-    if fam == "laplace":
-        return 1.0 / kernel.spec.scale
-    if fam == "powerlaw":
-        return 0.0
-    if fam == "table" and _tail_regression(kernel)[0] is not None:
-        return 0.0
-    return INFINITE
-
-
-def overflow_rate(kernel: Kernel) -> float:
-    """The rate from which the exponential moments overflow double precision.
-
-    exp_abscissa when that is finite.  Otherwise the largest exponent the
-    moment evaluates reaches 700 (exp(700) is about 1e304 of the 1.8e308
-    limit) at lam * support for a compact kernel (uniform, or a table that
-    ends at its last sample) and at (lam * sigma)^2 / 2 for a Gaussian.
-    """
-    lam = exp_abscissa(kernel)
-    if lam < INFINITE:
-        return lam
-    if kernel.spec.family == "gaussian":
-        return math.sqrt(2.0 * 700.0) / kernel.spec.sigma
-    return 700.0 / kernel.compact_support
-
 
 def two_sided_exp_moment(kernel: Kernel, lam: float) -> float:
     """Integral of exp(lam*x)*J(x) over the whole line (even in lam); INFINITE when divergent."""
@@ -356,7 +341,7 @@ def two_sided_exp_moment(kernel: Kernel, lam: float) -> float:
         raise InvalidLambda("exponential-moment rate must be finite")
     if lam == 0.0:
         return 1.0
-    if not lam < exp_abscissa(kernel):
+    if not lam < kernel.exp_abscissa:
         return INFINITE
     spec = kernel.spec
     fam = spec.family
@@ -367,47 +352,39 @@ def two_sided_exp_moment(kernel: Kernel, lam: float) -> float:
         return 1.0 / (1.0 - (lam * spec.scale) ** 2)
     if fam == "gaussian":
         return math.exp(0.5 * (lam * spec.sigma) ** 2)
-    return _half_line_integral(kernel, lambda x: np.exp(lam * x) + np.exp(-lam * x))
+    # table: trapezoid rule on the samples of [0, inf)
+    xs = kernel._table_x
+    weight = np.exp(lam * xs) + np.exp(-lam * xs)
+    return float(np.trapezoid(weight * (kernel._table_v * kernel.normalizer), xs))
 
 
 # ----------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class ClassReport:
-    """Decay classification: moment finiteness plus measured tail exponent."""
-
-    finite_first_moment: bool
-    finite_exponential_moment: bool
-    gamma_hat: float | None
-    gamma_stderr: float | None
-
-
-def _tail_regression(kernel: Kernel) -> tuple[float | None, float | None]:
-    """Log-log slope of the tail table over its outer decade.
+def _tail_regression(z: np.ndarray, t: np.ndarray, family: str, core: float,
+                     compact: float | None) -> tuple[float | None, float | None]:
+    """Log-log slope of a tail table (z, t) over its outer decade.
 
     Returns (gamma_hat, stderr), or (None, None) when the decay is
     super-polynomial (slope keeps steepening), the support is compact, or
     a table ends before its fit decade reaches TAIL_FIT_CORES core scales.
     """
-    z = kernel.tail_z
-    t = kernel.tail_values
     pos = (z > 0) & (t > 0)
     z, t = z[pos], t[pos]
     if z.size < 8:
         return None, None
-    if kernel.spec.family == "table":
+    if family == "table":
         # sampled kernels truncate at the grid edge where the tail collapses;
         # read the decay law from a decade ending well inside the support
         z_hi = 0.1 * float(z[-1])
-        if z_hi < TAIL_FIT_CORES * kernel.core_scale:
+        if z_hi < TAIL_FIT_CORES * core:
             # inside a few core scales every shape's log-log slope is shallow
             # (a Gaussian on [-8, 8] would read gamma 1.29): a table that
             # short has no tail to read and counts as what it is, compact
             return None, None
     else:
         z_hi = float(z[-1])
-        if kernel.compact_support is not None:
+        if compact is not None:
             # the tail of a compactly supported family hits zero at the edge;
             # there is no polynomial decay law to report
             return None, None
@@ -425,14 +402,6 @@ def _tail_regression(kernel: Kernel) -> tuple[float | None, float | None]:
     slope = float(coef[0])
     stderr = float(math.sqrt(max(cov[0, 0], 0.0)))
     return 1.0 - slope, stderr
-
-
-def classify(kernel: Kernel) -> ClassReport:
-    """Moment finiteness, from first_moment and exp_abscissa, and the tail fit."""
-    gamma_hat, gamma_se = _tail_regression(kernel)
-    return ClassReport(finite_first_moment=first_moment(kernel) < INFINITE,
-                       finite_exponential_moment=exp_abscissa(kernel) > 0.0,
-                       gamma_hat=gamma_hat, gamma_stderr=gamma_se)
 
 
 # ----------------------------------------------------------------------

@@ -541,19 +541,20 @@ def verify_assumptions(model: ReactionModel, n_samples: int = 256,
     else:
         seg = np.linspace(0.0, 1.0, 33)[None, :] * u_star[:, None]
         bad = None
-        for s in range(seg.shape[1]):
-            J = jacobian(model, seg[:, s])
-            for i in range(model.m0, model.m):
-                for j in range(model.m0):
-                    if J[i, j] <= 1e-9 * jscale:
-                        bad = (i, j, float(J[i, j]))
-                        break
+        for u in seg.T:      # from the origin out; the first weak coupling is the witness
+            coupling = jacobian(model, u)[model.m0:, :model.m0]
+            weak = np.argwhere(coupling <= 1e-9 * jscale)
+            if weak.size:
+                i, j = weak[0]
+                bad = (u, model.m0 + int(i), int(j), float(coupling[i, j]))
+                break
         if bad is None:
             results["diffusing_drives_nondiffusing"] = CheckResult(
                 "pass", "strictly positive coupling on the equilibrium segment")
         else:
             results["diffusing_drives_nondiffusing"] = CheckResult(
-                "fail", f"coupling ({bad[0]},{bad[1]}) = {bad[2]:.3e} not strictly positive")
+                "fail", f"coupling ({bad[1]},{bad[2]}) = {bad[3]:.3e} not strictly positive "
+                        "at a state on the equilibrium segment", witness=(bad[0].tolist(),))
 
     # --- subhomogeneity
     rng = np.random.default_rng(seed + 1)

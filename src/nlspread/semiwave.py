@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import _component_kernels, _component_mu
-from .kernels import INFINITE, classify, exp_abscissa, overflow_rate, two_sided_exp_moment
+from .kernels import INFINITE, two_sided_exp_moment
 from .nonlocal_ops import check_mesh, kernel_weights
 from .reactions import ReactionModel, diagonal_drain, eval_F, jacobian, positive_equilibrium
 
@@ -503,7 +503,7 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     kerns = _component_kernels(kernels, model.m0)
     mu_vec = _component_mu(mu, model.m, model.m0)
     for i, k in enumerate(kerns):
-        if mu_vec[i] > 0 and not classify(k).finite_first_moment:
+        if mu_vec[i] > 0 and k.first_moment == INFINITE:
             raise FirstMomentDiverges(
                 f"kernel for component {i} has a divergent first moment; "
                 "boundary-matched fronts accelerate instead of settling on a speed")
@@ -609,12 +609,12 @@ def _minimal_speed(model: ReactionModel, kerns, moment, rate, lam_max: float = I
     def speed(lam: float) -> float:
         return float(speeds(np.array([lam]))[0])
 
-    lam_hi = min(exp_abscissa(k) for k in kerns)
+    lam_hi = min(k.exp_abscissa for k in kerns)
     if lam_hi <= 0.0:
         return INFINITE, math.nan, speed
     core = min(k.core_scale for k in kerns)
     hi = lam_hi * (1.0 - 1e-9) if math.isfinite(lam_hi) else 200.0 / core
-    hi = min(hi, lam_max, *(overflow_rate(k) for k in kerns))
+    hi = min(hi, lam_max, *(k.overflow_rate for k in kerns))
     grid, best, arg = np.geomspace(1e-4 / core, hi, 600), math.inf, math.nan
     while True:
         vals = speeds(grid)
@@ -690,7 +690,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     its speed, so a start from a lower speed is an alive profile.
     """
     kerns = _component_kernels(kernels, model.m0)
-    heavy = [i for i, k in enumerate(kerns) if not classify(k).finite_exponential_moment]
+    heavy = [i for i, k in enumerate(kerns) if k.exp_abscissa == 0.0]
     if heavy:
         return MinimalSpeedResult(
             value=INFINITE, linearized=INFINITE, bracket=None, trace=(), note=(

@@ -14,8 +14,6 @@ from nlspread.kernels import (
     KernelSpec,
     NegativeTableValue,
     NonNormalizable,
-    classify,
-    first_moment,
     kernel_from_json,
     make_kernel,
     two_sided_exp_moment,
@@ -113,23 +111,23 @@ class TestTailMass:
 class TestMoments:
     def test_uniform_first_moment(self):
         kern = make_kernel(KernelSpec.uniform(1.0))
-        assert first_moment(kern) == pytest.approx(0.25, abs=1e-15)
+        assert kern.first_moment == pytest.approx(0.25, abs=1e-15)
 
     def test_laplace_first_moment(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
-        assert first_moment(kern) == pytest.approx(0.5, abs=1e-15)
+        assert kern.first_moment == pytest.approx(0.5, abs=1e-15)
 
     def test_first_moment_against_quadrature(self):
         for spec in (KernelSpec.gaussian(0.9), KernelSpec.powerlaw(3.0, 1.0)):
             kern = make_kernel(spec)
             ref, _ = integrate.quad(lambda x: x * float(kern.density(x)), 0,
                                     np.inf, limit=600)
-            assert first_moment(kern) == pytest.approx(ref, rel=1e-6), spec.family
+            assert kern.first_moment == pytest.approx(ref, rel=1e-6), spec.family
 
     def test_powerlaw_first_moment_divergence(self):
-        assert first_moment(make_kernel(KernelSpec.powerlaw(1.5, 1.0))) == INFINITE
-        assert first_moment(make_kernel(KernelSpec.powerlaw(2.0, 1.0))) == INFINITE
-        assert math.isfinite(first_moment(make_kernel(KernelSpec.powerlaw(2.01, 1.0))))
+        assert make_kernel(KernelSpec.powerlaw(1.5, 1.0)).first_moment == INFINITE
+        assert make_kernel(KernelSpec.powerlaw(2.0, 1.0)).first_moment == INFINITE
+        assert math.isfinite(make_kernel(KernelSpec.powerlaw(2.01, 1.0)).first_moment)
 
     def test_laplace_exp_moment(self):
         kern = make_kernel(KernelSpec.laplace(1.0))
@@ -174,29 +172,28 @@ class TestClassify:
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
     def test_powerlaw_exponent_recovered(self, gamma):
         kern = make_kernel(KernelSpec.powerlaw(gamma, 1.0))
-        rep = classify(kern)
-        assert not rep.finite_exponential_moment
-        assert rep.finite_first_moment is (gamma > 2.0)
-        assert rep.gamma_hat == pytest.approx(gamma, abs=0.1), (
-            f"tail regression for gamma={gamma} gave {rep.gamma_hat}")
-        assert rep.gamma_stderr is not None and rep.gamma_stderr < 0.05
+        assert kern.exp_abscissa == 0.0
+        assert (kern.first_moment < INFINITE) is (gamma > 2.0)
+        assert kern.gamma_hat == pytest.approx(gamma, abs=0.1), (
+            f"tail regression for gamma={gamma} gave {kern.gamma_hat}")
+        assert kern.gamma_stderr is not None and kern.gamma_stderr < 0.05
 
     @pytest.mark.parametrize("spec", [KernelSpec.uniform(1.0),
                                       KernelSpec.laplace(1.0),
                                       KernelSpec.gaussian(1.0)])
     def test_light_tails_have_no_polynomial_exponent(self, spec):
-        rep = classify(make_kernel(spec))
-        assert rep.finite_first_moment and rep.finite_exponential_moment
-        assert rep.gamma_hat is None
+        kern = make_kernel(spec)
+        assert kern.first_moment < INFINITE and kern.exp_abscissa > 0.0
+        assert kern.gamma_hat is None
 
     def test_exponential_moment_implies_first_moment(self):
         specs = [KernelSpec.uniform(0.5), KernelSpec.laplace(2.0),
                  KernelSpec.gaussian(0.3), KernelSpec.powerlaw(1.5, 1.0),
                  KernelSpec.powerlaw(2.5, 0.5), KernelSpec.powerlaw(4.0, 2.0)]
         for spec in specs:
-            rep = classify(make_kernel(spec))
-            if rep.finite_exponential_moment:
-                assert rep.finite_first_moment, spec
+            kern = make_kernel(spec)
+            if kern.exp_abscissa > 0.0:
+                assert kern.first_moment < INFINITE, spec
 
 
 class TestTableKernels:
@@ -210,15 +207,14 @@ class TestTableKernels:
         assert kern.normalizer == pytest.approx(0.5, rel=1e-4)
         for z in (0.0, 0.5, 2.0, 6.0):
             assert float(kern.tail(z)) == pytest.approx(float(ref.tail(z)), abs=2e-4)
-        rep = classify(kern)
-        assert rep.finite_first_moment and rep.finite_exponential_moment
+        assert kern.first_moment < INFINITE and kern.exp_abscissa > 0.0
 
     def test_sampled_heavy_tail_detected(self):
         x = np.linspace(-4000.0, 4000.0, 160001)
         vals = (1.0 + np.abs(x)) ** -1.6
-        rep = classify(make_kernel(KernelSpec.table(x, vals)))
-        assert not rep.finite_first_moment, "sampled tail exponent 1.6 must read as divergent"
-        assert not rep.finite_exponential_moment
+        kern = make_kernel(KernelSpec.table(x, vals))
+        assert kern.first_moment == INFINITE, "sampled tail exponent 1.6 must read as divergent"
+        assert kern.exp_abscissa == 0.0
 
     @pytest.mark.parametrize("shape,span", [
         (lambda x: np.exp(-0.5 * x ** 2), 8.0),      # fit decade [0.08, 0.8], core 1.18
@@ -229,9 +225,8 @@ class TestTableKernels:
         # as a power law; such a table has no tail to read
         x = np.linspace(-span, span, 4001)
         kern = make_kernel(KernelSpec.table(x, shape(x)))
-        rep = classify(kern)
-        assert rep.gamma_hat is None
-        assert rep.finite_first_moment and rep.finite_exponential_moment
+        assert kern.gamma_hat is None
+        assert kern.first_moment < INFINITE and kern.exp_abscissa > 0.0
 
     def test_peak_on_one_sample_rejected(self):
         # at dx = 10 a sigma-1 Gaussian is its centre sample alone: the

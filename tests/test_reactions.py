@@ -270,6 +270,22 @@ class TestAssumptionChecks:
         report = rx.verify_assumptions(model, n_samples=128, seed=2)
         assert "cooperative_offdiagonal" in report.failures
 
+    def test_positive_coupling_of_sedentary_component_passes(self):
+        model = rx.custom(["-u1 + u2", "u1*(1 - u2) - 0.5*u2"], {}, m0=1)
+        check = rx.verify_assumptions(model).results["diffusing_drives_nondiffusing"]
+        assert check.status == "pass"
+        assert check.witness is None
+
+    def test_first_weak_coupling_is_the_witness(self):
+        # dF2/du1 = 8 u1 - 0.8 is -0.8 at the origin and turns positive at
+        # u1 = 0.1, below u* = (0.45, 0.45): the first failing state on the
+        # segment from 0 to u* is the origin itself
+        model = rx.custom(["-u1 + u2", "u1*(u1 - 0.2)*4 - u2"], {}, m0=1)
+        check = rx.verify_assumptions(model).results["diffusing_drives_nondiffusing"]
+        assert check.status == "fail"
+        assert "coupling (1,0) = -8.000e-01" in check.detail
+        assert check.witness == ([0.0, 0.0],)
+
     def test_principal_eigenvalue_of_rotating_jacobian(self):
         # J0 = [[1, -4], [1, 1]] has eigenvalues 1 +- 2i: the origin is
         # unstable with largest real part 1

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 import nlspread.reactions as rx
 from nlspread import semiwave as sw
-from nlspread.kernels import (INFINITE, KernelSpec, exp_abscissa, make_kernel, overflow_rate,
-                              two_sided_exp_moment)
+from nlspread.kernels import INFINITE, KernelSpec, make_kernel, two_sided_exp_moment
 
 
 @pytest.fixture(scope="module")
@@ -780,12 +779,12 @@ def _reference_minimal_speed(model, kerns, moment, rate, lam_max=INFINITE):
             A[i, i] += model.d[i] * (moment(i, lam) - 1.0)
         return float(np.max(np.real(np.linalg.eigvals(A)))) / rate(lam)
 
-    lam_hi = min(exp_abscissa(k) for k in kerns)
+    lam_hi = min(k.exp_abscissa for k in kerns)
     if lam_hi <= 0.0:
         return INFINITE, math.nan, speed
     core = min(k.core_scale for k in kerns)
     hi = lam_hi * (1.0 - 1e-9) if math.isfinite(lam_hi) else 200.0 / core
-    hi = min(hi, lam_max, *(overflow_rate(k) for k in kerns))
+    hi = min(hi, lam_max, *(k.overflow_rate for k in kerns))
     grid, best, arg = np.geomspace(1e-4 / core, hi, 600), math.inf, math.nan
     while True:
         vals = [speed(lam) for lam in grid]
