@@ -1,18 +1,15 @@
 """Command line driver: scenario files in, CSV and JSON artifacts out.
 
-Every subcommand reads one scenario file (validated against
-scenarios/schema.json, the one copy of the schema, which config loads as
-SCENARIO_SCHEMA), builds its inputs with the config builders, runs the
-requested computation, and writes fixed-format artifacts into the output
-directory.  The builders check every field they read before anything
-runs, so a rejected scenario ends in a ConfigError naming its field,
-never in a traceback.  The four single-scenario subcommands and every run
-of a sweep go through ``_dispatch``.  Floats in CSV files carry 17
-significant digits so that a reread reproduces the binary values exactly;
-identical config and seed give byte-identical files.  Every CSV goes
-through ``_write_csv``, which formats a block of up to 4096 rows with one
-``%`` on the repeated line template; the bytes are those of formatting
-each float alone.
+Each scenario subcommand is one row of ``_TASKS`` (name -> help, runner),
+which builds both the argument parser and ``_dispatch``.  A runner takes
+the loaded scenario (validated against scenarios/schema.json, which config
+loads as SCENARIO_SCHEMA), builds its inputs with one config builder, runs
+the computation and writes fixed-format artifacts into the output
+directory.  The builders check every scenario field before anything runs,
+so a rejected scenario ends in a ConfigError naming its field, never in a
+traceback; this module reads no field but ``name``.  Floats in CSV files
+carry 17 significant digits so that a reread reproduces the binary values
+exactly; identical config and seed give byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (Instability, failed verification),
 2 scenario rejected (``config error at <JSON pointer>: ...``).
@@ -31,8 +28,8 @@ import numpy as np
 
 from .analysis import InsufficientData, best_growth_law, fit_front, report_to_json_dict
 from .cauchy import run_cauchy
-from .config import (ConfigError, build_cauchy_config, build_fb_config, build_speeds,
-                     load_scenario)
+from .config import (ConfigError, build_cauchy_config, build_fb_config, build_fit,
+                     build_speeds, build_sweep, load_scenario)
 from .freeboundary import Instability, classify_outcome, run
 from .semiwave import (FirstMomentDiverges, SemiwaveError, estimate_cstar, find_c0,
                        linearized_front_speed)
@@ -89,7 +86,12 @@ def _numerics_echo(cfg) -> dict:
     return echo
 
 
-def _cmd_simulate_fb(scenario: dict, out: Path, seed: int) -> int:
+def _write_snapshots(path: Path, m: int, snapshots) -> None:
+    _write_csv(path, "t,x," + ",".join(f"u{i + 1}" for i in range(m)),
+               _snapshot_parts(snapshots))
+
+
+def _cmd_simulate_fb(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
     cfg = build_fb_config(scenario)
     base = {"name": scenario["name"], "seed": seed,
             "numerics": _numerics_echo(cfg),
@@ -103,12 +105,9 @@ def _cmd_simulate_fb(scenario: dict, out: Path, seed: int) -> int:
                      "failed_at": e.t, "error": str(e)})
         print(f"instability at t = {e.t:.6g}: {e}", file=sys.stderr)
         return 1
-    m = cfg.model.m
     _write_csv(out / "fronts.csv", "t,g,h",
                _blocks((), series.t, series.g, series.h))
-    _write_csv(out / "snapshots.csv",
-               "t,x," + ",".join(f"u{i + 1}" for i in range(m)),
-               _snapshot_parts(series.snapshots))
+    _write_snapshots(out / "snapshots.csv", cfg.model.m, series.snapshots)
     _write_json(out / "summary.json",
                 {**base, "outcome": classify_outcome(series, cfg),
                  "final_t": series.final_state.t,
@@ -117,19 +116,16 @@ def _cmd_simulate_fb(scenario: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def _cmd_simulate_cauchy(scenario: dict, out: Path, seed: int) -> int:
+def _cmd_simulate_cauchy(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
     cfg = build_cauchy_config(scenario)
     series = run_cauchy(cfg)
-    m = cfg.model.m
     parts = []
     for comp, lam in cfg.levels:
         arr = series.levels[(comp, lam)]
         parts += _blocks((), arr[:, 0], np.broadcast_to((comp + 1.0, lam), (len(arr), 2)),
                          arr[:, 1:])
     _write_csv(out / "levels.csv", "t,i,lambda,x_minus,x_plus", parts)
-    _write_csv(out / "snapshots.csv",
-               "t,x," + ",".join(f"u{i + 1}" for i in range(m)),
-               _snapshot_parts(series.snapshots))
+    _write_snapshots(out / "snapshots.csv", cfg.model.m, series.snapshots)
     _write_json(out / "summary.json",
                 {"name": scenario["name"], "seed": seed,
                  "numerics": _numerics_echo(cfg),
@@ -147,42 +143,33 @@ def _json_speed(value: float):
     return "infinite" if math.isinf(value) else value
 
 
-def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
-    model, kernels, mu, sp = build_speeds(scenario)
-    # pass only the keys the scenario sets, so the defaults stay the library's
-    kw = {arg: sp[key] for key, arg in (("tol_c", "tol_c"), ("length", "L"), ("dx", "dx"))
-          if key in sp}
-    kw["cache"] = {}
-    result: dict = {"name": scenario["name"], "seed": seed}
-    brackets: dict = {}
-
+def _c0(model, kernels, mu, kw: dict):
+    """(find_c0 result or None, its speeds.json entry): "infinite" without a first moment."""
     try:
-        r0 = find_c0(model, kernels, mu, **kw)
-        result["c0"] = r0.speed
-        brackets["c0"] = list(r0.bracket)
+        r = find_c0(model, kernels, mu, **kw)
+    except FirstMomentDiverges as e:
+        return None, {"c0": "infinite", "reason": str(e)}
+    return r, {"c0": r.speed, "bracket": list(r.bracket)}
+
+
+def _cmd_speeds(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
+    model, kernels, mu, mu_sweep, c0_kw, cstar_kw = build_speeds(scenario)
+    c0_kw["cache"] = {}            # profiles shared by the main mu and the sweep
+    r0, entry = _c0(model, kernels, mu, c0_kw)
+    brackets: dict = {}
+    if r0 is not None:
+        brackets["c0"] = entry.pop("bracket")
         sol = r0.solution
         _write_csv(out / "semiwave.csv",
                    f"# c={_f(sol.c)} L={_f(sol.length)} residual={_f(sol.residual)}\n"
                    "x," + ",".join(f"phi_{i + 1}" for i in range(model.m)),
                    _blocks((), sol.x, sol.phi.T))
-    except FirstMomentDiverges as e:
-        result["c0"] = "infinite"
-        result["reason"] = str(e)
-
-    if "mu_sweep" in sp:
-        table = []
-        for mu_k in sp["mu_sweep"]:
-            try:
-                rk = find_c0(model, kernels, mu_k, **kw)
-                table.append({"mu": mu_k, "c0": rk.speed,
-                              "bracket": list(rk.bracket)})
-            except FirstMomentDiverges as e:
-                table.append({"mu": mu_k, "c0": "infinite", "reason": str(e)})
-        result["c0_sweep"] = table
-
-    if sp.get("cstar", False):
-        est = estimate_cstar(model, kernels, **{key: sp[key] for key in
-                                                ("lengths", "rel_tol", "dx") if key in sp})
+    result: dict = {"name": scenario["name"], "seed": seed, **entry}
+    if mu_sweep is not None:
+        result["c0_sweep"] = [{"mu": mu_k, **_c0(model, kernels, mu_k, c0_kw)[1]}
+                              for mu_k in mu_sweep]
+    if cstar_kw is not None:
+        est = estimate_cstar(model, kernels, **cstar_kw)
         result["cstar"] = _json_speed(est.value)
         if est.note:
             result["cstar_note"] = est.note
@@ -192,35 +179,15 @@ def _cmd_speeds(scenario: dict, out: Path, seed: int) -> int:
     else:
         result["cstar_linearized_diagnostic"] = _json_speed(
             linearized_front_speed(model, kernels))
-
     result["brackets"] = brackets
     _write_json(out / "speeds.json", result)
     return 0
 
 
 def _cmd_fit(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
-    sec = scenario.get("fit")
-    if sec is None:
-        raise ConfigError("/fit", "required by this subcommand")
-    src = Path(sec["input"])
-    if not src.is_absolute():
-        src = config_path.parent / src
-    try:
-        data = np.genfromtxt(src, delimiter=",", names=True)
-    except (OSError, ValueError) as e:
-        raise ConfigError("/fit/input", f"cannot read {src}: {e}") from e
-    names = data.dtype.names or ()
-    if "t" not in names:
-        raise ConfigError("/fit/input", "input CSV needs a 't' column")
-    t = data["t"]
-    window = tuple(sec["window"]) if "window" in sec else None
-    law = sec.get("law", "auto")
+    t, signals, window, law = build_fit(scenario, config_path)
     fits = {}
-    for signal in sec.get("signals", ["h"]):
-        col = "h" if signal == "h" else "g"
-        if col not in names:
-            raise ConfigError("/fit/signals", f"input CSV lacks a {col!r} column")
-        y = data[col] if signal == "h" else -data[col]
+    for signal, y in signals.items():
         try:
             if law == "auto":
                 selected, report = best_growth_law((t, y), window=window)
@@ -240,6 +207,15 @@ def _cmd_fit(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
     return 0
 
 
+# runners call the builders and the library through module globals, wrapped by name in traces
+_TASKS = {
+    "simulate-fb": ("integrate the moving-range problem", _cmd_simulate_fb),
+    "simulate-cauchy": ("integrate on the whole line", _cmd_simulate_cauchy),
+    "speeds": ("front speed estimates and sweeps", _cmd_speeds),
+    "fit": ("growth-law regression on a fronts CSV", _cmd_fit),
+}
+
+
 def _cmd_verify(suite: str, out: Path, seed: int) -> int:
     from . import verification
 
@@ -254,19 +230,11 @@ def _cmd_verify(suite: str, out: Path, seed: int) -> int:
 
 
 def _dispatch(task: str, config_path: Path, out: Path | None, seed: int) -> int:
-    """Run one scenario subcommand; ``out`` defaults to the scenario name."""
+    """Run one ``_TASKS`` subcommand; ``out`` defaults to the scenario name."""
     scenario = load_scenario(config_path)
     out = out or Path(scenario["name"])
     out.mkdir(parents=True, exist_ok=True)
-    if task == "simulate-fb":
-        return _cmd_simulate_fb(scenario, out, seed)
-    if task == "simulate-cauchy":
-        return _cmd_simulate_cauchy(scenario, out, seed)
-    if task == "speeds":
-        return _cmd_speeds(scenario, out, seed)
-    if task == "fit":
-        return _cmd_fit(scenario, out, seed, config_path)
-    raise ValueError(f"unknown task {task!r}")
+    return _TASKS[task][1](scenario, out, seed, config_path)
 
 
 _FAILURES = (ConfigError, Instability, SemiwaveError)
@@ -291,31 +259,20 @@ def _sweep_entry(task: str, config_path: str, out: str, seed: int) -> int:
 
 def _cmd_sweep(scenario: dict, out: Path, seed: int, config_path: Path,
                jobs: int | None) -> int:
-    sec = scenario.get("sweep")
-    if sec is None:
-        raise ConfigError("/sweep", "required by this subcommand")
-    runs = sec["runs"]
-    names = [Path(r["config"]).stem for r in runs]
-    if len(set(names)) != len(names):
-        raise ConfigError("/sweep/runs", "run config basenames must be unique "
-                          "(each run gets its own output directory)")
+    runs = build_sweep(scenario, config_path)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = jobs or 2
-    argsets = [(r["task"],
-                str(config_path.parent / r["config"]),
-                str(out / name), seed)
-               for r, name in zip(runs, names)]
+    argsets = [(task, str(path), str(out / name), seed) for task, path, name in runs]
     if jobs == 1:
         codes = [_sweep_entry(*a) for a in argsets]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs or 2) as pool:
             futures = [pool.submit(_sweep_entry, *a) for a in argsets]
             codes = [f.result() for f in futures]
-    summary = {name: {"task": r["task"], "exit": code}
-               for name, r, code in zip(names, runs, codes)}
     _write_json(out / "sweep_summary.json",
-                {"name": scenario["name"], "seed": seed, "runs": summary})
-    for name, code in zip(names, codes):
+                {"name": scenario["name"], "seed": seed,
+                 "runs": {name: {"task": task, "exit": code}
+                          for (task, _, name), code in zip(runs, codes)}})
+    for (_, _, name), code in zip(runs, codes):
         print(f"{'ok' if code == 0 else 'FAILED'} {name} (exit {code})")
     return max(codes, default=0)
 
@@ -346,11 +303,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=0,
                        help="seed echoed into artifacts and used by sampling checks")
 
-    for name, hlp in (("simulate-fb", "integrate the moving-range problem"),
-                      ("simulate-cauchy", "integrate on the whole line"),
-                      ("speeds", "front speed estimates and sweeps"),
-                      ("fit", "growth-law regression on a fronts CSV"),
-                      ("sweep", "run several scenarios concurrently")):
+    helps = {name: hlp for name, (hlp, _) in _TASKS.items()}
+    for name, hlp in {**helps, "sweep": "run several scenarios concurrently"}.items():
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--config", type=Path, required=True, help="scenario JSON file")
         common(p)

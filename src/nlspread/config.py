@@ -1,9 +1,9 @@
 """Scenario files: JSON schema, pointer-carrying validation, input builders.
 
-A scenario is one JSON object shared by every subcommand; each driver reads
-the sections it needs.  SCENARIO_SCHEMA is the shipped scenarios/schema.json,
-parsed at import; that file is the only copy of the schema.
-``validate_scenario`` checks a scenario against it and adds the
+A scenario is one JSON object shared by every subcommand; each subcommand's
+builder reads the sections it needs.  SCENARIO_SCHEMA is the shipped
+scenarios/schema.json, parsed at import; that file is the only copy of the
+schema.  ``validate_scenario`` checks a scenario against it and adds the
 custom-model rules the schema cannot state.  The check is a small
 interpreter of the JSON Schema (draft 2020-12) keywords that file uses
 (``_KEYWORDS``: ``$defs``, local ``$ref``, ``type``, ``enum``,
@@ -15,15 +15,17 @@ field: the shallowest value that fails, a missing or stray key at that
 key, and inside ``anyOf`` the deepest miss of any branch.
 
 The builders (``build_model``, ``build_kernels`` and, one per subcommand,
-``build_fb_config``, ``build_cauchy_config`` and ``build_speeds``) read
-each field and apply to it the rule the library defines for it: the model
-and its positive equilibrium, the kernel count, the mesh and window
-checks, the expansion rates.  A rule that lives only in a constructor
-raises an exception that names its argument (``InvalidParameter``,
-``InvalidLevel``, ``WindowCapTooSmall``).  This is the only module that
-ties a rule to a scenario field: every rejection raises ConfigError with
-the JSON pointer of the field it read, and no pointer is taken from an
-error's text.
+``build_fb_config``, ``build_cauchy_config``, ``build_speeds``,
+``build_fit`` and ``build_sweep``) read each field and apply to it the
+rule the library defines for it: the model and its positive equilibrium,
+the kernel count, the mesh and window checks, the expansion rates, the
+fit input's columns, the sweep's run names.  A rule that lives only in a
+constructor raises an exception that names its argument
+(``InvalidParameter``, ``InvalidLevel``, ``WindowCapTooSmall``).  The
+command line reads no scenario field but ``name``: this is the only module
+that ties a rule to a scenario field, every rejection raises ConfigError
+with the JSON pointer of the field it read, and no pointer is taken from
+an error's text.
 """
 
 from __future__ import annotations
@@ -334,11 +336,13 @@ def build_cauchy_config(scenario: dict) -> CauchyConfig:
 
 
 def build_speeds(scenario: dict) -> tuple:
-    """(model, kernels, mu, speeds section) for the edge and threshold speeds.
+    """(model, kernels, mu, mu_sweep, c0_kw, cstar_kw) for the edge and threshold speeds.
 
-    The section's mesh is ``speeds.dx``, else ``numerics.dx``.  It and the
-    window lengths are checked as the profile solver would check them,
-    before any solve.
+    ``c0_kw`` and ``cstar_kw`` hold only the ``find_c0`` and ``estimate_cstar``
+    keywords the scenario sets; ``cstar_kw`` is None without ``speeds.cstar``,
+    ``mu_sweep`` None without ``speeds.mu_sweep``.  The mesh is ``speeds.dx``,
+    else ``numerics.dx``; it and the window lengths are checked as the profile
+    solver would check them, before any solve.
     """
     model = build_model(scenario)
     kernels = build_kernels(scenario, model.m0)
@@ -346,13 +350,55 @@ def build_speeds(scenario: dict) -> tuple:
     _read("/mu", _component_mu, mu, model.m, model.m0)
     sp = scenario.get("speeds", {})
     section = "speeds" if "dx" in sp else "numerics"
+    mesh = {}
     if "dx" in scenario.get(section, {}):
-        sp = {**sp, "dx": scenario[section]["dx"]}
+        mesh["dx"] = scenario[section]["dx"]
         for kern in kernels:
-            _read(f"/{section}/dx", check_mesh, kern, sp["dx"])
+            _read(f"/{section}/dx", check_mesh, kern, mesh["dx"])
     if "length" in sp:
         _read("/speeds/length", check_window, kernels, sp["length"])
+    c0_kw = {arg: sp[key] for key, arg in (("tol_c", "tol_c"), ("length", "L")) if key in sp}
+    cstar_kw = None
     if sp.get("cstar", False):
         for L in sp.get("lengths", ()):
             _read("/speeds/lengths", check_window, kernels, L)
-    return model, kernels, mu, sp
+        cstar_kw = {key: sp[key] for key in ("lengths", "rel_tol") if key in sp} | mesh
+    return model, kernels, mu, sp.get("mu_sweep"), c0_kw | mesh, cstar_kw
+
+
+def build_fit(scenario: dict, config_path) -> tuple:
+    """(t, {signal: y}, window, law) for the growth-law fits; ``neg_g`` is -g.
+
+    A relative ``fit.input`` is read from the scenario file's directory.
+    """
+    sec = _require(scenario, "fit")
+    src = Path(sec["input"])
+    if not src.is_absolute():
+        src = Path(config_path).parent / src
+    try:
+        data = np.genfromtxt(src, delimiter=",", names=True)
+    except (OSError, ValueError) as e:
+        raise ConfigError("/fit/input", f"cannot read {src}: {e}") from e
+    names = data.dtype.names or ()
+    if "t" not in names:
+        raise ConfigError("/fit/input", "input CSV needs a 't' column")
+    signals = {}
+    for signal in sec.get("signals", ["h"]):
+        col = "h" if signal == "h" else "g"
+        if col not in names:
+            raise ConfigError("/fit/signals", f"input CSV lacks a {col!r} column")
+        signals[signal] = data[col] if signal == "h" else -data[col]
+    window = tuple(sec["window"]) if "window" in sec else None
+    return data["t"], signals, window, sec.get("law", "auto")
+
+
+def build_sweep(scenario: dict, config_path) -> list:
+    """[(task, config path, output name)]: run configs are read from the sweep
+    file's directory, and each run's output is named after its config."""
+    runs = _require(scenario, "sweep")["runs"]
+    names = [Path(r["config"]).stem for r in runs]
+    if len(set(names)) != len(names):
+        raise ConfigError("/sweep/runs", "run config basenames must be unique "
+                          "(each run gets its own output directory)")
+    return [(r["task"], Path(config_path).parent / r["config"], name)
+            for r, name in zip(runs, names)]

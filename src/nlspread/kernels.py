@@ -278,6 +278,9 @@ def make_kernel(spec: KernelSpec) -> Kernel:
         return _tail(spec, core, table_x, tail_v, z)
 
     mesh = _tail_mesh(tail, core, compact)
+    if math.isinf(mesh[-1]):
+        raise KernelError(f"powerlaw tail with gamma = {spec.gamma!r} stays above "
+                          f"EPS_TAIL = {EPS_TAIL:g} out to the largest double")
     tail_vals = tail(mesh)
     cutoff = float(mesh[-1])
     mesh.setflags(write=False)

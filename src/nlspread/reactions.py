@@ -111,16 +111,23 @@ def jacobian(model: ReactionModel, u: np.ndarray) -> np.ndarray:
 
 
 def _fd_jacobian(model: ReactionModel, u: np.ndarray) -> np.ndarray:
+    """Central differences; where the backward point would leave the cone,
+    the one-sided (-3F(u) + 4F(u + h) - F(u + 2h)) / 2h, exact for quadratics."""
     J = np.zeros((model.m, model.m))
     for j in range(model.m):
         step = 1e-6 * max(1.0, abs(u[j]))
         up = u.copy()
-        um = u.copy()
         up[j] += step
-        um[j] = max(um[j] - step, 0.0)       # stay inside the cone
         fp = eval_F(model, up, validate=False)
-        fm = eval_F(model, um, validate=False)
-        J[:, j] = (fp - fm) / (up[j] - um[j])
+        if u[j] - step >= 0.0:
+            um = u.copy()
+            um[j] -= step
+            J[:, j] = (fp - eval_F(model, um, validate=False)) / (up[j] - um[j])
+        else:
+            up2 = u.copy()
+            up2[j] += 2.0 * step
+            J[:, j] = (4.0 * fp - 3.0 * eval_F(model, u, validate=False)
+                       - eval_F(model, up2, validate=False)) / (2.0 * step)
     return J
 
 

@@ -109,6 +109,16 @@ class TestSimulateFB:
         assert code == 2
         assert "/model/m0" in capsys.readouterr().err
 
+    def test_kernel_whose_tail_mesh_reaches_inf_exits_2(self, tmp_path, capsys):
+        cfgp = write_scenario(tmp_path, "too_heavy", {
+            "kernels": {"family": "powerlaw", "gamma": 1.02, "core_width": 1.0},
+            "mu": 1.0, "h0": 2.0, "numerics": {"dx": 0.25, "t_end": 1.0}})
+        code = main(["simulate-fb", "--config", str(cfgp), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at /kernels: powerlaw tail with gamma = 1.02 ")
+        assert "EPS_TAIL" in err
+
     def test_instability_exits_nonzero_with_diagnostics(self, tmp_path, capsys):
         # dt far enough above the stability limit that the stiff dispersal
         # mode amplifies instead of merely cycling inside the box

@@ -1,5 +1,6 @@
 """Scenario schema acceptance, rejection diagnostics, and builder wiring."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -9,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlspread import config
+from nlspread import cli, config
 from nlspread.cauchy import CauchyConfig
 from nlspread.config import (SCENARIO_SCHEMA, ConfigError, build_cauchy_config,
-                             build_fb_config, build_kernels, build_speeds, load_scenario,
-                             scenario_dir, validate_scenario)
+                             build_fb_config, build_fit, build_kernels, build_speeds,
+                             build_sweep, load_scenario, scenario_dir, validate_scenario)
 from nlspread.freeboundary import FBConfig
 from nlspread.kernels import _FAMILIES, KernelSpec, make_kernel
 from nlspread.reactions import PRESET_PARAMS, custom, model_from_json, wnv
-from nlspread.semiwave import find_c0
+from nlspread.semiwave import estimate_cstar, find_c0
 
 
 def minimal_fb():
@@ -234,6 +235,108 @@ class TestBuilders:
         with pytest.raises(ConfigError) as e:
             build_kernels(obj, 2)
         assert e.value.pointer == "/kernels/1"
+
+
+def speeds_scenario(**speeds):
+    return {**minimal_fb(), "speeds": speeds}
+
+
+class TestSubcommandBuilders:
+    """speeds, fit and sweep: every field they read is read and checked here."""
+
+    def test_speeds_pass_no_unset_key(self):
+        obj = speeds_scenario()
+        del obj["numerics"]
+        model, kernels, mu, mu_sweep, c0_kw, cstar_kw = build_speeds(obj)
+        assert (mu, mu_sweep, c0_kw, cstar_kw) == (1.0, None, {}, None)
+
+    def test_speeds_keywords_renamed_and_split(self):
+        obj = speeds_scenario(mu_sweep=[1.0, 2.0], length=40.0, lengths=[40.0, 80.0],
+                              tol_c=0.01, rel_tol=0.02, dx=0.125)
+        *_, mu_sweep, c0_kw, cstar_kw = build_speeds(obj)
+        assert mu_sweep == [1.0, 2.0]
+        assert c0_kw == {"L": 40.0, "tol_c": 0.01, "dx": 0.125}
+        assert cstar_kw is None                 # lengths and rel_tol only with cstar
+        *_, c0_kw, cstar_kw = build_speeds({**obj, "speeds": {**obj["speeds"], "cstar": True}})
+        assert cstar_kw == {"lengths": [40.0, 80.0], "rel_tol": 0.02, "dx": 0.125}
+
+    def test_speeds_fall_back_to_the_numerics_mesh(self):
+        *_, c0_kw, cstar_kw = build_speeds(speeds_scenario(cstar=True))
+        assert c0_kw == cstar_kw == {"dx": 0.25}
+
+    def test_c0_keywords_are_find_c0_parameters(self):
+        obj = speeds_scenario(length=40.0, tol_c=0.01, dx=0.125, cstar=True, lengths=[40.0],
+                              rel_tol=0.02)
+        *_, c0_kw, cstar_kw = build_speeds(obj)
+        assert set(c0_kw) <= set(inspect.signature(find_c0).parameters)
+        assert set(cstar_kw) <= set(inspect.signature(estimate_cstar).parameters)
+
+    def _csv(self, tmp_path, text, name="fronts.csv"):
+        (tmp_path / name).write_text(text)
+        return {"name": "f", "fit": {"input": name}}
+
+    def test_fit_reads_relative_to_the_scenario(self, tmp_path):
+        obj = self._csv(tmp_path, "t,g,h\n0,-1,1\n1,-3,2\n")
+        obj["fit"].update(signals=["neg_g", "h"], window=[0, 5], law="linear")
+        t, signals, window, law = build_fit(obj, tmp_path / "fit.json")
+        assert t.tolist() == [0.0, 1.0]
+        assert list(signals) == ["neg_g", "h"]
+        assert signals["neg_g"].tolist() == [1.0, 3.0] and signals["h"].tolist() == [1.0, 2.0]
+        assert (window, law) == ((0, 5), "linear")
+        _, signals, window, law = build_fit(self._csv(tmp_path, "t,h\n0,1\n"),
+                                            tmp_path / "fit.json")
+        assert (list(signals), window, law) == (["h"], None, "auto")
+
+    @pytest.mark.parametrize("text,signals,pointer,message", [
+        (None, ["h"], "/fit/input", "cannot read"),
+        ("s,h\n0,1\n1,2\n", ["h"], "/fit/input", "needs a 't' column"),
+        ("t,h\n0,1\n1,2\n", ["h", "neg_g"], "/fit/signals", "lacks a 'g' column"),
+        ("t,g\n0,1\n1,2\n", ["h"], "/fit/signals", "lacks a 'h' column"),
+    ], ids=["unreadable", "no_t", "no_g", "no_h"])
+    def test_fit_rejected_at_its_field(self, tmp_path, text, signals, pointer, message):
+        obj = {"name": "f", "fit": {"input": "fronts.csv", "signals": signals}}
+        if text is not None:
+            (tmp_path / "fronts.csv").write_text(text)
+        with pytest.raises(ConfigError, match=message) as e:
+            build_fit(obj, tmp_path / "fit.json")
+        assert e.value.pointer == pointer
+
+    @pytest.mark.parametrize("builder,pointer", [(build_fit, "/fit"), (build_sweep, "/sweep")])
+    def test_section_required(self, tmp_path, builder, pointer):
+        with pytest.raises(ConfigError, match="required by this subcommand") as e:
+            builder({"name": "x"}, tmp_path / "x.json")
+        assert e.value.pointer == pointer
+
+    def test_sweep_runs_resolved_and_named(self, tmp_path):
+        obj = {"name": "s", "sweep": {"runs": [{"config": "a/one.json", "task": "fit"},
+                                               {"config": "/b/two.json", "task": "speeds"}]}}
+        assert build_sweep(obj, tmp_path / "s.json") == [
+            ("fit", tmp_path / "a" / "one.json", "one"),
+            ("speeds", Path("/b/two.json"), "two")]
+
+    def test_sweep_run_names_unique(self, tmp_path):
+        obj = {"name": "s", "sweep": {"runs": [{"config": "a/one.json", "task": "fit"},
+                                               {"config": "b/one.json", "task": "speeds"}]}}
+        with pytest.raises(ConfigError, match="basenames must be unique") as e:
+            build_sweep(obj, tmp_path / "s.json")
+        assert e.value.pointer == "/sweep/runs"
+
+    def test_cli_tasks_are_the_schema_enum(self):
+        enum = SCENARIO_SCHEMA["properties"]["sweep"]["properties"]["runs"]["items"][
+            "properties"]["task"]["enum"]
+        assert list(cli._TASKS) == enum
+
+    def test_fit_checks_every_column_before_any_fit(self, tmp_path, capsys):
+        # the h fit alone would fail (two samples); the missing g column is reported
+        (tmp_path / "fronts.csv").write_text("t,h\n0,1\n1,2\n")
+        cfgp = tmp_path / "fit.json"
+        cfgp.write_text(json.dumps({"name": "f", "fit": {"input": "fronts.csv",
+                                                          "signals": ["h", "neg_g"]}}))
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error at /fit/signals: input CSV lacks a 'g' column\n")
+        assert not (out / "fits.json").exists()
 
 
 LAPLACE = make_kernel(KernelSpec.laplace(1.0))

@@ -4,7 +4,8 @@
 and the moment functions as first written: a placeholder kernel patched
 after its scalar tail-mesh loop, and ``first_moment``, ``exp_abscissa``,
 ``overflow_rate`` and ``_tail_regression`` derived from the kernel on
-every call.  ``make_kernel`` must give every field bit for bit.
+every call.  ``make_kernel`` must give every field bit for bit, and refuse
+the kernels whose reference mesh runs to an infinite cutoff.
 """
 
 import math
@@ -345,10 +346,18 @@ class TestFrozenReference:
     @example(2.0, 1.0)
     @example(2.5, None)
     @example(3.0, 1.0)
-    @example(1.01, 1.0)          # the mesh runs past the largest double, to inf
+    @example(1.03, 1.0)          # a finite mesh, cutoff 4.45e256
     def test_powerlaw(self, gamma, core_width):
         # core_width None is a directly built spec that falls back to 1
         assert_same_kernel(KernelSpec(family="powerlaw", gamma=gamma, core_width=core_width))
+
+    @pytest.mark.parametrize("gamma", [1.01, 1.02])
+    def test_mesh_to_inf_is_refused(self, gamma):
+        # the reference mesh runs past the largest double, to an infinite cutoff
+        spec = KernelSpec.powerlaw(gamma, 1.0)
+        assert math.isinf(frozen_make_kernel(spec).cutoff_radius)
+        with pytest.raises(KernelError, match=rf"gamma = {gamma} .*EPS_TAIL = 1e-08"):
+            make_kernel(spec)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["laplace", "gaussian", "powerlaw"]), st.floats(4.0, 60.0),

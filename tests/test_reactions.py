@@ -286,6 +286,23 @@ class TestAssumptionChecks:
         assert "coupling (1,0) = -8.000e-01" in check.detail
         assert check.witness == ([0.0, 0.0],)
 
+    def test_coupling_vanishing_at_the_origin_is_the_witness(self):
+        # dF2/du1 = 4 u1 is exactly 0 at the origin, where the difference
+        # step cannot go below 0: the one-sided three-point rule reads it exactly
+        model = rx.custom(["-u1 + u2", "-u2 + 2*u1^2"], {}, m0=1)
+        check = rx.verify_assumptions(model).results["diffusing_drives_nondiffusing"]
+        assert check.status == "fail"
+        assert "coupling (1,0) = 0.000e+00" in check.detail
+        assert check.witness == ([0.0, 0.0],)
+
+    def test_fd_jacobian_of_a_quadratic_at_the_origin_is_exact(self):
+        model = rx.custom(["u1 - u1^2 + 3*u1*u2", "2*u1^2 - u2 + 0.5*u2^2"], {})
+        assert model.jac is None
+        J = rx.jacobian(model, np.zeros(2))
+        # exact up to rounding (a two-point difference is off by h = 1e-6 here)
+        assert np.abs(J - [[1.0, 0.0], [0.0, -1.0]]).max() < 1e-9
+        assert J[0, 1] == J[1, 0] == 0.0
+
     def test_principal_eigenvalue_of_rotating_jacobian(self):
         # J0 = [[1, -4], [1, 1]] has eigenvalues 1 +- 2i: the origin is
         # unstable with largest real part 1
