@@ -43,10 +43,8 @@ class FitReport:
 
     ``coefficient`` is the leading factor (the prefactor A for the power
     law, whose log-space intercept is kept in ``intercept``).
-    ``exponent`` is None except for the power law.  ``stderr`` is the
-    standard error of the leading fitted parameter in its native fit
-    coordinates.  ``ambiguous``/``margin`` are populated only by
-    ``best_growth_law``.
+    ``exponent`` is None except for the power law.  ``ambiguous``/``margin``
+    are populated only by ``best_growth_law``.
     """
 
     law: str
@@ -56,33 +54,12 @@ class FitReport:
     r_squared: float
     window: tuple[float, float]
     n_samples: int
-    rmse: float
-    stderr: float
     ambiguous: bool = False
     margin: float | None = None
 
 
-def _extract(series, signal: str):
-    if isinstance(series, FrontSeries):
-        t = np.asarray(series.t, dtype=float)
-        if signal == "h":
-            y = np.asarray(series.h, dtype=float)
-        elif signal == "neg_g":
-            y = -np.asarray(series.g, dtype=float)
-        else:
-            raise ValueError(f"unknown signal {signal!r}; use 'h' or 'neg_g'")
-    else:
-        t, y = series
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if t.shape != y.shape or t.ndim != 1:
-            raise ValueError("series must be a FrontSeries or a pair of equal-length 1d arrays")
-    return t, y
-
-
-def fit_front(series, law: str = "linear", window: tuple | None = None,
-              signal: str = "h") -> FitReport:
-    """Least-squares fit of a front trajectory against one growth law.
+def fit_front(series: tuple, law: str = "linear", window: tuple | None = None) -> FitReport:
+    """Least-squares fit of a front trajectory ``(t, y)`` against one growth law.
 
     ``window`` defaults to the final half of the series, where the
     asymptotic laws are expected to have set in.  The log-corrected and
@@ -92,7 +69,9 @@ def fit_front(series, law: str = "linear", window: tuple | None = None,
     """
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}; choose from {LAWS}")
-    t, y = _extract(series, signal)
+    t, y = (np.asarray(a, dtype=float) for a in series)
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValueError("series must be a pair (t, y) of equal-length 1d arrays")
     if t.size == 0:
         raise InsufficientData("empty series")
     if window is None:
@@ -109,24 +88,23 @@ def fit_front(series, law: str = "linear", window: tuple | None = None,
             f"{tw.size} usable samples in window [{lo:g}, {hi:g}] for law {law!r}; need 20")
 
     if law == "linear":
-        coef, cov = np.polyfit(tw, yw, 1, cov=True)
+        coef = np.polyfit(tw, yw, 1)
         a, b = float(coef[0]), float(coef[1])
         pred = a * tw + b
         coefficient, exponent, intercept = a, None, b
     elif law == "tlogt":
         xw = tw * np.log(tw)
-        coef, cov = np.polyfit(xw, yw, 1, cov=True)
+        coef = np.polyfit(xw, yw, 1)
         a, b = float(coef[0]), float(coef[1])
         pred = a * xw + b
         coefficient, exponent, intercept = a, None, b
     else:
-        coef, cov = np.polyfit(np.log(tw), np.log(yw), 1, cov=True)
+        coef = np.polyfit(np.log(tw), np.log(yw), 1)
         p, logA = float(coef[0]), float(coef[1])
         pred = math.exp(logA) * tw ** p
         coefficient, exponent, intercept = math.exp(logA), p, logA
 
-    res = yw - pred
-    ss_res = float(np.sum(res ** 2))
+    ss_res = float(np.sum((yw - pred) ** 2))
     ss_tot = float(np.sum((yw - np.mean(yw)) ** 2))
     if ss_tot > 0:
         r2 = 1.0 - ss_res / ss_tot
@@ -134,22 +112,19 @@ def fit_front(series, law: str = "linear", window: tuple | None = None,
         r2 = 1.0 if ss_res <= 1e-30 else 0.0
     return FitReport(
         law=law, coefficient=coefficient, exponent=exponent, intercept=intercept,
-        r_squared=float(np.clip(r2, 0.0, 1.0)), window=(lo, hi), n_samples=int(tw.size),
-        rmse=float(np.sqrt(np.mean(res ** 2))), stderr=float(np.sqrt(max(cov[0, 0], 0.0))))
+        r_squared=float(np.clip(r2, 0.0, 1.0)), window=(lo, hi), n_samples=int(tw.size))
 
 
-def best_growth_law(series, window: tuple | None = None) -> tuple[str, FitReport]:
-    """Fit all three laws and return the winner by raw-position r².
+def best_growth_law(series: tuple, window: tuple | None = None) -> FitReport:
+    """Fit all three laws to ``(t, y)`` and return the winner's report by raw-position r².
 
     A margin below 1e-4 between the two leading laws marks the winner's
     report ``ambiguous``; the margin itself is attached either way.
     """
-    reports = {law: fit_front(series, law, window=window) for law in LAWS}
-    ranked = sorted(reports.items(), key=lambda kv: kv[1].r_squared, reverse=True)
-    best_law, best = ranked[0]
-    margin = best.r_squared - ranked[1][1].r_squared
-    best = replace(best, ambiguous=bool(margin < 1e-4), margin=float(margin))
-    return best_law, best
+    ranked = sorted((fit_front(series, law, window=window) for law in LAWS),
+                    key=lambda rep: rep.r_squared, reverse=True)
+    margin = ranked[0].r_squared - ranked[1].r_squared
+    return replace(ranked[0], ambiguous=bool(margin < 1e-4), margin=float(margin))
 
 
 def report_to_json_dict(report: FitReport) -> dict:

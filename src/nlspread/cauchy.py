@@ -47,6 +47,7 @@ class CauchyConfig(_Problem):
     x_max: float | None = None            # hard window cap (heavy tails)
     levels: tuple = ()                    # (component, level) pairs to track
     eps_edge: float = field(init=False)   # an edge band at or above it is hot
+    k_cap: int | None = field(init=False)  # the cap's lattice index: |k| <= k_cap
 
     def __post_init__(self):
         self._check_shared()
@@ -63,6 +64,7 @@ class CauchyConfig(_Problem):
         if self.x_max is not None and self.x_max < self.h0:
             raise WindowCapTooSmall("window cap must cover the initial data: "
                                     f"x_max = {self.x_max} < h0 = {self.h0}")
+        self.k_cap = None if self.x_max is None else int(math.floor(self.x_max / self.dx))
 
 
 @dataclass
@@ -87,7 +89,6 @@ class CauchySeries:
     snapshots: list
     final_state: CauchyState
     leak_bound: float            # worst neglected-exterior bound seen at a reference point
-    window_final: tuple
     capped: bool
     notes: tuple
 
@@ -103,13 +104,6 @@ def _edge_maxima(vals: np.ndarray) -> tuple[float, float]:
     return float(np.max(vals[:, :band])), float(np.max(vals[:, vals.shape[1] - band:]))
 
 
-def _cap_indices(cfg: CauchyConfig) -> tuple[int | None, int | None]:
-    if cfg.x_max is None:
-        return None, None
-    k = int(math.floor(cfg.x_max / cfg.dx))
-    return -k, k
-
-
 def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndarray]:
     """Zero-pad until both edge bands are cold or the cap blocks growth.
 
@@ -120,8 +114,8 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
     """
     n = vals.shape[1]
     k_hi = k_lo + n - 1
-    k_min, k_max = _cap_indices(cfg)
-    if k_min is not None and k_lo == k_min and k_hi == k_max:
+    k_cap = cfg.k_cap
+    if k_cap is not None and k_lo == -k_cap and k_hi == k_cap:
         return k_lo, vals
     hot = np.max(vals, axis=0) >= cfg.eps_edge
     if not hot.any():
@@ -132,9 +126,9 @@ def _widen(k_lo: int, vals: np.ndarray, cfg: CauchyConfig) -> tuple[int, np.ndar
         band = _band(n + pad_l + pad_r)
         grow_l = GROW_BLOCK if first < band - pad_l else 0
         grow_r = GROW_BLOCK if last >= n + pad_r - band else 0
-        if k_min is not None:
-            grow_l = min(grow_l, k_lo - pad_l - k_min)
-            grow_r = min(grow_r, k_max - (k_hi + pad_r))
+        if k_cap is not None:
+            grow_l = min(grow_l, k_lo - pad_l + k_cap)
+            grow_r = min(grow_r, k_cap - (k_hi + pad_r))
         if grow_l == 0 and grow_r == 0:
             break
         pad_l += grow_l
@@ -154,9 +148,9 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
     not fall, raise WindowCapTooSmall instead of growing without end.
     """
     half = int(math.ceil(cfg.h0 / cfg.dx)) + GROW_BLOCK
-    _, k_max = _cap_indices(cfg)
-    if k_max is not None:
-        half = min(half, k_max)
+    k_cap = cfg.k_cap
+    if k_cap is not None:
+        half = min(half, k_cap)
     # the data is sampled, not zero-padded, while sizing the initial window:
     # non-compact profiles (e.g. a Laplace-shaped state) must land intact
     peak = math.inf
@@ -164,9 +158,9 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
         vals = cfg._sample(np.arange(-half, half + 1) * cfg.dx)
         edge = max(_edge_maxima(vals))
         # NaN data reads cold here and fails _check_initial below
-        if not edge >= cfg.eps_edge or (k_max is not None and half >= k_max):
+        if not edge >= cfg.eps_edge or (k_cap is not None and half >= k_cap):
             break
-        if k_max is None and peak < math.inf:
+        if k_cap is None and peak < math.inf:
             steps = (math.log(cfg.eps_edge / edge) / (math.log(edge) - math.log(peak))
                      if edge < peak else math.inf)
             if 2 * (half + GROW_BLOCK * steps) + 1 > MAX_WINDOW_NODES:
@@ -176,8 +170,8 @@ def make_initial_cauchy_state(cfg: CauchyConfig) -> CauchyState:
                     "set the window cap x_max")
         peak = edge
         half += GROW_BLOCK
-        if k_max is not None:
-            half = min(half, k_max)
+        if k_cap is not None:
+            half = min(half, k_cap)
     cfg._check_initial(vals)
     return CauchyState(t=0.0, u=GridFunction(cfg.dx, -half, vals))
 
@@ -239,7 +233,6 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
     level_rows = {key: [] for key in cfg.levels}
     leak = 0.0
     capped = False
-    _, k_max = _cap_indices(cfg)
 
     def record(st: CauchyState):
         nonlocal leak
@@ -254,9 +247,13 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
         leak = max(leak, _leak_reference(cfg, st, x_ref))
 
     def note_cap(st: CauchyState):
+        """Capped once a side sits at the cap with its edge band hot."""
         nonlocal capped
-        if k_max is not None and st.u.k_hi >= k_max:
-            capped = capped or max(_edge_maxima(st.u.values)) >= cfg.eps_edge
+        k_cap, k_lo, k_hi = cfg.k_cap, st.u.k_lo, st.u.k_hi
+        if k_cap is not None and not capped and (k_lo <= -k_cap or k_hi >= k_cap):
+            left, right = _edge_maxima(st.u.values)
+            capped = (k_lo <= -k_cap and left >= cfg.eps_edge
+                      or k_hi >= k_cap and right >= cfg.eps_edge)
 
     def advance(st: CauchyState) -> CauchyState:
         st = cstep(st, cfg)
@@ -277,6 +274,4 @@ def run_cauchy(cfg: CauchyConfig) -> CauchySeries:
               for key, rows in level_rows.items()}
     return CauchySeries(t=np.asarray(ts), levels=levels,
                         origin=np.asarray(origin), snapshots=snapshots,
-                        final_state=state, leak_bound=leak,
-                        window_final=(state.x_left, state.x_right),
-                        capped=capped, notes=tuple(notes))
+                        final_state=state, leak_bound=leak, capped=capped, notes=tuple(notes))

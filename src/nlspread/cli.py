@@ -131,7 +131,7 @@ def _cmd_simulate_cauchy(scenario: dict, out: Path, seed: int, config_path: Path
                  "numerics": _numerics_echo(cfg),
                  "stability_bound": cfg.stability_limit(),
                  "final_t": series.final_state.t,
-                 "window_final": list(series.window_final),
+                 "window_final": [series.final_state.x_left, series.final_state.x_right],
                  "capped": series.capped,
                  "leak_bound": series.leak_bound,
                  "levels": [[c + 1, lam] for c, lam in cfg.levels],
@@ -190,9 +190,9 @@ def _cmd_fit(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
     for signal, y in signals.items():
         try:
             if law == "auto":
-                selected, report = best_growth_law((t, y), window=window)
+                report = best_growth_law((t, y), window=window)
                 entry = report_to_json_dict(report)
-                entry["selected"] = selected
+                entry["selected"] = report.law
                 entry["ambiguous"] = report.ambiguous
                 if report.margin is not None:
                     entry["margin"] = report.margin

@@ -65,9 +65,10 @@ class ReactionModel:
     jac: Callable[[np.ndarray], np.ndarray] | None = None
     u_ceiling: np.ndarray | None = None
     _closed_form: Callable[[], np.ndarray] | None = field(default=None, repr=False)
-    _u_star: np.ndarray | None = field(default=None, repr=False)
-    _lipschitz: float | None = field(default=None, repr=False)
-    _drain: float | None = field(default=None, repr=False)
+    # facts computed on first use; init=False so that replace() recomputes them
+    _u_star: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _lipschitz: float | None = field(default=None, init=False, repr=False, compare=False)
+    _drain: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)

@@ -505,7 +505,7 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     for i, k in enumerate(kerns):
         if mu_vec[i] > 0 and k.first_moment == INFINITE:
             raise FirstMomentDiverges(
-                f"kernel for component {i} has a divergent first moment; "
+                f"kernel for component {i + 1} has a divergent first moment; "
                 "boundary-matched fronts accelerate instead of settling on a speed")
     if L is None:
         L = 50.0 * max(k.core_scale for k in kerns)
@@ -694,7 +694,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     if heavy:
         return MinimalSpeedResult(
             value=INFINITE, linearized=INFINITE, bracket=None, trace=(), note=(
-                f"kernel for component {heavy[0]} has a divergent exponential moment; "
+                f"kernel for component {heavy[0] + 1} has a divergent exponential moment; "
                 "level sets accelerate and no finite minimal speed exists"))
 
     c_lin = linearized_front_speed(model, kerns)

@@ -314,10 +314,9 @@ def suite_dichotomy(seed: int = 0) -> list[CriterionResult]:
 def suite_speeds(seed: int = 0) -> list[CriterionResult]:
     rows = []
     r1 = c0_result(1.0)
-    cfg_s, series_s = fb_bundled("wnv_spreading")
-    t_end = series_s.t[-1]
-    slope_h = fit_front(series_s, "linear").coefficient
-    slope_g = fit_front(series_s, "linear", signal="neg_g").coefficient
+    series_s = fb_bundled("wnv_spreading")[1]
+    slope_h = fit_front((series_s.t, series_s.h), "linear").coefficient
+    slope_g = fit_front((series_s.t, -series_s.g), "linear").coefficient
     rel = abs(slope_h - r1.speed) / r1.speed
     rows.append(_row("edge_speed_matches_front_slope", rel < 0.05,
                      {"slope_h": slope_h, "c0": r1.speed, "rel_gap": rel},
@@ -362,10 +361,8 @@ def suite_speeds(seed: int = 0) -> list[CriterionResult]:
 
     _, cseries = cauchy_bundled("cauchy_wnv_laplace")
     arr = cseries.levels[(0, 0.25)]
-    t, xp = arr[:, 0], arr[:, 2]
-    keep = np.isfinite(xp) & (t >= 170.0)
-    speed = fit_front((t[keep], xp[keep]), "linear",
-                      window=(170.0, float(t[-1]))).coefficient
+    speed = fit_front((arr[:, 0], arr[:, 2]), "linear",
+                      window=(170.0, float(arr[-1, 0]))).coefficient
     rel_c = abs(speed - est.value) / est.value
     rows.append(_row("whole_line_level_speed_near_minimal_speed", rel_c < 0.10,
                      {"level_speed": speed, "cstar": est.value,
@@ -411,19 +408,19 @@ def suite_limits(seed: int = 0) -> list[CriterionResult]:
                      f"falls {sups[0]:.4f} -> {sups[1]:.4f} -> {sups[2]:.4f}"))
 
     _, s15 = powerlaw_fb(1.5, 60.0)
-    law15, rep15 = best_growth_law(s15)
+    rep15 = best_growth_law((s15.t, s15.h))
     p = rep15.exponent
-    ok15 = law15 == "power" and p is not None and abs(p - 2.0) / 2.0 < 0.15
+    ok15 = rep15.law == "power" and p is not None and abs(p - 2.0) / 2.0 < 0.15
     rows.append(_row("heavy_tail_power_growth", ok15,
-                     {"selected": law15, "exponent": p,
+                     {"selected": rep15.law, "exponent": p,
                       "r_squared": rep15.r_squared},
-                     f"selected {law15} with exponent {p:.3f} "
+                     f"selected {rep15.law} with exponent {p:.3f} "
                      f"(target 2, 15% band)"))
 
     _, s20 = powerlaw_fb(2.0, 150.0)
     full = (1.5, 150.0)
-    lin = fit_front(s20, "linear", window=full)
-    tl = fit_front(s20, "tlogt", window=full)
+    lin = fit_front((s20.t, s20.h), "linear", window=full)
+    tl = fit_front((s20.t, s20.h), "tlogt", window=full)
     dr2 = tl.r_squared - lin.r_squared
     rows.append(_row("borderline_tail_log_corrected_growth", dr2 > 1e-3,
                      {"r2_tlogt": tl.r_squared, "r2_linear": lin.r_squared,
@@ -433,16 +430,15 @@ def suite_limits(seed: int = 0) -> list[CriterionResult]:
 
     ccfg, cs = cauchy_bundled("cauchy_wnv_powerlaw15")
     arr = cs.levels[(0, 0.25)]
-    t, xp = arr[:, 0], arr[:, 2]
-    keep = np.isfinite(xp) & (xp > 0)
-    repp = fit_front((t[keep], xp[keep]), "power")
+    repp = fit_front((arr[:, 0], arr[:, 2]), "power")
     rows.append(_row("heavy_tail_whole_line_superlinear",
                      repp.exponent is not None and repp.exponent > 1.3,
                      {"exponent": repp.exponent, "r_squared": repp.r_squared},
                      f"level trajectory grows like t^{repp.exponent:.2f} "
                      f"on the tail window"))
 
-    probe = 0.9 * fit_front(fb_bundled("wnv_spreading")[1], "linear").coefficient
+    s_fb = fb_bundled("wnv_spreading")[1]
+    probe = 0.9 * fit_front((s_fb.t, s_fb.h), "linear").coefficient
     star = positive_equilibrium(ccfg.model)
     sups = []
     for tt, gf in cs.snapshots[-3:]:

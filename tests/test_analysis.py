@@ -94,36 +94,36 @@ class TestBestGrowthLaw:
         # the window must span a wide range of ln(t), otherwise the
         # log-corrected law shadows a straight line to within the tie margin
         t = np.linspace(2.0, 1000.0, 600)
-        law, rep = an.best_growth_law((t, 1.7 * t + 3.0), window=(2.0, 1000.0))
-        assert law == "linear"
+        rep = an.best_growth_law((t, 1.7 * t + 3.0), window=(2.0, 1000.0))
+        assert rep.law == "linear"
         assert not rep.ambiguous
 
     def test_power_selected(self):
         t = np.linspace(2.0, 200.0, 300)
-        law, rep = an.best_growth_law((t, 0.5 * t ** 1.8))
-        assert law == "power"
+        rep = an.best_growth_law((t, 0.5 * t ** 1.8))
+        assert rep.law == "power"
         assert rep.exponent == pytest.approx(1.8, abs=1e-3)
 
     def test_subsampling_invariance(self):
         t = np.linspace(2.0, 200.0, 400)
         y = 2.5 * t * np.log(t) + 1.0
-        law_full, _ = an.best_growth_law((t, y))
-        law_half, _ = an.best_growth_law((t[::2], y[::2]))
+        law_full = an.best_growth_law((t, y)).law
+        law_half = an.best_growth_law((t[::2], y[::2])).law
         assert law_full == law_half == "tlogt"
 
     def test_near_tie_flagged_ambiguous(self):
         # over a narrow late window t*ln(t) is indistinguishable from a
         # straight line, so the margin collapses
         t = np.linspace(1.0e6, 1.001e6, 60)
-        law, rep = an.best_growth_law((t, 2.0 * t), window=(t[0], t[-1]))
+        rep = an.best_growth_law((t, 2.0 * t), window=(t[0], t[-1]))
         assert rep.ambiguous
         assert rep.margin is not None and rep.margin < 1e-4
 
     def test_json_dict_shape(self):
         t = np.linspace(2.0, 100.0, 100)
-        law, rep = an.best_growth_law((t, 2.0 * t))
+        rep = an.best_growth_law((t, 2.0 * t))
         d = an.report_to_json_dict(rep)
-        assert d["model"] == law
+        assert d["model"] == rep.law
         assert len(d["params"]) == 3
         assert 0.0 <= d["r_squared"] <= 1.0
 

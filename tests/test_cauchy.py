@@ -55,6 +55,10 @@ class TestConfig:
     def test_eps_edge_default(self):
         assert base_cfg().eps_edge == pytest.approx(1e-8 * 0.5)
 
+    def test_cap_index_derived_once(self):
+        assert base_cfg().k_cap is None
+        assert base_cfg(x_max=10.1).k_cap == 40                 # floor(10.1 / 0.25)
+
     def test_cap_must_cover_initial_data(self):
         with pytest.raises(ValueError):
             base_cfg(x_max=1.0)
@@ -125,14 +129,14 @@ class TestInitialState:
 
 def widen_reference(k_lo, vals, cfg):
     """The widening rule one GROW_BLOCK at a time, on the padded array itself."""
-    k_min, k_max = cy._cap_indices(cfg)
+    k_cap = cfg.k_cap
     while True:
         left, right = cy._edge_maxima(vals)
         pad_l = cy.GROW_BLOCK if left >= cfg.eps_edge else 0
         pad_r = cy.GROW_BLOCK if right >= cfg.eps_edge else 0
-        if k_min is not None:
-            pad_l = min(pad_l, k_lo - k_min)
-            pad_r = min(pad_r, k_max - (k_lo + vals.shape[1] - 1))
+        if k_cap is not None:
+            pad_l = min(pad_l, k_lo + k_cap)
+            pad_r = min(pad_r, k_cap - (k_lo + vals.shape[1] - 1))
         if pad_l == 0 and pad_r == 0:
             return k_lo, vals
         vals = np.pad(vals, ((0, 0), (pad_l, pad_r)))
@@ -221,7 +225,7 @@ class TestStep:
         cfg = base_cfg(t_end=8.0)
         state0 = cy.make_initial_cauchy_state(cfg)
         series = cy.run_cauchy(cfg)
-        assert series.window_final[1] > state0.x_right
+        assert series.final_state.x_right > state0.x_right
         v = series.final_state.u.values
         band = max(1, int(np.ceil(0.05 * v.shape[1])))
         assert float(np.max(v[:, :band])) < cfg.eps_edge
@@ -317,8 +321,24 @@ class TestHeavyTailWindow:
         assert series.leak_bound > 0.0
         assert any("capped" in note for note in series.notes)
         assert any("unbounded ceiling" in note for note in series.notes)
-        assert abs(series.window_final[0]) <= 30.0 + 1e-9
-        assert series.window_final[1] <= 30.0 + 1e-9
+        assert abs(series.final_state.x_left) <= 30.0 + 1e-9
+        assert series.final_state.x_right <= 30.0 + 1e-9
+
+    @pytest.mark.parametrize("centre", [-20.0, 20.0])
+    def test_cap_reached_on_one_side_is_reported(self, centre):
+        # data off centre widens the window to the cap on its own side only,
+        # and that side's edge band is still hot at the end
+        prof = lambda x: np.maximum(0.0, 0.25 * (1 - np.abs(x - centre) / 2.0))
+        cfg = base_cfg(h0=22.0, x_max=60.0, t_end=8.0, dt=None,
+                       initial_profiles=(prof, prof))
+        series = cy.run_cauchy(cfg)
+        state = series.final_state
+        window = (state.x_left, state.x_right)
+        assert window == ((-60.0, 38.0) if centre < 0 else (-38.0, 60.0))
+        left, right = cy._edge_maxima(state.u.values)
+        assert (left if centre < 0 else right) >= cfg.eps_edge
+        assert series.capped
+        assert any("capped" in note for note in series.notes)
 
     def test_wide_thin_tail_gets_no_heavy_tail_note(self):
         # laplace(1000) has exponential moments for every rate below 1e-3,

@@ -6,6 +6,7 @@ reductions derived by hand, never against the module's own Newton.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestEquilibria:
         u1[0] = -99.0
         u2 = rx.positive_equilibrium(model)
         assert u2[0] == 0.5
+
+    def test_replace_recomputes_cached_facts(self):
+        # the facts are computed on first use; a replaced model reads its own
+        model = wnv_default()
+        facts = (rx.positive_equilibrium(model), rx.lipschitz_bound(model),
+                 rx.diagonal_drain(model))
+        assert facts[0].tolist() == [0.5, 0.5] and facts[1:] == (3.75, 1.0)
+        other = rx.wnv(2.0, 2.0, 0.5, 0.5, 1.0, 1.0)
+        swapped = replace(model, rate=other.rate, jac=other.jac,
+                          _closed_form=other._closed_form)
+        assert rx.positive_equilibrium(swapped).tolist() == [0.75, 0.75]
+        assert (rx.lipschitz_bound(swapped), rx.diagonal_drain(swapped)) == (6.75, 2.0)
 
     @pytest.mark.parametrize("build", [
         lambda: rx.wnv(1, 1, 1, 1, 1, 1),            # reproduction number exactly 1

@@ -152,6 +152,13 @@ class TestFindC0:
             with pytest.raises(sw.FirstMomentDiverges):
                 sw.find_c0(model, kern, 1.0)
 
+    def test_heavy_tail_message_counts_components_from_one(self, model, laplace1):
+        # scenarios and levels.csv number components 1..m; so does speeds.json
+        kerns = (laplace1, make_kernel(KernelSpec.powerlaw(1.5, 1.0)))
+        with pytest.raises(sw.FirstMomentDiverges, match="kernel for component 2 "):
+            sw.find_c0(model, kerns, 1.0)
+        assert sw.estimate_cstar(model, kerns).note.startswith("kernel for component 2 ")
+
     def test_cache_reused(self, model, laplace1):
         cache = {}
         first = sw.find_c0(model, laplace1, 1.0, cache=cache)
