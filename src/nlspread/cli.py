@@ -159,7 +159,7 @@ def _cmd_speeds(scenario: dict, out: Path, seed: int, config_path: Path) -> int:
     brackets: dict = {}
     if r0 is not None:
         brackets["c0"] = entry.pop("bracket")
-        sol = r0.solution
+        sol = r0.solution          # solved here, cold, before the sweep fills the cache
         _write_csv(out / "semiwave.csv",
                    f"# c={_f(sol.c)} L={_f(sol.length)} residual={_f(sol.residual)}\n"
                    "x," + ",".join(f"phi_{i + 1}" for i in range(model.m)),

@@ -554,7 +554,8 @@ def verify_assumptions(model: ReactionModel, n_samples: int = 256,
             weak = np.argwhere(coupling <= 1e-9 * jscale)
             if weak.size:
                 i, j = weak[0]
-                bad = (u, model.m0 + int(i), int(j), float(coupling[i, j]))
+                # components counted from 1, as in every other message
+                bad = (u, model.m0 + int(i) + 1, int(j) + 1, float(coupling[i, j]))
                 break
         if bad is None:
             results["diffusing_drives_nondiffusing"] = CheckResult(

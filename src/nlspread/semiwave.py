@@ -30,7 +30,8 @@ warm-start rule, the cold re-run of a probe that breaks it, and the cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -462,16 +463,22 @@ class FrontSpeedResult:
     ``trace`` holds (c, value) in evaluation order, where value is
     Psi(c) - c of the profile the verdict was read from: the converged
     one, or an unfinished iterate whose value already read <= 0.
-    ``solution`` is the converged profile at ``speed``.  ``fallbacks``
-    counts the probes whose guarded relaxation rose above the roundoff
-    floor and were re-run cold from saturation.
+    ``solution`` is the converged profile at ``speed``, solved on first
+    read through the search's own probes and shared cache, and kept.
+    ``fallbacks`` counts the probes of the search whose guarded
+    relaxation rose above the roundoff floor and were re-run cold from
+    saturation.
     """
 
     speed: float
-    solution: SemiWaveSolution
     bracket: tuple[float, float]
     trace: tuple[tuple[float, float], ...]
     fallbacks: int = 0
+    _probes: _Probes = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def solution(self) -> SemiWaveSolution:
+        return self._probes(self.speed)
 
 
 def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
@@ -489,9 +496,9 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
     lowers the profile and with it Psi, so once Psi - c reads <= 0 the
     converged value would too (``solve_profile``, ``stop_mu``).  Probes
     start, resume and fall back to a cold run (``fallbacks``) as
-    ``_Probes`` says.  The final midpoint has no early stop, so it is
-    never started from another speed and ``solution`` is the cold
-    computation.
+    ``_Probes`` says.  The profile at the final midpoint is solved only
+    when ``solution`` is first read, without an early stop, so it is
+    never started from another speed and is the cold computation.
 
     ``cache`` maps speeds to profiles and may be shared between calls
     that use the same model, kernels, window and mesh.  An entry may be
@@ -552,8 +559,8 @@ def find_c0(model: ReactionModel, kernels, mu, L: float | None = None,
             "refine tol_c or the mesh")
 
     speed = 0.5 * (lo + hi)
-    return FrontSpeedResult(speed=speed, solution=profile(speed), bracket=(lo, hi),
-                            trace=tuple(trace), fallbacks=profile.fallbacks)
+    return FrontSpeedResult(speed=speed, bracket=(lo, hi), trace=tuple(trace),
+                            fallbacks=profile.fallbacks, _probes=profile)
 
 
 # ----------------------------------------------------------------------

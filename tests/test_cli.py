@@ -202,14 +202,16 @@ class TestSimulateCauchy:
         assert np.all(np.diff(xp[tail]) > 0)
 
 
+FAST_SPEEDS = {"mu": 1.0,
+               "numerics": {"dx": 0.25, "t_end": 0.0},
+               "speeds": {"mu_sweep": [1.0, 2.0, 4.0], "length": 40.0,
+                          "dx": 0.25, "tol_c": 0.002}}
+
+
 @pytest.fixture(scope="module")
 def speeds_out(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("speeds")
-    cfgp = write_scenario(tmp, "fast_speeds", {
-        "mu": 1.0,
-        "numerics": {"dx": 0.25, "t_end": 0.0},
-        "speeds": {"mu_sweep": [1.0, 2.0, 4.0], "length": 40.0,
-                   "dx": 0.25, "tol_c": 0.002}})
+    cfgp = write_scenario(tmp, "fast_speeds", FAST_SPEEDS)
     out = tmp / "sp"
     assert main(["speeds", "--config", str(cfgp), "--out", str(out)]) == 0
     return out
@@ -221,6 +223,13 @@ class TestSpeeds:
         assert 0.1 < doc["c0"] < 0.3
         assert doc["brackets"]["c0"][0] < doc["c0"] < doc["brackets"]["c0"][1]
         assert 1.5 < doc["cstar_linearized_diagnostic"] < 1.8
+
+    def test_reruns_byte_identical(self, speeds_out, tmp_path):
+        cfgp = write_scenario(tmp_path, "fast_speeds", FAST_SPEEDS)
+        again = tmp_path / "sp"
+        assert main(["speeds", "--config", str(cfgp), "--out", str(again)]) == 0
+        for fname in ("semiwave.csv", "speeds.json"):
+            assert (speeds_out / fname).read_bytes() == (again / fname).read_bytes(), fname
 
     def test_sweep_table_nondecreasing(self, speeds_out):
         doc = json.loads((speeds_out / "speeds.json").read_text())

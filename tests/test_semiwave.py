@@ -613,11 +613,14 @@ def cold_ladder(model, laplace1):
     return [_cold_find_c0(model, laplace1, mu, cache, **LADDER) for mu in LADDER_MU]
 
 
-def _matches_cold(results, cold):
+def _matches_cold(results, cold, cache):
+    # read after every rung has run on the shared cache: no search solves
+    # its final midpoint until its profile is read
     for res, (speed, bracket, verdicts, sol) in zip(results, cold, strict=True):
         assert res.speed == speed and res.bracket == bracket
         assert [(c, v <= 0.0) for c, v in res.trace] == verdicts
-        assert res.solution.converged
+        assert speed not in cache
+        assert res.solution.converged and cache[speed] is res.solution
         assert np.array_equal(res.solution.phi, sol.phi)
         assert res.solution.residual == sol.residual
 
@@ -630,7 +633,7 @@ class TestEdgeSpeedProbes:
         cache = {}
         results = [sw.find_c0(model, laplace1, mu, cache=cache, **LADDER)
                    for mu in LADDER_MU]
-        _matches_cold(results, cold_ladder)
+        _matches_cold(results, cold_ladder, cache)
         assert [res.fallbacks for res in results] == [0, 0, 0]
         # the shortcuts were taken: sign stops, lower-speed starts, resumes
         assert {stop for stop, _ in seen} >= {"sign"}
@@ -643,7 +646,7 @@ class TestEdgeSpeedProbes:
         cache = {}
         results = [sw.find_c0(model, laplace1, mu, cache=cache, **LADDER)
                    for mu in LADDER_MU]
-        _matches_cold(results, cold_ladder)
+        _matches_cold(results, cold_ladder, cache)
         assert sum(res.fallbacks for res in results) > 0
         # every probe that got a start was re-run cold from saturation
         assert all(start == "saturated" for _, start in seen)

@@ -91,7 +91,13 @@ def test_semiwave_calls_through_the_traced_globals(monkeypatch):
 
     monkeypatch.setattr(sw, "solve_profile", stub_profile)
     result = sw.find_c0(model, laplace, 1.0, tol_c=0.01)
-    # Psi(c) = 0.5 for the stub, so the root is c = 0.5; every probe and the
-    # final midpoint are solved through the module global
+    # Psi(c) = 0.5 for the stub, so the root is c = 0.5; every probe is
+    # solved through the module global, and the final midpoint only when
+    # the profile is first read
     assert abs(result.speed - 0.5) <= 0.01
-    assert [c for _, c in calls] == [c for c, _ in result.trace] + [result.speed]
+    probes = [c for c, _ in result.trace]
+    assert [c for _, c in calls] == probes
+    sol = result.solution
+    assert [c for _, c in calls] == probes + [result.speed]
+    assert result.solution is sol
+    assert [c for _, c in calls] == probes + [result.speed]
