@@ -17,6 +17,7 @@ simulator and the semi-wave solvers use the same definitions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -161,12 +162,28 @@ class _Problem:
 class FBConfig(_Problem):
     mu: np.ndarray = field(kw_only=True)
     thresholds: Thresholds = field(default_factory=Thresholds)
+    _edge_law: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_shared()
         self.mu = _component_mu(self.mu, self.model.m, self.model.m0)
         # a dt above the stability bound is allowed here; the run will
         # surface it as Instability rather than silently producing garbage
+
+    def edge_law(self) -> tuple:
+        """The edge law's run-long facts, built once.
+
+        The (component, mu_i) pairs with mu_i != 0, and per kernel group
+        (kernel, row block, row indices), the block as the operator
+        indexes the value array.
+        """
+        if self._edge_law is None:
+            op = self.operator()
+            self._edge_law = (
+                [(i, mu_i) for i, mu_i in enumerate(self.mu.tolist()) if mu_i != 0.0],
+                tuple((kern, block, rows.tolist())
+                      for (kern, rows), block in zip(op.groups, op.blocks)))
+        return self._edge_law
 
 
 @dataclass
@@ -214,20 +231,19 @@ def make_initial_state(cfg: FBConfig) -> FBState:
 
 def _edge_fluxes(state: FBState, cfg: FBConfig) -> tuple[float, float]:
     """Outward dispersal rates (left, right); equal bitwise for mirror states."""
-    mu = cfg.mu.tolist()
-    left = [0.0] * len(mu)
-    right = [0.0] * len(mu)
-    for kern, rows in cfg.operator().groups:
-        group_left, group_right = boundary_flux(kern, state.u, rows, state.g, state.h)
-        for i, lf, rf in zip(rows.tolist(), group_left.tolist(), group_right.tolist()):
+    rates, groups = cfg.edge_law()
+    u, g, h = state.u, state.g, state.h
+    left = [0.0] * cfg.model.m0
+    right = [0.0] * cfg.model.m0
+    for kern, block, rows in groups:
+        group_left, group_right = boundary_flux(kern, u, block, g, h)
+        for i, lf, rf in zip(rows, group_left, group_right):
             left[i], right[i] = lf, rf
     gp = 0.0
     hp = 0.0
-    for mu_i, lf, rf in zip(mu, left, right):
-        if mu_i == 0.0:
-            continue
-        gp += mu_i * lf
-        hp += mu_i * rf
+    for i, mu_i in rates:
+        gp += mu_i * left[i]
+        hp += mu_i * right[i]
     return gp, hp
 
 
@@ -290,15 +306,19 @@ def step(state: FBState, cfg: FBConfig) -> FBState:
     g_new = state.g - dt * gp
     h_new = state.h + dt * hp
     k_lo, k_hi = _active_range(g_new, h_new, dx)
-    # both edge fluxes are >= 0, so the range only grows and holds the old nodes
-    old = state.u.values
-    vals = np.zeros((old.shape[0], k_hi - k_lo + 1))
-    lo = state.u.k_lo - k_lo
-    vals[:, lo:lo + old.shape[1]] = old
+    u = state.u
+    vals = u.values
+    if k_lo != u.k_lo or k_hi != u.k_hi:
+        # both edge fluxes are >= 0, so the range only grows and holds the old nodes
+        vals = np.zeros((u.m, k_hi - k_lo + 1))
+        lo = u.k_lo - k_lo
+        vals[:, lo:lo + u.n] = u.values
+    # _euler returns a fresh array: the old state's values stay as they are
     new_vals = _euler(vals, cfg, state.t + dt, k_lo)
     return FBState(state.t + dt, g_new, h_new, GridFunction(dx, k_lo, new_vals))
 
 
+@functools.lru_cache(maxsize=8)
 def _core_range(k_lo: int, n: int, dx: float, h0: float) -> tuple[int, int]:
     """Local index range [lo, hi) of the nodes with |k*dx| <= h0 among k_lo..k_lo+n-1.
 

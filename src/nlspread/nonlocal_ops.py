@@ -60,6 +60,7 @@ bitwise the right flux of the data.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -83,7 +84,10 @@ class GridFunction:
     values: np.ndarray           # shape (m, n)
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        v = self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if v.ndim != 2:
+            raise ValueError(f"values must be one row or an (m, n) array, "
+                             f"got shape {v.shape}")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
 
@@ -111,6 +115,14 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.dx, self.k_lo, self.values.copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _node_coordinates(dx: float, k_lo: int, n: int) -> np.ndarray:
+    """GridFunction.x of a window, computed once per window and read-only."""
+    xs = np.arange(k_lo, k_lo + n, dtype=float) * dx
+    xs.flags.writeable = False
+    return xs
 
 
 def check_mesh(kernel: Kernel, dx: float) -> None:
@@ -315,7 +327,9 @@ class DispersalOperator:
 
     Build it once per problem from the m0 kernels and the mesh; see the
     module note for the groups and the cached stencils and spectra.
-    ``groups`` holds (kernel, row indices) pairs in first-row order.
+    ``groups`` holds (kernel, row indices) pairs in first-row order, and
+    ``blocks`` each group's rows as they index a value array: a slice
+    when they are consecutive, else the index array.
     """
 
     def __init__(self, kernels, dx: float):
@@ -326,9 +340,9 @@ class DispersalOperator:
             rows.setdefault(kern.spec, []).append(i)
         self.groups = tuple((kernels[r[0]], np.array(r)) for r in rows.values())
         # a run of consecutive rows is indexed by a slice, so that the
-        # convolution reads and writes it as a view, not through copies
-        self._rows = [slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
-                      for r in rows.values()]
+        # convolution and the edge flux read it as a view, not through copies
+        self.blocks = tuple(slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1
+                            else np.array(r) for r in rows.values())
         self._stencils = [None] * len(self.groups)      # (n, W, weights, padded row)
         self._spectra = [None] * len(self.groups)       # (L, W, spectrum)
         self._workspaces = [None] * len(self.groups)    # _FFTWorkspace at length L
@@ -374,7 +388,7 @@ class DispersalOperator:
         """(m0, n) array of J_i * u_i for the first m0 rows of vals."""
         n = vals.shape[-1]
         out = np.empty((self.m0, n))
-        for group, rows in enumerate(self._rows):
+        for group, rows in enumerate(self.blocks):
             weights, padded = self._stencil(group, n)
             if padded is not None:      # W <= FFT_WINDOW_THRESHOLD: the direct path
                 # out[rows] is a view for a slice, so the assignment copies
@@ -405,24 +419,32 @@ def mirror_stable_sum(a: np.ndarray) -> float | np.ndarray:
 
 
 def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
-                  h: float) -> tuple[np.ndarray, np.ndarray]:
+                  h: float) -> tuple[list, list]:
     """Dispersal mass crossing the range edges per unit time, (left, right).
 
     Right edge: integral over (g, h) of tail(h - x) * f(x) dx, the mass the
     kernel carries from the occupied range past h; the left edge weighs
     f(x) by tail(x - g).  Trapezoid rule on the active nodes; in the
     partial cells next to the exact edges f is linearly interpolated to 0.
-    ``rows`` are the indices of the rows that share the kernel; each edge
-    gets one flux per row.  Both sums pair nodes from the two ends and add
+    ``rows`` are the rows that share the kernel: row indices, or a
+    nonempty slice of consecutive rows within 0..m-1, which is read as a
+    view.  Each edge gets one flux per row, a list of Python floats in
+    the order of ``rows``.  Both sums pair nodes from the two ends and add
     the partial cell at the far edge first, so the left flux of mirrored
     data is bitwise the right flux of the data.
     """
     if not (g < h):
         raise ValueError("need g < h")
-    rows = np.atleast_1d(rows)
-    listed = rows.tolist()
-    if rows.ndim != 1 or not listed or min(listed) < 0 or max(listed) >= f.m:
-        raise IndexError(f"rows {rows} out of range for m={f.m}")
+    if isinstance(rows, slice):
+        start = 0 if rows.start is None else rows.start
+        stop = f.m if rows.stop is None else rows.stop
+        if rows.step not in (None, 1) or not 0 <= start < stop <= f.m:
+            raise IndexError(f"rows {rows} out of range for m={f.m}")
+    else:
+        rows = np.atleast_1d(rows)
+        listed = rows.tolist()
+        if rows.ndim != 1 or not listed or min(listed) < 0 or max(listed) >= f.m:
+            raise IndexError(f"rows {rows} out of range for m={f.m}")
     dx, n = f.dx, f.n
     # the end nodes' coordinates, with the bits of f.x[0] and f.x[-1]
     x_first, x_last = f.k_lo * dx, (f.k_lo + n - 1) * dx
@@ -431,7 +453,7 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
     lo, hi = x_first - g, h - x_last         # partial cells at the left and right edge
     if lo > dx * (1 + 1e-9) or hi > dx * (1 + 1e-9):
         raise ValueError("edges must align with the active range within one cell")
-    xs = f.x
+    xs = _node_coordinates(dx, f.k_lo, n)
     reach = np.empty((2, n))                 # distance of each node to g and to h
     np.subtract(xs, g, out=reach[0])
     np.subtract(h, xs, out=reach[1])
@@ -446,4 +468,4 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
             for s, a, b in zip(s_left, a_left, b_left)]
     right = [dx * (s - 0.5 * (a + b)) + 0.5 * a * lo + 0.5 * b * hi
              for s, a, b in zip(s_right, a_right, b_right)]
-    return np.array(left), np.array(right)
+    return left, right

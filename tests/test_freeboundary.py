@@ -14,7 +14,8 @@ from nlspread import cauchy as cy
 from nlspread import freeboundary as fb
 from nlspread import kernels as kn
 from nlspread import reactions as rx
-from nlspread.nonlocal_ops import GridFunction, MeshTooCoarse
+from nlspread.nonlocal_ops import (FFT_WINDOW_THRESHOLD, GridFunction, MeshTooCoarse,
+                                   boundary_flux, kernel_weights)
 
 
 def laplace1():
@@ -155,6 +156,146 @@ class TestStep:
         assert np.all(a.values <= b.values[:, off:off + a.n] + 1e-12)
 
 
+def _reference_convolve(vals, cfg):
+    """The direct path of the dispersal operator in its plain form.
+
+    Per kernel group a fresh stencil, each row's correlate pair in a
+    zero-padded copy, and the block scattered by row index.
+    """
+    n = vals.shape[-1]
+    out = np.empty((cfg.model.m0, n))
+    for kern, rows in cfg.operator().groups:
+        weights = kernel_weights(kern, cfg.dx, max_half_width=n - 1)
+        W = (len(weights) - 1) // 2
+        assert W <= FFT_WINDOW_THRESHOLD
+        padded = np.zeros(n + 2 * W)
+        slot = padded[W:W + n]
+        block = np.empty((len(rows), n))
+        for row, dst in zip(vals[rows], block):
+            slot[:] = row
+            first = np.correlate(padded, weights, "valid")
+            slot[:] = row[::-1]
+            np.add(first, np.correlate(padded, weights, "valid")[::-1], out=dst)
+        block *= 0.5
+        out[rows] = block
+    return out
+
+
+def reference_step(state, cfg):
+    """The moving-range step in its plain form: fb.step must give its bits.
+
+    Every step reads mu and the row indices from the config, copies the
+    old values into a fresh zero array of the new range, and convolves
+    through the reference above.
+    """
+    mu = cfg.mu.tolist()
+    left = [0.0] * len(mu)
+    right = [0.0] * len(mu)
+    for kern, rows in cfg.operator().groups:
+        group_left, group_right = boundary_flux(kern, state.u, rows, state.g, state.h)
+        for i, lf, rf in zip(rows.tolist(), group_left, group_right):
+            left[i], right[i] = lf, rf
+    gp = 0.0
+    hp = 0.0
+    for mu_i, lf, rf in zip(mu, left, right):
+        if mu_i == 0.0:
+            continue
+        gp += mu_i * lf
+        hp += mu_i * rf
+    dt, dx = cfg.timestep(), cfg.dx
+    g_new = state.g - dt * gp
+    h_new = state.h + dt * hp
+    k_lo, k_hi = fb._active_range(g_new, h_new, dx)
+    old = state.u.values
+    vals = np.zeros((old.shape[0], k_hi - k_lo + 1))
+    lo = state.u.k_lo - k_lo
+    vals[:, lo:lo + old.shape[1]] = old
+    model, m0 = cfg.model, cfg.model.m0
+    f_vals = rx.eval_F(model, vals, validate=False)
+    rate = _reference_convolve(vals, cfg)
+    rate -= vals[:m0]
+    rate *= model.d[:m0, None]
+    rate += f_vals[:m0]
+    if m0 < model.m:
+        rate = np.concatenate((rate, f_vals[m0:]))
+    rate *= dt
+    rate += vals
+    new_vals = fb._check_box(rate, cfg, state.t + dt, k_lo)
+    return fb.FBState(state.t + dt, g_new, h_new, GridFunction(dx, k_lo, new_vals))
+
+
+def _same_state(a, b) -> bool:
+    """Equal to the bit: time, edges, node range and every value."""
+    return ((a.t, a.g, a.h, a.u.k_lo, a.u.values.shape) == (b.t, b.g, b.h, b.u.k_lo,
+                                                             b.u.values.shape)
+            and a.u.values.tobytes() == b.u.values.tobytes())
+
+
+CYCLE3 = ["(1 - u1)*u2 - 0.5*u1", "(1 - u2)*u3 - 0.5*u2", "(1 - u3)*u1 - 0.5*u3"]
+# (model, kernel specs): one group, two groups, the interleaved grouping
+# whose rows [0, 2] form an index array, and a sedentary second component
+GROUPINGS = {
+    "one": (wnv_model, (kn.KernelSpec.laplace(1.0),) * 2),
+    "two": (wnv_model, (kn.KernelSpec.laplace(1.0), kn.KernelSpec.gaussian(1.0))),
+    "interleaved": (lambda: rx.custom(CYCLE3, {}, u_ceiling=[1.0] * 3),
+                    (kn.KernelSpec.laplace(1.0), kn.KernelSpec.gaussian(1.0),
+                     kn.KernelSpec.laplace(1.0))),
+    "sedentary": (lambda: rx.custom(CYCLE3[:1] + ["(1 - u2)*u1 - 0.5*u2"], {}, m0=1,
+                                    u_ceiling=[1.0, 1.0]),
+                  (kn.KernelSpec.laplace(1.0),)),
+}
+
+
+@st.composite
+def step_cases(draw):
+    """(config, state): random values on a random range, edges inside the end cells."""
+    make_model, specs = GROUPINGS[draw(st.sampled_from(sorted(GROUPINGS)))]
+    model = make_model()
+    mu = draw(st.lists(st.just(0.0) | st.floats(0.1, 40.0), min_size=model.m0,
+                       max_size=model.m0).filter(lambda m: sum(m) > 0))
+    dx = 0.25
+    cfg = fb.FBConfig(model=model, kernels=tuple(kn.make_kernel(s) for s in specs),
+                      mu=mu, h0=2.0, dx=dx, t_end=1.0, dt=0.05)
+    n = draw(st.integers(2, 40))
+    k_lo = draw(st.integers(-30, 10))
+    vals = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        0.0, 0.95, (model.m, n))
+    vals[:, draw(st.integers(0, n - 1))] = 0.0
+    g = k_lo * dx - draw(st.floats(1e-6, 1.0)) * dx
+    h = (k_lo + n - 1) * dx + draw(st.floats(1e-6, 1.0)) * dx
+    return cfg, fb.FBState(draw(st.floats(0.0, 10.0)), g, h, GridFunction(dx, k_lo, vals))
+
+
+class TestStepReference:
+    """fb.step keeps the bits of the plain step over ranges that grow and that hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_cases())
+    def test_step_is_the_reference_bitwise(self, case):
+        cfg, state = case
+        ref = state
+        for _ in range(6):
+            state, ref = fb.step(state, cfg), reference_step(ref, cfg)
+            assert _same_state(state, ref)
+
+    @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
+    def test_runs_that_grow_and_hold_are_the_reference_bitwise(self, grouping):
+        make_model, specs = GROUPINGS[grouping]
+        model = make_model()
+        mu = [2.0] + [0.0] * (model.m0 - 2) + [3.0] * (model.m0 > 1)
+        cfg = fb.FBConfig(model=model, kernels=tuple(kn.make_kernel(s) for s in specs),
+                          mu=mu, h0=2.0, dx=0.25, t_end=1.0, dt=0.05)
+        state = ref = fb.make_initial_state(cfg)
+        grew = held = 0
+        for _ in range(120):
+            prev = state
+            state, ref = fb.step(state, cfg), reference_step(ref, cfg)
+            assert _same_state(state, ref)
+            same = (state.u.k_lo, state.u.n) == (prev.u.k_lo, prev.u.n)
+            held, grew = held + same, grew + (not same)
+        assert held > 10 and grew > 3
+
+
 class TestTrack:
     """_track reads the core |x| <= h0 as an index range; it must be the mask's node set."""
 
@@ -206,6 +347,33 @@ class TestRun:
         assert np.all(np.diff(series.h) >= 0)
         assert np.all(np.diff(series.g) <= 0)
         assert series.t[-1] >= 5.0 - 1e-9
+
+    def test_step_leaves_earlier_values_and_snapshots_alone(self):
+        # the step reads the old values in place while the range holds:
+        # no state's values and no snapshot may change after the fact
+        cfg = smoke_cfg(t_end=8.0, snapshot_times=(0.0, 1.0, 2.55, 4.0, 6.3, 8.0))
+        seen = []
+        held = 0
+
+        def advance(st):
+            nonlocal held
+            before = st.u.values.copy()
+            new = fb.step(st, cfg)
+            assert st.u.values.tobytes() == before.tobytes()
+            assert not np.shares_memory(new.u.values, st.u.values)
+            held += (new.u.k_lo, new.u.n) == (st.u.k_lo, st.u.n)
+            seen.append((new, new.u.values.copy()))
+            return new
+
+        start = fb.make_initial_state(cfg)
+        seen.append((start, start.u.values.copy()))
+        _, snapshots = fb._integrate(cfg, start, advance, lambda st: None)
+        assert held >= 40 and len(snapshots) == 6
+        for st, values in seen:
+            assert st.u.values.tobytes() == values.tobytes()
+        taken = {st.t: values for st, values in seen}
+        for t, gf in snapshots:
+            assert gf.values.tobytes() == taken[t].tobytes()
 
     def test_snapshots_at_requested_times(self):
         series = fb.run(smoke_cfg(t_end=5.0, snapshot_times=(1.0, 2.5)))

@@ -61,6 +61,29 @@ class TestGridFunction:
         gf = GridFunction(dx=0.1, k_lo=0, values=np.ones(5))
         assert gf.values.shape == (1, 5)
 
+    @pytest.mark.parametrize("values", [
+        [[1, 2, 3], [4, 5, 6]], [0.5, 1.5], np.arange(6).reshape(2, 3),
+        np.arange(4, dtype=np.float32), np.ones((2, 3), dtype=">f8"), 2.5])
+    def test_other_values_are_coerced_to_a_float_block(self, values):
+        # lists, one row, scalars and other dtypes become the 2-D float64
+        # array np.atleast_2d(np.asarray(values, dtype=float)) gives
+        gf = GridFunction(dx=0.1, k_lo=0, values=values)
+        expect = np.atleast_2d(np.asarray(values, dtype=float))
+        assert gf.values.dtype == np.float64 and gf.values.ndim == 2
+        assert np.array_equal(gf.values, expect)
+        assert (gf.m, gf.n) == expect.shape
+
+    def test_a_float_block_is_kept_as_it_is(self):
+        block = np.arange(12.0).reshape(3, 4)
+        assert GridFunction(dx=0.1, k_lo=0, values=block).values is block
+        view = block[:, ::-2]
+        assert GridFunction(dx=0.1, k_lo=0, values=view).values is view
+
+    @pytest.mark.parametrize("values", [np.ones((2, 3, 4)), [[[1.0, 2.0]]], np.zeros((1, 1, 1, 5))])
+    def test_values_with_more_than_two_axes_rejected(self, values):
+        with pytest.raises(ValueError, match="one row or an \\(m, n\\) array"):
+            GridFunction(dx=0.1, k_lo=0, values=values)
+
 
 class TestWeights:
     def test_unit_mass_for_constant_data(self):
@@ -278,7 +301,10 @@ class TestBoundaryFlux:
         with pytest.raises(ValueError, match="need g < h"):
             boundary_flux(kern, gf, [0], 1.0, 1.0)
 
-    @pytest.mark.parametrize("rows", [[-1], [0, 3], [3], [], np.array([], dtype=int)])
+    @pytest.mark.parametrize("rows", [
+        [-1], [0, 3], [3], [], np.array([], dtype=int),
+        slice(0, 4), slice(-1, 2), slice(3, None), slice(1, 1), slice(2, 1),
+        slice(0, 3, 2), slice(2, 0, -1)])
     def test_rows_out_of_range_rejected(self, rows):
         kern = make_kernel(KernelSpec.laplace(1.0))
         gf = GridFunction(dx=0.1, k_lo=-10, values=np.ones((3, 21)))
@@ -291,12 +317,25 @@ class TestBoundaryFlux:
     @example((("table", 1.0), 0.25, 0, 3, 1, [2, 0], 0.5, 1.0))         # one node
     def test_matches_the_reference_bitwise_and_mirrors(self, case):
         kern, gf, rows, g, h = flux_setup(case)
-        left, right = boundary_flux(kern, gf, rows, g, h)
-        ref_left, ref_right = reference_boundary_flux(kern, gf, rows, g, h)
-        assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
+        # the drawn rows, and the consecutive run from their least to their
+        # largest as an index array and as a slice (slice(None) for all rows)
+        run = np.arange(min(rows), max(rows) + 1)
+        block = slice(min(rows), max(rows) + 1)
+        forms = [(rows, rows), (run, run), (run, block)]
+        if block == slice(0, gf.m):
+            forms.append((run, slice(None)))
         mirror = GridFunction(gf.dx, -gf.k_hi, gf.values[:, ::-1])
-        mirror_left, mirror_right = boundary_flux(kern, mirror, rows, -h, -g)
-        assert np.array_equal(mirror_left, right) and np.array_equal(mirror_right, left)
+        run_bits = []
+        for index, form in forms:
+            left, right = boundary_flux(kern, gf, form, g, h)
+            ref_left, ref_right = reference_boundary_flux(kern, gf, index, g, h)
+            assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
+            mirror_left, mirror_right = boundary_flux(kern, mirror, form, -h, -g)
+            assert np.array_equal(mirror_left, right) and np.array_equal(mirror_right, left)
+            if index is run:
+                run_bits.append(np.array([left, right]).tobytes())
+        # a slice gives the bits of the equal index array, signed zeros included
+        assert len(set(run_bits)) == 1
 
 
 def _hat_and_conv(kern, profile_fn, half_width, dx):
