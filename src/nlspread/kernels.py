@@ -209,7 +209,14 @@ def _tail(spec: KernelSpec, core: float, table_x, table_tail_v, z) -> np.ndarray
         r = spec.radius
         return np.clip(r - zs, 0.0, None) / (2.0 * r)
     if fam == "laplace":
-        return 0.5 * np.exp(-zs / spec.scale)
+        # z / (-scale) has the bits of -z / scale, and one array serves
+        # the quotient, the exponential and the product
+        tail = np.divide(zs, -spec.scale)
+        if tail.ndim == 0:      # numpy returns a scalar for a scalar z
+            return 0.5 * np.exp(tail)
+        np.exp(tail, out=tail)
+        tail *= 0.5
+        return tail
     if fam == "gaussian":
         from scipy import special     # deferred: costs 0.3 s at import time
         return 0.5 * special.erfc(zs / (spec.sigma * math.sqrt(2.0)))

@@ -11,7 +11,8 @@ right flux of the block from one pass: the node distances to both edges
 in one clamped (2, n) buffer, one tail evaluation, one center-paired
 reduction for every (edge, row), and the trapezoid end terms and partial
 cells added in Python floats, the arithmetic of the vectorized formula
-term by term.
+term by term.  On a mirror state the pass covers the right edge alone
+(symmetry note).
 
 DispersalOperator is what the simulators hold, one per problem.  It groups
 the dispersing rows whose kernels have the same spec, so each group is
@@ -56,6 +57,20 @@ block gives bitwise the per-row results.  Edge fluxes reduce arrays with
 a center-pairing sum for the same reason, and each edge adds its far
 partial cell before its near one, so the left flux of mirrored data is
 bitwise the right flux of the data.
+
+The simulators start from even data with g = -h, so every state of a
+bundled laplace run equals its reversal bit for bit.  Both operations
+skip the half of the work that would repeat bits they already have.  A
+row whose bytes equal those of its reversal puts the same bits in the
+same buffer for C(R(v)) as for C(v), so the direct path correlates it
+once and returns 0.5 * (C(v) + R(C(v))), the same bits as two calls.
+boundary_flux evaluates the right edge alone when g == -h, k_lo + k_hi
+== 0 and the row block equals its reversal byte for byte: the distances
+to g are then those to h reversed, the paired sum does not change under
+reversal, the end terms trade places and the partial cells are equal, so
+the left flux is the right one bit for bit.  Bytes, not values, decide:
+-0.0 and 0.0 differ, and so may two NaNs.  Data that miss the test take
+the two-pass path, whose arithmetic is unchanged.
 """
 
 from __future__ import annotations
@@ -169,6 +184,15 @@ def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None)
     return np.concatenate([w_half[:0:-1], w_half])      # symmetric, length 2W+1
 
 
+def _mirrored(a: np.ndarray) -> bool:
+    """Whether ``a`` equals its reversal along the last axis bit for bit.
+
+    The bytes are compared, not the values: -0.0 and 0.0 differ, and a
+    NaN matches only a NaN with the same bits.
+    """
+    return a.tobytes() == a[..., ::-1].tobytes()
+
+
 def _convolve_direct(values: np.ndarray, weights: np.ndarray, *,
                      padded: np.ndarray | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -176,7 +200,8 @@ def _convolve_direct(values: np.ndarray, weights: np.ndarray, *,
 
     C is np.correlate of the zero-padded row with the stencil, which is
     the convolution because the stencil is symmetric; R reverses.  See the
-    module note for why the pair makes the result mirror-exact.
+    module note for why the pair makes the result mirror-exact, and why a
+    row equal to its reversal bit for bit is correlated once.
     ``padded`` is a zero vector of length n + 2W and ``out`` an array of
     the block's shape when the caller keeps them; a call writes only the
     middle n entries of ``padded``, so its pad stays zero for the next.
@@ -189,11 +214,18 @@ def _convolve_direct(values: np.ndarray, weights: np.ndarray, *,
     if out is None:
         out = np.empty(values.shape)
     slot = padded[W:W + n]
+    k = n // 3
     for row, dst in zip(values.reshape(-1, n), out.reshape(-1, n)):
         slot[:] = row
         first = np.correlate(padded, weights, "valid")
-        slot[:] = row[::-1]
-        np.add(first, np.correlate(padded, weights, "valid")[::-1], out=dst)
+        # for a row with its reversal's bits C(R(v)) is ``first`` again
+        # (module note); one pair of nodes turns most other rows away
+        # before the whole-row compare
+        if row[k] == row[n - 1 - k] and _mirrored(row):
+            np.add(first, first[::-1], out=dst)
+        else:
+            slot[:] = row[::-1]
+            np.add(first, np.correlate(padded, weights, "valid")[::-1], out=dst)
     out *= 0.5
     return out
 
@@ -431,7 +463,9 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
     view.  Each edge gets one flux per row, a list of Python floats in
     the order of ``rows``.  Both sums pair nodes from the two ends and add
     the partial cell at the far edge first, so the left flux of mirrored
-    data is bitwise the right flux of the data.
+    data is bitwise the right flux of the data.  A mirror state (g == -h,
+    k_lo + k_hi == 0, rows equal to their reversal bit for bit) has its
+    right edge evaluated alone and copied to the left (module note).
     """
     if not (g < h):
         raise ValueError("need g < h")
@@ -454,18 +488,24 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
     if lo > dx * (1 + 1e-9) or hi > dx * (1 + 1e-9):
         raise ValueError("edges must align with the active range within one cell")
     xs = _node_coordinates(dx, f.k_lo, n)
-    reach = np.empty((2, n))                 # distance of each node to g and to h
-    np.subtract(xs, g, out=reach[0])
-    np.subtract(h, xs, out=reach[1])
+    vals = f.values[rows]
+    # a mirror state: the left edge's terms are the right edge's reversed
+    # and lo == hi, so the left flux would be the right flux bit for bit
+    mirrored = g == -h and f.k_lo + f.k_hi == 0 and _mirrored(vals)
+    reach = np.empty((1 if mirrored else 2, n))      # distance of each node to g and to h
+    if not mirrored:
+        np.subtract(xs, g, out=reach[0])
+    np.subtract(h, xs, out=reach[-1])
     np.maximum(reach, 0.0, out=reach)
-    integrand = kernel.tail(reach)[:, None, :] * f.values[rows]      # (edge, row, node)
+    integrand = kernel.tail(reach)[:, None, :] * vals      # (edge, row, node)
     # one paired reduction for every (edge, row), then the trapezoid end
     # terms and the partial cells, far cell first, in Python floats
-    (s_left, s_right), (a_left, a_right), (b_left, b_right) = (
-        mirror_stable_sum(integrand).tolist(), integrand[..., 0].tolist(),
-        integrand[..., -1].tolist())
-    left = [dx * (s - 0.5 * (a + b)) + 0.5 * b * hi + 0.5 * a * lo
-            for s, a, b in zip(s_left, a_left, b_left)]
+    sums, firsts, lasts = (mirror_stable_sum(integrand).tolist(),
+                           integrand[..., 0].tolist(), integrand[..., -1].tolist())
     right = [dx * (s - 0.5 * (a + b)) + 0.5 * a * lo + 0.5 * b * hi
-             for s, a, b in zip(s_right, a_right, b_right)]
+             for s, a, b in zip(sums[-1], firsts[-1], lasts[-1])]
+    if mirrored:
+        return list(right), right
+    left = [dx * (s - 0.5 * (a + b)) + 0.5 * b * hi + 0.5 * a * lo
+            for s, a, b in zip(sums[0], firsts[0], lasts[0])]
     return left, right

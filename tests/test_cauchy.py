@@ -1,6 +1,7 @@
 """Tests for the whole-line simulator and its level-set readout."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,7 +240,17 @@ class TestStep:
             state = cy.cstep(state, cfg)
             v = state.u.values
             assert state.u.k_lo == -state.u.k_hi
-            assert np.array_equal(v, v[:, ::-1])
+            assert v.tobytes() == v[:, ::-1].tobytes()      # signed zeros too
+
+    def test_bundled_laplace_run_stays_bitwise_symmetric(self):
+        # the one-correlate rows of the direct path serve exactly these states
+        cfg = build_cauchy_config(load_scenario(scenario_dir() / "cauchy_wnv_laplace.json"))
+        state = cy.make_initial_cauchy_state(cfg)
+        for _ in range(int(math.ceil(cfg.t_end / cfg.timestep() - 1e-9))):
+            state = cy.cstep(state, cfg)
+            v = state.u.values
+            assert state.u.k_lo == -state.u.k_hi
+            assert v.tobytes() == v[:, ::-1].tobytes()
 
     def test_confinement(self):
         series = cy.run_cauchy(base_cfg(t_end=6.0))

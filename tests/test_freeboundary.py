@@ -14,6 +14,7 @@ from nlspread import cauchy as cy
 from nlspread import freeboundary as fb
 from nlspread import kernels as kn
 from nlspread import reactions as rx
+from nlspread.config import build_fb_config, load_scenario, scenario_dir
 from nlspread.nonlocal_ops import (FFT_WINDOW_THRESHOLD, GridFunction, MeshTooCoarse,
                                    boundary_flux, kernel_weights)
 
@@ -115,7 +116,17 @@ class TestStep:
             state = fb.step(state, cfg)
             assert state.g == -state.h
             v = state.u.values
-            assert np.array_equal(v, v[:, ::-1])
+            assert v.tobytes() == v[:, ::-1].tobytes()      # signed zeros too
+
+    def test_bundled_spreading_run_stays_bitwise_symmetric(self):
+        # the one-edge flux and one-correlate rows serve exactly these states
+        cfg = build_fb_config(load_scenario(scenario_dir() / "wnv_spreading.json"))
+        state = fb.make_initial_state(cfg)
+        for _ in range(400):
+            state = fb.step(state, cfg)
+            v = state.u.values
+            assert state.g == -state.h and state.u.k_lo == -state.u.k_hi
+            assert v.tobytes() == v[:, ::-1].tobytes()
 
     def test_edges_monotone_and_confinement(self):
         cfg = smoke_cfg(t_end=5.0)

@@ -92,6 +92,17 @@ class TestTailMass:
         kern = make_kernel(KernelSpec.laplace(1.0))
         assert kern.tail(1.0) == pytest.approx(0.18393972058572117, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 1.7, 5.0])
+    def test_laplace_tail_is_the_closed_form_bitwise(self, scale):
+        # blocks, 0-d arrays and Python scalars: the bits and the type of
+        # 0.5 * exp(-z / scale)
+        kern = make_kernel(KernelSpec.laplace(scale))
+        z = np.random.default_rng(7).uniform(0.0, 50.0, (2, 5000))
+        assert kern.tail(z).tobytes() == (0.5 * np.exp(-z / scale)).tobytes()
+        for z in (0.0, 0.37, 12.5, np.float64(3.3), np.asarray(2.0)):
+            got, ref = kern.tail(z), 0.5 * np.exp(-np.asarray(z, dtype=float) / scale)
+            assert type(got) is type(ref) and got == ref
+
     def test_tail_matches_quadrature(self):
         for spec in (KernelSpec.laplace(0.8), KernelSpec.gaussian(1.3),
                      KernelSpec.powerlaw(2.5, 0.7)):

@@ -745,3 +745,150 @@ class TestUnitMass:
             tail = 2.0 * float(kern.tail((W + 0.5) * dx)) * per_raw
             assert tail > 0.0
             assert abs((1.0 - math.fsum(w)) - tail) <= (2 * W + 3) * eps
+
+
+# ----------------------------------------------------------------------
+# mirror states take one correlate per row and one edge: the results must
+# be the bits of the two-pass forms, frozen here, on mirror states and on
+# near misses, which take the two-pass path
+
+def two_correlate_convolve(values, weights):
+    """The direct path with C(v) and C(R(v)) computed for every row."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    W = (len(weights) - 1) // 2
+    padded = np.zeros(n + 2 * W)
+    out = np.empty(values.shape)
+    slot = padded[W:W + n]
+    for row, dst in zip(values.reshape(-1, n), out.reshape(-1, n)):
+        slot[:] = row
+        first = np.correlate(padded, weights, "valid")
+        slot[:] = row[::-1]
+        np.add(first, np.correlate(padded, weights, "valid")[::-1], out=dst)
+    out *= 0.5
+    return out
+
+
+def two_edge_flux(kernel, f, rows, g, h):
+    """boundary_flux with both edges evaluated for every state."""
+    dx, n = f.dx, f.n
+    x_first, x_last = f.k_lo * dx, (f.k_lo + n - 1) * dx
+    lo, hi = x_first - g, h - x_last
+    xs = np.arange(f.k_lo, f.k_lo + n, dtype=float) * dx
+    reach = np.empty((2, n))
+    np.subtract(xs, g, out=reach[0])
+    np.subtract(h, xs, out=reach[1])
+    np.maximum(reach, 0.0, out=reach)
+    integrand = kernel.tail(reach)[:, None, :] * f.values[rows]
+    (s_left, s_right), (a_left, a_right), (b_left, b_right) = (
+        mirror_stable_sum(integrand).tolist(), integrand[..., 0].tolist(),
+        integrand[..., -1].tolist())
+    left = [dx * (s - 0.5 * (a + b)) + 0.5 * b * hi + 0.5 * a * lo
+            for s, a, b in zip(s_left, a_left, b_left)]
+    right = [dx * (s - 0.5 * (a + b)) + 0.5 * a * lo + 0.5 * b * hi
+             for s, a, b in zip(s_right, a_right, b_right)]
+    return left, right
+
+
+def bits(a) -> bytes:
+    """The bytes of a float array with every NaN made one NaN.
+
+    Signed zeros count; a NaN's sign does not, because it is not
+    reproducible even for one input: the same two-edge flux of a row with
+    NaN and -NaN read either sign over repeated calls.
+    """
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+class TailSpy:
+    """A kernel stand-in that records the shape of every tail argument."""
+
+    def __init__(self, kernel):
+        self.kernel, self.shapes = kernel, []
+
+    def tail(self, z):
+        self.shapes.append(np.shape(z))
+        return self.kernel.tail(z)
+
+
+VALUE_MISSES = ("ulp", "signed_zero", "nan")
+
+
+@st.composite
+def mirror_blocks(draw, odd=None):
+    """(kernel, dx, values, miss, row): 1-3 rows equal to their reversal bit for bit.
+
+    ``miss`` names the near miss applied to row ``row`` (None for none):
+    one node one ulp up, +0.0 and -0.0 at mirrored nodes, or NaN and -NaN
+    there.  The values sit at an offset of 0-7 in a larger buffer, read
+    forwards or backwards.
+    """
+    kern = make_kernel(SPECS[draw(st.sampled_from(sorted(SPECS)))])
+    dx = draw(st.floats(0.05, 0.25))
+    m = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 60))
+    odd = draw(st.booleans()) if odd is None else odd
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    half = rng.uniform(0.0, 2.0, (m, K))
+    vals = np.hstack([half[:, ::-1], rng.uniform(0.0, 2.0, (m, int(odd))), half])
+    miss = draw(st.sampled_from((None,) + VALUE_MISSES))
+    row = draw(st.integers(0, m - 1))
+    i = draw(st.integers(0, K - 1))
+    mirror = vals.shape[1] - 1 - i
+    if miss == "ulp":
+        vals[row, i] = np.nextafter(vals[row, i], np.inf)
+    elif miss == "signed_zero":
+        vals[row, i], vals[row, mirror] = 0.0, -0.0
+    elif miss == "nan":
+        vals[row, i], vals[row, mirror] = np.nan, -np.nan
+    offset, backwards = draw(st.integers(0, 7)), draw(st.booleans())
+    buffer = np.full((m, vals.shape[1] + 8), np.inf)
+    view = buffer[:, offset:offset + vals.shape[1]]
+    view[:] = vals[:, ::-1] if backwards else vals
+    return kern, dx, view[:, ::-1] if backwards else view, miss, row
+
+
+class TestMirrorStates:
+    @PROPERTY
+    @given(mirror_blocks(), st.integers(1, 80))
+    def test_direct_path_is_the_two_correlate_form_bitwise(self, block, half_width):
+        kern, dx, vals, miss, row = block
+        w = kernel_weights(kern, dx, max_half_width=half_width)
+        ref = two_correlate_convolve(vals, w)
+        with patch.object(np, "correlate", wraps=np.correlate) as correlate:
+            got = _convolve_direct(vals, w)
+        assert bits(got) == bits(ref)
+        # one correlate per mirror row, two for the row with a near miss
+        assert correlate.call_count == vals.shape[0] + (miss is not None)
+        for v, r in zip(vals, ref):
+            assert bits(_convolve_direct(v, w)) == bits(r)
+
+    @PROPERTY
+    @given(mirror_blocks(odd=True), st.floats(0.01, 1.0),
+           st.sampled_from([None, "g_ulp", "off_center"]), st.data())
+    def test_flux_is_the_two_edge_form_bitwise(self, block, gap, edge_miss, data):
+        kern, dx, vals, miss, row = block
+        K = vals.shape[1] // 2
+        k_lo, g, h = -K, -(K + gap) * dx, (K + gap) * dx
+        if edge_miss == "g_ulp":
+            g = np.nextafter(g, -np.inf)
+        elif edge_miss == "off_center":
+            # nodes -K..K-1 with edges on the end node and one cell out:
+            # g = -h and values equal to their reversal, but k_lo + k_hi = -1
+            vals = np.delete(vals, K, axis=1)
+            g, h = -K * dx, K * dx
+        gf = GridFunction(dx=dx, k_lo=k_lo, values=vals)
+        m = gf.m
+        rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                                  unique=True))
+        for form in (rows, slice(0, m)):
+            spy = TailSpy(kern)
+            left, right = boundary_flux(spy, gf, form, g, h)
+            ref_left, ref_right = two_edge_flux(kern, gf, form, g, h)
+            assert bits(left) == bits(ref_left) and bits(right) == bits(ref_right)
+            # one edge exactly when the state and the rows read are a mirror
+            one_edge = edge_miss is None and (
+                miss is None or (form is rows and row not in rows))
+            assert spy.shapes == [(1 if one_edge else 2, gf.n)]
