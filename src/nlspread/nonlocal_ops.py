@@ -11,8 +11,9 @@ right flux of the block from one pass: the node distances to both edges
 in one clamped (2, n) buffer, one tail evaluation, one center-paired
 reduction for every (edge, row), and the trapezoid end terms and partial
 cells added in Python floats, the arithmetic of the vectorized formula
-term by term.  On a mirror state the pass covers the right edge alone
-(symmetry note).
+term by term.  On a mirror state the pass covers the right edge alone,
+and on rows that hold one set of bytes the first row alone (symmetry
+note).
 
 DispersalOperator is what the simulators hold, one per problem.  It groups
 the dispersing rows whose kernels have the same spec, so each group is
@@ -34,12 +35,14 @@ operator keeps one workspace per group (the zero-padded input, the
 spectrum product and the inverse output) and replaces it only when L
 changes, so the transforms write into kept buffers, not fresh arrays
 on every step.  A call zeroes the part of the pad tail that an earlier,
-wider window at the same L left data in, and only that part.  pocketfft
+wider window at the same L left data in, and only that part, row by
+row: a call uses the first rows of the workspace it needs.  pocketfft
 releases the GIL, so the rows of a group are transformed on plain threads
 started and joined within the call, one chunk of rows per usable CPU;
 each row's transform is the same computation on any thread, so a block
-gives bitwise the per-row results.  No thread outlives a call, which
-keeps the process safe to fork.
+gives bitwise the per-row results.  A call with one row transforms it
+on the calling thread.  No thread outlives a call, which keeps the
+process safe to fork.
 
 Symmetry note: simulations must preserve mirror symmetry of symmetric
 data to roundoff over thousands of steps.  The direct path returns
@@ -71,6 +74,24 @@ reversal, the end terms trade places and the partial cells are equal, so
 the left flux is the right one bit for bit.  Bytes, not values, decide:
 -0.0 and 0.0 differ, and so may two NaNs.  Data that miss the test take
 the two-pass path, whose arithmetic is unchanged.
+
+Component symmetry: every bundled model is exchange-symmetric (equal
+rates, one kernel, u*_1 == u*_2), so the rows of a kernel group hold the
+same bytes in every state of its runs.  When they do (``_equal_rows``),
+DispersalOperator.convolve sends the first row alone through the direct
+or the FFT path and broadcasts its result to the group's rows, and
+boundary_flux evaluates the first row and repeats its fluxes; this
+composes with the mirror-state edge.  Either path computes every row by
+itself, from its own bytes, with the same stencil, spectrum and
+arithmetic: one correlate loop per row, one transform per row, one
+paired sum per (edge, row).  A row with the first row's bytes therefore
+gets the first row's bits, and the result is the per-row result bit for
+bit.  One node of the first and the last row is compared as floats
+first, so a block whose rows differ there pays one scalar compare.
+Bytes decide here too; a NaN's bits are not reproducible even on the
+per-row path (the flux of a row holding NaN and -NaN reads either sign
+over repeated calls), so a NaN state is the same result only up to the
+NaN's sign.  The simulators raise on a NaN state before it is written.
 """
 
 from __future__ import annotations
@@ -184,6 +205,20 @@ def kernel_weights(kernel: Kernel, dx: float, max_half_width: int | None = None)
     return np.concatenate([w_half[:0:-1], w_half])      # symmetric, length 2W+1
 
 
+def _equal_rows(block: np.ndarray) -> bool:
+    """Whether an (m, n) block has m >= 2 rows with the bytes of its first.
+
+    One node of the first and the last row is compared as floats first,
+    so a block whose rows differ there costs one scalar compare.  The
+    bytes decide, as in ``_mirrored``.
+    """
+    m, n = block.shape
+    if m < 2 or block[0, n // 2] != block[-1, n // 2]:
+        return False
+    first = block[0].tobytes()
+    return all(row.tobytes() == first for row in block[1:])
+
+
 def _mirrored(a: np.ndarray) -> bool:
     """Whether ``a`` equals its reversal along the last axis bit for bit.
 
@@ -261,16 +296,17 @@ def _weight_spectrum(weights: np.ndarray, L: int) -> np.ndarray:
 class _FFTWorkspace:
     """The padded input, spectrum product and inverse output of a row block at length L.
 
-    ``dirty`` is the end of the data the last call wrote into ``padded``
-    (L before any call), so a call zeroes only the part of its pad tail
-    that an earlier, wider window filled.
+    A call uses the first rows it needs.  ``dirty[r]`` is the end of the
+    data the last call through row r wrote into ``padded[r]`` (L before
+    any call), so a call zeroes only the part of its pad tail that an
+    earlier, wider window filled.
     """
 
     def __init__(self, rows: int, L: int):
         self.padded = np.empty((rows, L))
         self.product = np.empty((rows, L // 2 + 1), complex)
         self.full = np.empty((rows, L))
-        self.dirty = L
+        self.dirty = [L] * rows
 
 
 def _cpus() -> int:
@@ -286,23 +322,26 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
     """Circular convolution of a row block at length L >= n + W (module note).
 
     ``spectrum`` is ``_weight_spectrum(weights, L)`` and ``work`` is
-    ``_FFTWorkspace(rows, L)`` at L = ``_fft_length(n, W)`` when the
-    caller keeps them; otherwise they are made here.  The result is a view
-    of the workspace's inverse output, valid until its next use.
+    an ``_FFTWorkspace`` of at least as many rows at L = ``_fft_length(n,
+    W)`` when the caller keeps them; otherwise they are made here.  The
+    result is a view of the workspace's inverse output, valid until its
+    next use.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     rows = values.reshape(-1, n)
+    m = rows.shape[0]
     L = _fft_length(n, (len(weights) - 1) // 2)
     if spectrum is None:
         spectrum = _weight_spectrum(weights, L)
     if work is None:
-        work = _FFTWorkspace(rows.shape[0], L)
-    padded, product, full = work.padded, work.product, work.full
+        work = _FFTWorkspace(m, L)
+    padded, product, full = work.padded[:m], work.product[:m], work.full[:m]
     padded[:, :n] = rows
-    if work.dirty > n:
-        padded[:, n:work.dirty] = 0.0
-    work.dirty = n
+    dirty = max(work.dirty[:m])
+    if dirty > n:
+        padded[:, n:dirty] = 0.0
+    work.dirty[:m] = [n] * m
 
     def transform(chunk: slice) -> None:
         np.fft.rfft(padded[chunk], out=product[chunk])
@@ -311,7 +350,6 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
 
     # pocketfft releases the GIL, so the rows are transformed on threads
     # started for this call, one chunk of rows per usable CPU
-    m = rows.shape[0]
     k = min(m, _cpus())
     chunks = [slice(i * m // k, (i + 1) * m // k) for i in range(k)]
     if k == 1:
@@ -417,18 +455,26 @@ class DispersalOperator:
         return cached[2], work
 
     def convolve(self, vals: np.ndarray) -> np.ndarray:
-        """(m0, n) array of J_i * u_i for the first m0 rows of vals."""
+        """(m0, n) array of J_i * u_i for the first m0 rows of vals.
+
+        A group whose rows hold one set of bytes convolves its first row
+        and broadcasts the result (module note).
+        """
         n = vals.shape[-1]
         out = np.empty((self.m0, n))
         for group, rows in enumerate(self.blocks):
             weights, padded = self._stencil(group, n)
+            block = vals[rows]
+            if _equal_rows(block):
+                block = block[:1]
             if padded is not None:      # W <= FFT_WINDOW_THRESHOLD: the direct path
                 # out[rows] is a view for a slice, so the assignment copies
-                # nothing; for an index array it scatters the result
-                out[rows] = _convolve_direct(vals[rows], weights, padded=padded,
-                                             out=out[rows])
+                # nothing but a one-row result into the other rows; for an
+                # index array it scatters the result
+                out[rows] = _convolve_direct(block, weights, padded=padded,
+                                             out=out[rows][:len(block)])
             else:
-                out[rows] = _convolve_fft(vals[rows], weights,
+                out[rows] = _convolve_fft(block, weights,
                                           *self._fft_buffers(group, weights, n))
         return out
 
@@ -465,7 +511,9 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
     the partial cell at the far edge first, so the left flux of mirrored
     data is bitwise the right flux of the data.  A mirror state (g == -h,
     k_lo + k_hi == 0, rows equal to their reversal bit for bit) has its
-    right edge evaluated alone and copied to the left (module note).
+    right edge evaluated alone and copied to the left, and rows that hold
+    one set of bytes have the first row's flux evaluated alone and
+    repeated (module note).
     """
     if not (g < h):
         raise ValueError("need g < h")
@@ -489,6 +537,11 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
         raise ValueError("edges must align with the active range within one cell")
     xs = _node_coordinates(dx, f.k_lo, n)
     vals = f.values[rows]
+    # rows with one set of bytes have one flux: the first row's, repeated
+    m = len(vals)
+    equal = _equal_rows(vals)
+    if equal:
+        vals = vals[:1]
     # a mirror state: the left edge's terms are the right edge's reversed
     # and lo == hi, so the left flux would be the right flux bit for bit
     mirrored = g == -h and f.k_lo + f.k_hi == 0 and _mirrored(vals)
@@ -505,7 +558,10 @@ def boundary_flux(kernel: Kernel, f: GridFunction, rows, g: float,
     right = [dx * (s - 0.5 * (a + b)) + 0.5 * a * lo + 0.5 * b * hi
              for s, a, b in zip(sums[-1], firsts[-1], lasts[-1])]
     if mirrored:
-        return list(right), right
-    left = [dx * (s - 0.5 * (a + b)) + 0.5 * b * hi + 0.5 * a * lo
-            for s, a, b in zip(sums[0], firsts[0], lasts[0])]
-    return left, right
+        left = right
+    else:
+        left = [dx * (s - 0.5 * (a + b)) + 0.5 * b * hi + 0.5 * a * lo
+                for s, a, b in zip(sums[0], firsts[0], lasts[0])]
+    # two new lists, one entry per row read
+    copies = m if equal else 1
+    return left * copies, right * copies

@@ -37,7 +37,7 @@ import numpy as np
 
 from .freeboundary import _component_kernels, _component_mu
 from .kernels import INFINITE, two_sided_exp_moment
-from .nonlocal_ops import check_mesh, kernel_weights
+from .nonlocal_ops import _equal_rows, check_mesh, kernel_weights
 from .reactions import ReactionModel, diagonal_drain, eval_F, jacobian, positive_equilibrium
 
 __all__ = [
@@ -194,6 +194,15 @@ class _Sweep:
     persist across sweeps: the state ``a`` the scan runs on, and ``step``,
     T(phi) - phi of the last call.  Each call returns the fresh array of
     its ``eval_F`` call, which the model's rate allocates.
+
+    Component symmetry: a row whose kernel spec and u* equal those of the
+    row before it has that row's stencil and the same saturated prefix
+    in its extended buffer (``repeats``).  When its bytes also equal that
+    row's, as in every state of an exchange-symmetric model, its
+    correlate would read the same bits and return the same array, so the
+    row takes a copy of the row before's convolution instead; bytes
+    decide, as in ``nonlocal_ops._equal_rows``.  A NaN's sign is not
+    reproducible on either path.
     """
 
     def __init__(self, c: float, model: ReactionModel, kerns, n: int, dx: float):
@@ -207,6 +216,9 @@ class _Sweep:
         # of one shape skip the slower broadcasting loops
         self.ceiling, self.d, self.bs = (np.repeat(v, n, axis=1)
                                          for v in (u_star[:, None], model.d[:, None], bs))
+        self.repeats = [i > 0 and k.spec == kerns[i - 1].spec
+                        and u_star[i].tobytes() == u_star[i - 1].tobytes()
+                        for i, k in enumerate(kerns)]
         # per-kernel weight stencils, heavy tails capped at a window that
         # already carries all but ~1e-4 of the mass, and extended buffers:
         # saturated to the left of -L, empty to the right of 0
@@ -227,6 +239,9 @@ class _Sweep:
         n = u.shape[1]
         # the stencils are symmetric, so the correlation is the convolution
         for i, (w, half, ext) in enumerate(self.stencils):
+            if self.repeats[i] and _equal_rows(u[i - 1:i + 1]):
+                self.conv[i] = self.conv[i - 1]
+                continue
             ext[half:half + n] = u[i]
             self.conv[i] = np.correlate(ext, w, "valid")
         return self.conv

@@ -1,5 +1,6 @@
 """Convolution and edge-flux quadrature against brute-force and closed-form oracles."""
 
+import dataclasses
 import math
 from unittest.mock import patch
 
@@ -9,7 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from nlspread import cauchy as cy
+from nlspread import freeboundary as fb
 from nlspread import nonlocal_ops
+from nlspread import reactions as rx
 from nlspread.config import build_kernels
 from nlspread.kernels import _FAMILIES, KernelSpec, make_kernel
 from nlspread.nonlocal_ops import (
@@ -18,6 +22,7 @@ from nlspread.nonlocal_ops import (
     MeshTooCoarse,
     _convolve_direct,
     _convolve_fft,
+    _equal_rows,
     _fft_length,
     _smooth_length,
     boundary_flux,
@@ -892,3 +897,230 @@ class TestMirrorStates:
             one_edge = edge_miss is None and (
                 miss is None or (form is rows and row not in rows))
             assert spy.shapes == [(1 if one_edge else 2, gf.n)]
+
+
+# ----------------------------------------------------------------------
+# component-equal rows: a block whose rows hold one set of bytes convolves,
+# transforms and fluxes its first row once; the results must be the bits
+# of the per-row forms, frozen above, on equal blocks and on near misses,
+# which take the per-row path
+
+ROW_MISSES = ("ulp", "signed_zero", "nan", "third_row")
+
+
+@st.composite
+def equal_row_blocks(draw, mirror=False):
+    """(kernel, dx, values, miss): 2-3 copies of one row, near miss ``miss`` applied.
+
+    The misses: one node of one row one ulp up, +0.0 and -0.0 at one node,
+    NaN and -NaN at one node (any node, the compared center included), or
+    two equal rows and a third drawn apart.  With ``mirror`` the row
+    equals its reversal and has an odd length.  The block sits at an
+    offset of 0-7 in a larger buffer.
+    """
+    kern = make_kernel(SPECS[draw(st.sampled_from(sorted(SPECS)))])
+    dx = draw(st.floats(0.05, 0.25))
+    miss = draw(st.sampled_from((None,) + ROW_MISSES))
+    m = 3 if miss == "third_row" else draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if mirror:
+        half = rng.uniform(0.0, 2.0, draw(st.integers(2, 40)))
+        row = np.concatenate([half[::-1], rng.uniform(0.0, 2.0, 1), half])
+    else:
+        row = rng.uniform(0.0, 2.0, draw(st.integers(5, 60)))
+    vals = np.tile(row, (m, 1))
+    r, i = draw(st.integers(0, m - 1)), draw(st.integers(0, row.size - 1))
+    if miss == "ulp":
+        vals[r, i] = np.nextafter(vals[r, i], np.inf)
+    elif miss == "signed_zero":
+        vals[:, i] = 0.0
+        vals[r, i] = -0.0
+    elif miss == "nan":
+        vals[:, i] = np.nan
+        vals[r, i] = -np.nan
+    elif miss == "third_row":
+        vals[2] = rng.uniform(0.0, 2.0, row.size)
+    offset = draw(st.integers(0, 7))
+    buffer = np.full((m, row.size + 8), np.inf)
+    view = buffer[:, offset:offset + row.size]
+    view[:] = vals
+    return kern, dx, view, miss
+
+
+class TestEqualRows:
+    def test_the_bytes_decide(self):
+        row = np.linspace(0.0, 1.0, 7)
+        assert _equal_rows(np.vstack([row, row])) and _equal_rows(np.vstack([row] * 3))
+        assert not _equal_rows(row[None, :])
+        for node in (0, 3):
+            zeros = np.vstack([row, row, row])
+            zeros[:, node], zeros[1, node] = 0.0, -0.0
+            assert not _equal_rows(zeros)
+            nans = np.vstack([row, row])
+            nans[:, node], nans[1, node] = np.nan, -np.nan
+            assert not _equal_rows(nans)
+        # one NaN's bits in every row: equal, unless it sits on the node
+        # compared as floats first
+        nans = np.vstack([row, row])
+        nans[:, 1] = np.nan
+        assert _equal_rows(nans)
+        nans[:, 3] = np.nan
+        assert not _equal_rows(nans)
+        third = np.vstack([row, row, row[::-1]])
+        assert not _equal_rows(third)
+
+
+OTHER = make_kernel(KernelSpec.laplace(2.0))        # in no SPECS group
+
+
+def interleave(kern, vals, rng):
+    """The kernels and values with a row of another kernel at index 1.
+
+    The equal rows then form an index-array group around it.
+    """
+    m, n = vals.shape
+    kernels = [kern, OTHER] + [kern] * (m - 1)
+    return kernels, np.insert(vals, 1, rng.uniform(0.0, 2.0, n), axis=0)
+
+
+class TestComponentEqualRows:
+    @PROPERTY
+    @given(equal_row_blocks(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_direct_operator_is_the_per_row_form_bitwise(self, block, split, seed):
+        kern, dx, vals, miss = block
+        m, n = vals.shape
+        assert (miss is None) == _equal_rows(vals)
+        kernels = [kern] * m
+        if split:
+            kernels, vals = interleave(kern, vals, np.random.default_rng(seed))
+        op = DispersalOperator(kernels, dx)
+        with forced("direct"), patch.object(np, "correlate", wraps=np.correlate) as correlate:
+            got = op.convolve(vals)
+        for k, v, out in zip(kernels, vals, got):
+            w = kernel_weights(k, dx, max_half_width=n - 1)
+            assert bits(out) == bits(two_correlate_convolve(v, w))
+        # two correlates per row convolved: the first alone when the rows are equal
+        assert correlate.call_count == 2 * ((1 if miss is None else m) + split)
+
+    @PROPERTY
+    @given(equal_row_blocks(), st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+    def test_fft_operator_is_the_per_row_form_bitwise(self, block, split, seed, cpus):
+        kern, dx, vals, miss = block
+        m, n = vals.shape
+        kernels = [kern] * m
+        tiled = np.tile(vals[0], (m, 1))
+        if split:
+            rng = np.random.default_rng(seed)
+            kernels, vals = interleave(kern, vals, rng)
+            tiled = np.insert(tiled, 1, vals[1], axis=0)
+        op = DispersalOperator(kernels, dx)
+        rows = []
+        real_rfft = np.fft.rfft
+
+        def rfft(a, *args, **kwargs):
+            if np.ndim(a) == 2:         # a chunk of rows, not a stencil
+                rows.append(a.shape[0])
+            return real_rfft(a, *args, **kwargs)
+
+        with forced("fft"), patch.object(nonlocal_ops, "_cpus", lambda: cpus), \
+                patch.object(np.fft, "rfft", rfft):
+            # narrowing windows, so that kept pads are reused, alternating
+            # the drawn block with its first row tiled: the rows one call
+            # leaves untouched must read fresh pads in the next
+            for j, k in enumerate(range(n, max(n - 6, 1), -1)):
+                block = (vals if j % 2 == 0 else tiled)[:, :k]
+                rows.clear()
+                got = op.convolve(block)
+                for kern_i, v, out in zip(kernels, block, got):
+                    w = kernel_weights(kern_i, dx, max_half_width=k - 1)
+                    assert bits(out) == bits(scipy_fft_convolve(v[None, :], w)[0])
+                # one row transformed for the equal group, else every row
+                group = block[[i for i, k in enumerate(kernels) if k is kern]]
+                assert sum(rows) == (1 if _equal_rows(group) else m) + split
+
+    @PROPERTY
+    @given(st.one_of(equal_row_blocks(), equal_row_blocks(mirror=True)),
+           st.floats(0.01, 1.0), st.data())
+    def test_flux_is_the_per_row_form_bitwise(self, block, gap, data):
+        kern, dx, vals, miss = block
+        m, n = vals.shape
+        centered = n % 2 == 1 and data.draw(st.booleans())
+        k_lo = -(n // 2) if centered else data.draw(st.integers(-3 * n, 3 * n))
+        g, h = (k_lo - gap) * dx, (k_lo + n - 1 + gap) * dx
+        if centered:
+            g = -h
+        gf = GridFunction(dx=dx, k_lo=k_lo, values=vals)
+        for form in (slice(0, m), list(range(m)), list(range(m))[::-1]):
+            spy = TailSpy(kern)
+            with patch.object(nonlocal_ops, "mirror_stable_sum",
+                              wraps=mirror_stable_sum) as paired:
+                left, right = boundary_flux(spy, gf, form, g, h)
+            read = np.arange(m)[form]
+            for j, r in enumerate(read):
+                ref_left, ref_right = two_edge_flux(kern, gf, [r], g, h)
+                assert bits(left[j]) == bits(ref_left) and bits(right[j]) == bits(ref_right)
+            assert left is not right and len(left) == len(right) == m
+            # the first row alone when the rows are equal, and one edge when
+            # the rows it reads are a mirror state too
+            used = vals[read[:1]] if miss is None else vals[read]
+            mirror = centered and all(r.tobytes() == r[::-1].tobytes() for r in used)
+            edges = 1 if mirror else 2
+            assert spy.shapes == [(edges, n)]
+            assert [c.args[0].shape for c in paired.call_args_list] == [
+                (edges, len(used), n)]
+
+
+def run_bytes(obj) -> bytes:
+    """Every number a run returns, as bytes: arrays, floats, and the containers that hold them."""
+    if isinstance(obj, np.ndarray):
+        return obj.tobytes()
+    if dataclasses.is_dataclass(obj):
+        return b"".join(run_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return b"".join(run_bytes(k) + run_bytes(obj[k]) for k in sorted(obj))
+    if isinstance(obj, (list, tuple)):
+        return b"".join(run_bytes(v) for v in obj)
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    return repr(obj).encode()
+
+
+class TestComponentEqualRowRuns:
+    """Whole runs with the equal-row shortcut and with every group taken row by row."""
+
+    @staticmethod
+    def _twice(monkeypatch, run):
+        taken = []
+
+        def recording(block):
+            taken.append(_equal_rows(block))
+            return taken[-1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(nonlocal_ops, "_equal_rows", recording)
+            shortcut = run_bytes(run())
+        with monkeypatch.context() as patched:
+            patched.setattr(nonlocal_ops, "_equal_rows", lambda block: False)
+            per_row = run_bytes(run())
+        return shortcut, per_row, taken
+
+    @pytest.mark.parametrize("b2", [0.5, 0.6])
+    def test_moving_range_run(self, monkeypatch, b2):
+        model = rx.wnv(1.0, 1.0, 0.5, b2, 1.0, 1.0)
+        laplace = make_kernel(KernelSpec.laplace(1.0))
+        shortcut, per_row, taken = self._twice(monkeypatch, lambda: fb.run(fb.FBConfig(
+            model=model, kernels=laplace, mu=1.0, h0=10.0, dx=0.25, t_end=3.0,
+            snapshot_times=(1.5, 3.0))))
+        assert shortcut == per_row
+        # a convolution and a flux per step, every one on equal rows when b2 = b1
+        assert taken and all(taken) == any(taken) == (b2 == 0.5)
+
+    @pytest.mark.parametrize("b2", [0.5, 0.6])
+    def test_whole_line_run_on_the_fft_path(self, monkeypatch, b2):
+        model = rx.wnv(1.0, 1.0, 0.5, b2, 1.0, 1.0)
+        heavy = make_kernel(KernelSpec.powerlaw(1.5, 1.0))
+        shortcut, per_row, taken = self._twice(monkeypatch, lambda: cy.run_cauchy(
+            cy.CauchyConfig(model=model, kernels=heavy, h0=70.0, dx=0.25, t_end=0.3,
+                            dt=0.1, x_max=70.0, snapshot_times=(0.3,))))
+        assert shortcut == per_row
+        assert taken and all(taken) == any(taken) == (b2 == 0.5)

@@ -8,6 +8,7 @@ cache hook, which also exercises its reuse path.
 import math
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -935,3 +936,119 @@ class TestFrozenReferences:
         assert _bits(got) == _bits(_reference_discrete_speed(model, kern, 0.125, 50.0))
         # a power-law tail has no exponential moment: the INFINITE return
         assert (lin == INFINITE) == (got[0] == INFINITE) == (spec.family == "powerlaw")
+
+
+# ----------------------------------------------------------------------
+# component-equal rows: a row whose kernel spec, u* and bytes equal the row
+# before's copies that row's convolution instead of correlating; the sweep
+# must give the bits of the per-row reference on equal rows and on near
+# misses, which correlate every row
+
+SWEEP_MISSES = ("ulp", "signed_zero", "nan", "u_star", "spec", "third_row")
+
+
+def _three_rows(b, b_last):
+    """A cooperative model of three components, u* = 1 - b in each when b_last == b."""
+    return rx.custom(["(1 - u1)*u2 - b*u1", "(1 - u2)*u1 - b*u2", "(1 - u3)*u1 - c*u3"],
+                     {"b": b, "c": b_last}, u_ceiling=[1.0, 1.0, 1.0])
+
+
+@st.composite
+def equal_row_sweeps(draw):
+    """(model, kernels, n, dx, phi, miss): 2-3 equal rows of phi under a symmetric model.
+
+    ``miss`` names the near miss: one node of one row one ulp up, +0.0
+    and -0.0 at one node, NaN and -NaN at one node, a last row with
+    another u* or another kernel spec, or a third row drawn apart.
+    """
+    miss = draw(st.sampled_from((None,) + SWEEP_MISSES))
+    m = 3 if miss == "third_row" else draw(st.integers(2, 3))
+    other = miss == "u_star"
+    if m == 2:
+        a, b, e = (draw(st.floats(0.5, 3.0)) for _ in range(3))
+        assume(a * e > 1.2 * b)             # a positive equilibrium, R0 > 1
+        model = rx.wnv(a, a, b, 1.25 * b if other else b, e, e)
+    else:
+        b = draw(st.floats(0.1, 0.8))
+        model = _three_rows(b, 0.8 * b if other else b)
+    dx = draw(st.sampled_from((0.125, 0.25)))
+    kern = SWEEP_KERNELS[draw(st.sampled_from(sorted(SWEEP_KERNELS)))](dx)
+    kerns = [kern] * m
+    if miss == "spec":
+        kerns[-1] = make_kernel(KernelSpec.laplace(6.0 * dx))
+    n = draw(st.integers(20, 40)) * int(round(kern.core_scale / dx)) + 1
+    u_star = rx.positive_equilibrium(model)
+    # the solver may leave u*_3 an ulp off u*_1 = u*_2 (1 draw in 300)
+    equal = [u.tobytes() == u_star[0].tobytes() for u in u_star]
+    assume(equal == [True] * (m - 1) + [not other])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = np.tile(float(np.min(u_star)) * rng.uniform(0.0, 1.0, n), (m, 1))
+    r, i = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    if miss == "ulp":
+        phi[r, i] = np.nextafter(phi[r, i], np.inf)
+    elif miss == "signed_zero":
+        phi[:, i] = 0.0
+        phi[r, i] = -0.0
+    elif miss == "nan":
+        phi[:, i] = np.nan
+        phi[r, i] = -np.nan
+    elif miss == "third_row":
+        phi[2] = float(np.min(u_star)) * rng.uniform(0.0, 1.0, n)
+    return model, tuple(kerns), n, dx, phi, miss
+
+
+def _canonical_bits(a):
+    """The bytes of a float array with every NaN made one NaN (a NaN's sign is not reproducible)."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+class TestComponentEqualRows:
+    @settings(max_examples=25, deadline=None)
+    @given(equal_row_sweeps(), st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    def test_sweep_is_the_reference_bitwise(self, problem, c):
+        model, kerns, n, dx, phi, miss = problem
+        m = model.m
+        T = sw._Sweep(c, model, kerns, n, dx)
+        per_row = sw._Sweep(c, model, kerns, n, dx)
+        per_row.repeats = [False] * m
+        # a row repeats the row before's stencil unless its u* or spec differs
+        assert T.repeats == [False] + [True] * (m - 2) + [miss not in ("u_star", "spec")]
+        want, step = _ReferenceSweep(c, model, kerns, n, dx)(phi)
+        with patch.object(np, "correlate", wraps=np.correlate) as correlate:
+            got = T(phi)
+        assert _canonical_bits(got) == _canonical_bits(want)
+        assert _canonical_bits(T.step) == _canonical_bits(step)
+        # one correlate for equal rows, one per row on a near miss (the
+        # NaN miss keeps two rows equal when it sits on the third)
+        copies = sum(T.repeats[i] and sw._equal_rows(phi[i - 1:i + 1]) for i in range(1, m))
+        assert correlate.call_count == m - copies
+        assert (copies == m - 1) == (miss is None)
+        assert _canonical_bits(T.residual(phi)) == _canonical_bits(per_row.residual(phi))
+
+    @pytest.mark.parametrize("b2", [0.5, 0.6])
+    def test_solve_profile_with_and_without_the_copies(self, monkeypatch, laplace1, b2):
+        model = rx.wnv(1.0, 1.0, 0.5, b2, 1.0, 1.0)
+        taken, real = [], sw._equal_rows
+
+        def recording(block):
+            taken.append(real(block))
+            return taken[-1]
+
+        def solve():
+            return sw.solve_profile(0.5, model, laplace1, 30.0, dx=0.25, tol=1e-6)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sw, "_equal_rows", recording)
+            shortcut = solve()
+        with monkeypatch.context() as patched:
+            patched.setattr(sw, "_equal_rows", lambda block: False)
+            per_row = solve()
+        for name in ("phi", "flux_integrals", "u_star"):
+            assert _bits(getattr(shortcut, name)) == _bits(getattr(per_row, name))
+        assert (shortcut.iterations, shortcut.residual, shortcut.stop) == (
+            per_row.iterations, per_row.residual, per_row.stop)
+        # b2 = b1: every sweep and the defect copy the first row's convolution;
+        # b2 != b1 gives the rows other u*, so their bytes are never compared
+        assert taken == [True] * (shortcut.iterations + 1) if b2 == 0.5 else not taken
