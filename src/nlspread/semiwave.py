@@ -22,6 +22,8 @@ Two speed readouts build on the solver:
 * ``estimate_cstar`` confirms the linear speed of the discrete problem
   as the largest speed at which a saturated profile survives, with a
   linearized diagnostic from the kernel moment generating functions.
+  Its alive confirmation rises from a checked subsolution below the
+  maximal profile (``solve_profile``, ``below``).
 
 Every profile probe of both runs through ``_Probes``, which holds the one
 warm-start rule, the cold re-run of a probe that breaks it, and the cache.
@@ -41,7 +43,7 @@ from .nonlocal_ops import _equal_rows, check_mesh, kernel_weights
 from .reactions import ReactionModel, diagonal_drain, eval_F, jacobian, positive_equilibrium
 
 __all__ = [
-    "SemiwaveError", "NoConvergence", "NotMonotone", "FirstMomentDiverges",
+    "SemiwaveError", "NoConvergence", "NotMonotone", "NoCertificate", "FirstMomentDiverges",
     "BracketNotFound", "ThresholdNotBracketed",
     "SemiWaveSolution", "FrontSpeedResult", "MinimalSpeedResult",
     "check_window", "relaxation_step", "solve_profile", "flux_functional", "find_c0",
@@ -53,6 +55,9 @@ C0_MAX_DOUBLINGS = 60      # find_c0 bracket search: doublings from tol_c
 CSTAR_TOL = 1e-6           # relaxation tolerance of the estimate_cstar probes
 CSTAR_MAX_DOUBLINGS = 16   # estimate_cstar fallback: offset doublings from c_h or c_L
 SCAN_FLOOR = 1e-17         # smallest r**shift the upwind scan still applies
+CERT_EPS = 1e-2            # amplitude of the first subsolution tried, in units of u*
+CERT_HALVINGS = 8          # amplitude halvings before a subsolution check gives up
+CERT_MARGIN = 0.125        # growth margin delta of the subsolution, a share of P(lam*)
 
 
 class SemiwaveError(RuntimeError):
@@ -65,6 +70,10 @@ class NoConvergence(SemiwaveError):
 
 class NotMonotone(SemiwaveError):
     """A guarded relaxation sweep rose above the roundoff floor."""
+
+
+class NoCertificate(SemiwaveError):
+    """No subsolution certifies the profile from below; see ``solve_profile``."""
 
 
 class FirstMomentDiverges(SemiwaveError):
@@ -94,10 +103,13 @@ class SemiWaveSolution:
     is nonincreasing within a 1e-8 tolerance; a violating profile is
     still returned so it can be inspected.  ``stop`` says why the
     relaxation ended: "tol", "budget", or an early verdict, "dead"
-    (midpoint below half saturation) or "sign" (flux functional at or
-    below c).  ``start`` says what it started from: "saturated", a
-    supersolution from a lower "speed", or an unfinished iterate at the
-    same speed ("resume"); see ``solve_profile``.
+    (midpoint below half saturation), "sign" (flux functional at or
+    below c) or "alive" (an iterate from below at half saturation).
+    ``start`` says what it started from: "saturated", a supersolution
+    from a lower "speed", an unfinished iterate at the same speed
+    ("resume"), or a checked subsolution ("below"); see ``solve_profile``.
+    A "below" solution is unconverged and lies under the maximal profile;
+    it answers the verdict at its own speed and is never resumed.
     """
 
     c: float
@@ -187,6 +199,20 @@ def _upwind_scan(passes) -> None:
         np.add(target, product, out=target)
 
 
+def _stencils(kerns, n: int, dx: float) -> list[tuple[np.ndarray, int]]:
+    """(weights, half width) of each kernel's stencil in the sweep on n nodes.
+
+    Heavy tails are capped at a window that already carries all but ~1e-4
+    of the mass: the larger of the grid and 64 core scales.
+    """
+    out = []
+    for k in kerns:
+        cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
+        w = kernel_weights(k, dx, max_half_width=cap)
+        out.append((w, (w.size - 1) // 2))
+    return out
+
+
 class _Sweep:
     """The relaxation sweep T at speed c on an n-node grid of [-L, 0].
 
@@ -219,14 +245,9 @@ class _Sweep:
         self.repeats = [i > 0 and k.spec == kerns[i - 1].spec
                         and u_star[i].tobytes() == u_star[i - 1].tobytes()
                         for i, k in enumerate(kerns)]
-        # per-kernel weight stencils, heavy tails capped at a window that
-        # already carries all but ~1e-4 of the mass, and extended buffers:
-        # saturated to the left of -L, empty to the right of 0
+        # extended buffers: saturated to the left of -L, empty to the right of 0
         self.stencils = []
-        for i, k in enumerate(kerns):
-            cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
-            w = kernel_weights(k, dx, max_half_width=cap)
-            half = (w.size - 1) // 2
+        for i, (w, half) in enumerate(_stencils(kerns, n, dx)):
             ext = np.zeros(n + 2 * half)
             ext[:half] = u_star[i]
             self.stencils.append((w, half, ext))
@@ -273,7 +294,8 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
                   dx: float | None = None, tol: float = 1e-8,
                   max_iter: int = 60_000, strict: bool = True, *,
                   stop_dead: bool = False, stop_mu=None,
-                  start: SemiWaveSolution | None = None) -> SemiWaveSolution:
+                  start: SemiWaveSolution | None = None,
+                  below: float | None = None) -> SemiWaveSolution:
     """Relax to the maximal profile with speed c on [-L, 0].
 
     One sweep T is an upwind Gauss-Seidel step in pseudo time: the local
@@ -337,6 +359,27 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     summation order alone lifts a node by an ulp now and then.  A larger
     rise raises ``NotMonotone``; relaxing cold from saturation without
     an early stop is then the unguarded computation.
+
+    ``below=lam0``, the lam* of ``discrete_linear_speed``, certifies an
+    alive verdict from below instead (``stop="alive"``,
+    ``start="below"``, ``converged=False``).  Let psi lie in the box with
+    psi_0 = u*, psi_{n-1} = 0 and T(psi) >= psi on every node.  Then
+    psi <= the saturated state S, and T is order preserving, so
+    psi <= T(psi) <= T^2(psi) <= ... <= T^k(S), and T^k(S) falls to the
+    maximal fixed point: every iterate from psi lies below the maximal
+    profile and below every iterate from saturation.  Once one reads
+    midpoint >= 1/2, so does the maximal profile, and the cold run's
+    verdict too.  psi is a compactly supported subsolution of the
+    linearization at a complex root of its symbol (``_hump``), scaled by
+    eps = CERT_EPS and checked in one sweep; eps halves while the check
+    fails.  The iterates are guarded the other way: a sweep may fall by
+    the roundoff floor at most (``NotMonotone``).  When no psi passes,
+    the components' linearizations differ, or the iterates stall below
+    1/2 at ``tol`` or reach ``max_iter``, ``NoCertificate`` is raised and
+    nothing is concluded.  The construction is the classical lower
+    speed bound (Aronson and Weinberger, Adv. Math. 30, 1978; Carr and
+    Chmaj, Proc. AMS 132, 2004, for nonlocal dispersal); only the
+    floating-point check is relied on.  It takes no other start or stop.
     """
     if not (c >= 0 and math.isfinite(c)):
         raise ValueError("profile speed must be finite and nonnegative")
@@ -364,33 +407,39 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
     if stop_mu is not None:
         stop_mu = _component_mu(stop_mu, model.m, model.m0)
 
-    phi = np.repeat(u_star[:, None], n, axis=1)
-    phi[:, -1] = 0.0
-    source = "saturated" if start is None else _start_from(phi, start, c, dx)
-
-    guarded = stop_dead or stop_mu is not None or start is not None
     floor = 8.0 * np.finfo(float).eps * float(np.max(u_star))
     tol_step = tol * sweep.dtau
     step = sweep.step
     mid = (n - 1) // 2
-    it = 0
-    stop = "budget"
-    for it in range(1, max_iter + 1):
-        phi = sweep(phi)
-        rise = float(step.max())
-        if guarded and rise > floor:
-            raise NotMonotone(
-                f"profile relaxation at c={c:g}, L={L:g} from the {source} start "
-                f"rose by {rise:.3g} at sweep {it}")
-        if max(rise, -float(step.min())) < tol_step:
-            stop = "tol"
-            break
-        if stop_dead and float((phi[:, mid] / u_star).min()) < 0.5:
-            stop = "dead"
-            break
-        if stop_mu is not None and float(np.dot(stop_mu, flux_integrals(phi))) - c <= 0.0:
-            stop = "sign"
-            break
+    if below is not None:
+        if stop_dead or stop_mu is not None or start is not None:
+            raise ValueError("a run from below takes no start and no early stop")
+        phi, it = _rise_to_alive(sweep, _hump(sweep, kerns, below, c, x, dx), floor,
+                                 tol_step, max_iter)
+        stop, source = "alive", "below"
+    else:
+        phi = np.repeat(u_star[:, None], n, axis=1)
+        phi[:, -1] = 0.0
+        source = "saturated" if start is None else _start_from(phi, start, c, dx)
+        guarded = stop_dead or stop_mu is not None or start is not None
+        it = 0
+        stop = "budget"
+        for it in range(1, max_iter + 1):
+            phi = sweep(phi)
+            rise = float(step.max())
+            if guarded and rise > floor:
+                raise NotMonotone(
+                    f"profile relaxation at c={c:g}, L={L:g} from the {source} start "
+                    f"rose by {rise:.3g} at sweep {it}")
+            if max(rise, -float(step.min())) < tol_step:
+                stop = "tol"
+                break
+            if stop_dead and float((phi[:, mid] / u_star).min()) < 0.5:
+                stop = "dead"
+                break
+            if stop_mu is not None and float(np.dot(stop_mu, flux_integrals(phi))) - c <= 0.0:
+                stop = "sign"
+                break
     converged = stop == "tol"
     if stop == "budget" and strict:
         raise NoConvergence(
@@ -412,14 +461,118 @@ def solve_profile(c: float, model: ReactionModel, kernels, L: float,
 def _start_from(phi: np.ndarray, start: SemiWaveSolution, c: float, dx: float) -> str:
     """Copy a supersolution into the saturated state ``phi``; name its source.
 
-    The same speed is accepted only to resume an unconverged solution.
+    The same speed is accepted only to resume an unconverged solution,
+    and never one that rose from below: a resume continues a sequence
+    that falls from above.
     """
     if start.dx != dx or start.phi.shape != phi.shape:
         raise ValueError("a warm start must come from the same mesh and window")
+    if start.start == "below":
+        raise ValueError("an iterate from below is no supersolution")
     if start.c > c or (start.c == c and start.converged):
         raise ValueError(f"a warm start at c={start.c:g} is no supersolution at c={c:g}")
     phi[:] = start.phi
     return "speed" if start.c < c else "resume"
+
+
+def _hump(sweep: _Sweep, kerns, lam0: float, c: float, x: np.ndarray,
+          dx: float) -> np.ndarray:
+    """The shape of the subsolution from below: psi = eps * shape, peak ratio 1 to u*.
+
+    With one kernel and one dispersal rate the linearization at zero is
+    J0 + (d (M(lam) - 1) - c rho(lam)) I on the sweep's stencil, M its
+    moment and rho(lam) = (1 - e^(-lam dx)) / dx the upwind symbol, so its
+    eigenvector is J0's Perron vector v at every lam.  The symbol
+    P(lam) = s(J0) - delta + d (M(lam) - 1) - c rho(lam) with margin
+    delta = CERT_MARGIN P(lam0) is positive at lam0 = lam* for c < c_h;
+    complex Newton from lam0 + i sqrt(2 P(lam0) / P''(lam0)) finds its
+    root alpha + i beta.  The shape is v times the hump
+    e^(-alpha t) cos(beta t), t = x - x_c, on |beta t| < pi/2 with its
+    right zero at x = 0, flattened to its peak value on the left.
+    Raises ``NoCertificate`` when the eigenvector depends on lam (unequal
+    rates or kernels, or sedentary components), when there is no root
+    with alpha, beta > 0, and when the hump is wider than the window.
+    """
+    model = sweep.model
+    if (model.m0 < model.m or np.any(model.d != model.d[0])
+            or any(k.spec != kerns[0].spec for k in kerns)):
+        raise NoCertificate("the components' linearizations differ; the eigenvector "
+                            "depends on the decay rate")
+    vals, vecs = np.linalg.eig(jacobian(model, np.zeros(model.m)))
+    j = int(np.argmax(vals.real))
+    v = np.abs(vecs[:, j].real)
+    v /= np.max(v / sweep.u_star)
+    w, half, _ = sweep.stencils[0]
+    offsets = dx * np.arange(-half, half + 1)
+    d, grow = float(model.d[0]), float(vals.real[j])
+
+    def symbol(lam, k):
+        """The k-th derivative of P(lam) + delta."""
+        e = np.exp(lam * offsets)
+        if k == 0:
+            return grow + d * (np.dot(w, e) - 1.0) + c * np.expm1(-lam * dx) / dx
+        return d * np.dot(w, offsets ** k * e) - c * (-dx) ** (k - 1) * np.exp(-lam * dx)
+
+    with np.errstate(all="ignore"):
+        p0 = float(symbol(lam0, 0)) if math.isfinite(lam0) else math.nan
+        if not p0 > 0.0:
+            raise NoCertificate(f"c={c:g} is not below the linear speed of the sweep")
+        delta = CERT_MARGIN * p0
+        lam = complex(lam0, math.sqrt(max(2.0 * (p0 - delta) / float(symbol(lam0, 2)), 0.0)))
+        for _ in range(60):
+            dlam = (symbol(lam, 0) - delta) / symbol(lam, 1)
+            lam -= dlam
+            if not abs(dlam) > 1e-14 * abs(lam):
+                break
+    alpha, beta = lam.real, lam.imag
+    if not (abs(dlam) <= 1e-14 * abs(lam) and alpha > 0.0 and beta > 0.0):
+        raise NoCertificate(f"the symbol at c={c:g} has no complex root with a positive "
+                            "real and imaginary part")
+    if math.pi / beta > -x[0]:
+        raise NoCertificate(f"the hump at c={c:g} is {math.pi / beta:.3g} wide, "
+                            "wider than the window")
+    # t = x - x_c with the right zero x_c + pi / (2 beta) at 0; the peak
+    # sits at beta t_peak = -atan(alpha / beta), and z = x - x_peak >= 0
+    t_peak = -math.atan(alpha / beta) / beta
+    z = np.maximum(x - (t_peak - 0.5 * math.pi / beta), 0.0)
+    hump = np.exp(-alpha * z) * np.cos(beta * (z + t_peak)) / math.cos(beta * t_peak)
+    hump[-1] = 0.0
+    return v[:, None] * np.maximum(hump, 0.0)
+
+
+def _rise_to_alive(sweep: _Sweep, shape: np.ndarray, floor: float, tol_step: float,
+                   max_iter: int) -> tuple[np.ndarray, int]:
+    """The first iterate from a checked subsolution that reads alive; the sweeps taken.
+
+    psi = eps * shape with node 0 pinned at u* must pass T(psi) >= psi
+    on every node, else eps halves, at most CERT_HALVINGS times.  The
+    iterates from psi must not fall by more than ``floor`` in one sweep
+    (``NotMonotone``), and must reach midpoint 1/2 before they stall
+    below ``tol_step`` or reach ``max_iter`` (``NoCertificate``).
+    """
+    u_star, step = sweep.u_star, sweep.step
+    mid = (shape.shape[1] - 1) // 2
+    eps = CERT_EPS
+    for it in range(1, CERT_HALVINGS + 2):
+        psi = eps * shape
+        psi[:, 0] = u_star
+        phi = sweep(psi)
+        if float(step.min()) >= 0.0:
+            break
+        eps *= 0.5
+    else:
+        raise NoCertificate(f"T(psi) >= psi failed down to eps = {2.0 * eps:.3g}")
+    while float((phi[:, mid] / u_star).min()) < 0.5:
+        if float(step.max()) < tol_step or it >= max_iter:
+            raise NoCertificate(
+                f"the iterates from below stall at midpoint "
+                f"{float((phi[:, mid] / u_star).min()):.3g} after {it} sweeps")
+        phi = sweep(phi)
+        it += 1
+        if -float(step.min()) > floor:
+            raise NotMonotone(f"profile relaxation from below fell by "
+                              f"{-float(step.min()):.3g} at sweep {it}")
+    return phi, it
 
 
 def flux_functional(sol: SemiWaveSolution, mu) -> float:
@@ -433,14 +586,18 @@ def flux_functional(sol: SemiWaveSolution, mu) -> float:
 class _Probes:
     """The profile probes of one speed search on one window and mesh.
 
-    A cached profile at the probed speed answers when it is converged or
-    ``settled`` accepts it, and is otherwise resumed where it stopped.
-    Without one, a probe with an early stop (``stop_mu``, ``stop_dead``)
-    starts from the converged, monotone cached profile at the nearest
-    lower speed on the same window and mesh, a supersolution, and a run
-    without one starts cold from saturation.  A probe whose guarded
-    sweeps rise above the roundoff floor is re-run cold without the early
-    stop and counted in ``fallbacks``.  Every result is cached at its speed.
+    A cached profile at the probed speed answers when it is converged,
+    certified from below, or ``settled`` accepts it, and is otherwise
+    resumed where it stopped.  A probe given ``below`` first tries the
+    certificate from below (``solve_profile``); when that declines, the
+    probe runs as it would without ``below``.  Without a cached profile,
+    a probe with an early stop (``stop_mu``, ``stop_dead``) starts from
+    the converged, monotone cached profile at the nearest lower speed on
+    the same window and mesh, a supersolution, and a run without one
+    starts cold from saturation.  A probe whose guarded sweeps rise (or,
+    from below, fall) past the roundoff floor is re-run cold without the
+    early stop and counted in ``fallbacks``.  Every result is cached at
+    its speed.
     """
 
     def __init__(self, model: ReactionModel, kerns, L: float, dx: float | None,
@@ -451,21 +608,31 @@ class _Probes:
         self.cache = cache
         self.fallbacks = 0
 
-    def __call__(self, c: float, settled=lambda sol: False, **stop) -> SemiWaveSolution:
+    def __call__(self, c: float, settled=lambda sol: False, below: float | None = None,
+                 **stop) -> SemiWaveSolution:
         sol = self.cache.get(c)
-        if sol is not None and (sol.converged or settled(sol)):
+        if sol is not None and (sol.converged or settled(sol) or sol.start == "below"):
             return sol
         if sol is None and stop:
             lower = [s for s in self.cache.values() if s.converged and s.monotone
                      and s.c < c and (s.length, s.dx) == self.mesh]
             sol = max(lower, key=lambda s: s.c, default=None)
         try:
-            sol = solve_profile(c, *self.args, start=sol, **self.kw, **stop)
+            sol = (self._from_below(c, below)
+                   or solve_profile(c, *self.args, start=sol, **self.kw, **stop))
         except NotMonotone:
             self.fallbacks += 1
             sol = solve_profile(c, *self.args, **self.kw)
         self.cache[c] = sol
         return sol
+
+    def _from_below(self, c: float, below: float | None) -> SemiWaveSolution | None:
+        if below is None:
+            return None
+        try:
+            return solve_profile(c, *self.args, below=below, **self.kw)
+        except NoCertificate:
+            return None
 
 
 # ----------------------------------------------------------------------
@@ -589,11 +756,15 @@ class MinimalSpeedResult:
     exponential moment; fronts then outrun every linear speed and no
     threshold exists.  Otherwise it is c_h when two probes on the window
     L of ``trace`` confirm it, else the midpoint of ``bracket`` (see
-    ``estimate_cstar``; ``note`` says which).  ``stops`` holds the
-    ``SemiWaveSolution.stop`` of each probe, in the order of ``trace``: a
-    verdict read from a "budget" stop is not final.  ``fallbacks`` counts
-    the probes whose guarded relaxation rose above the roundoff floor and
-    were re-run cold from saturation.
+    ``estimate_cstar``; ``note`` says which).  ``trace`` holds each
+    probe's midpoint readout, from the profile its verdict was read from:
+    the converged one, a dead iterate on its way down, or the iterate
+    from below that first read alive ("alive" stop), which lies below the
+    converged midpoint.  ``stops`` holds the ``SemiWaveSolution.stop`` of
+    each probe, in the order of ``trace``: "tol", "dead" and "alive" are
+    final, a verdict read from a "budget" stop is not.  ``fallbacks``
+    counts the probes whose guarded relaxation passed the roundoff floor
+    and were re-run cold from saturation.
     """
 
     value: float
@@ -676,8 +847,8 @@ def discrete_linear_speed(model: ReactionModel, kernels, dx: float | None,
     """
     kerns = _component_kernels(kernels, model.m0)
     n, h = _mesh(kerns, L, dx)
-    stencils = _Sweep(0.0, model, kerns, n, h).stencils
-    offsets = [h * np.arange(-half, half + 1) for _, half, _ in stencils]
+    stencils = _stencils(kerns, n, h)
+    offsets = [h * np.arange(-half, half + 1) for _, half in stencils]
     # exp(lam * offset) stays below exp(700) on every stencil
     c_h, lam, speed = _minimal_speed(
         model, kerns, lambda i, lam: float(np.dot(stencils[i][0], np.exp(lam * offsets[i]))),
@@ -699,17 +870,21 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     the upwind stencil's first-order bias (+3% at the default mesh; see
     ``discrete_linear_speed``).  Two probes on the largest of ``lengths``
     (default 200 core scales) confirm it: dead at c_h (1 + rel_tol), and
-    alive to tolerance at c_L - rel_tol c_h, clear of critical slowing.
+    alive at c_L - rel_tol c_h, clear of critical slowing.
     Otherwise (a pushed front, a window law that fails, or a probe left
     at its sweep budget) the failed probe's offset doubles until its
     verdict flips, at most CSTAR_MAX_DOUBLINGS times, and the bracket is
     bisected to rel_tol c_h on the same window.
 
     A dead verdict is final at its first sweep (``solve_profile``,
-    ``stop_dead``).  The probes share a cache local to the call and start
-    and fall back (``fallbacks``) as ``_Probes`` says, so every verdict
-    is that of a cold run.  Every probe after a dead verdict lies below
-    its speed, so a start from a lower speed is an alive profile.
+    ``stop_dead``).  The alive confirmation probe is certified from below
+    (``below=lam*``): its verdict is final at the first iterate from a
+    checked subsolution that reads half saturation; where no certificate
+    exists it relaxes from above as the other probes do.  The probes
+    share a cache local to the call and start and fall back
+    (``fallbacks``) as ``_Probes`` says, so every verdict is that of a
+    cold run.  Every probe after a dead verdict lies below its speed, so
+    a start from a lower speed is an alive profile.
     """
     kerns = _component_kernels(kernels, model.m0)
     heavy = [i for i, k in enumerate(kerns) if k.exp_abscissa == 0.0]
@@ -721,7 +896,7 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
 
     c_lin = linearized_front_speed(model, kerns)
     L = 200.0 * max(k.core_scale for k in kerns) if lengths is None else float(max(lengths))
-    c_h, _, K = discrete_linear_speed(model, kerns, dx, L)
+    c_h, lam, K = discrete_linear_speed(model, kerns, dx, L)
     c_L = c_h - K / (0.5 * L) ** 2
     width = rel_tol * c_h
     trace: list[tuple[float, float, float]] = []
@@ -729,20 +904,21 @@ def estimate_cstar(model: ReactionModel, kernels, lengths=None, dx: float | None
     profile = _Probes(model, kerns, L, dx, CSTAR_TOL, {}, strict=False)
     lo, hi = -INFINITE, INFINITE     # the highest final alive, lowest dead
 
-    def probe(c: float) -> bool:
+    def probe(c: float, **below) -> bool:
         """Read the verdict at c; False when it is left at the sweep budget."""
         nonlocal lo, hi
-        sol = profile(c, stop_dead=True)
+        sol = profile(c, stop_dead=True, **below)
         trace.append((c, L, sol.mid_saturation))
         stops.append(sol.stop)
+        final = sol.converged or sol.stop == "alive"
         if sol.mid_saturation < 0.5:
             hi = min(hi, c)
-        elif sol.converged:
+        elif final:
             lo = max(lo, c)
-        return sol.mid_saturation < 0.5 or sol.converged
+        return sol.mid_saturation < 0.5 or final
 
     probe(c_h + width)
-    probe(max(c_L - width, 0.0))
+    probe(max(c_L - width, 0.0), below=lam)
     note = ""
     if not -INFINITE < lo < hi < INFINITE:
         note = f"c_h = {c_h:.6g} not confirmed on L = {L:g}; threshold bisected"

@@ -229,6 +229,24 @@ class TestDiscreteLinearSpeed:
         # the shared minimizer reads the continuous symbol as before
         assert sw.linearized_front_speed(model, make_kernel(spec)) == bits
 
+    @pytest.mark.parametrize("b2,spec,dx,L,bits", [
+        (0.5, KernelSpec.laplace(1.0), 0.25, 100.0,
+         ("0x1.c36be47eea13dp+0", "0x1.e53726f3bd982p-2", "0x1.4b7f694c15b1ep+6")),
+        (0.5, KernelSpec.laplace(1.0), 0.25, 50.0,
+         ("0x1.c36be47eea13dp+0", "0x1.e53726f3bd982p-2", "0x1.4b7f694c15b1ep+6")),
+        (0.5, KernelSpec.laplace(1.0), None, 200.0,
+         ("0x1.b6fe6a7036a84p+0", "0x1.eb39add25fd4cp-2", "0x1.40e17b99de843p+6")),
+        (0.6, KernelSpec.gaussian(0.8), 0.125, 50.0,
+         ("0x1.c11773f94e680p-1", "0x1.daa9533f7f5d9p-1", "0x1.fa7410ecc9c7dp+2")),
+        (0.5, KernelSpec.uniform(1.3), 0.125, 50.0,
+         ("0x1.b87a128d3c2b1p-1", "0x1.1481ee1488c42p+0", "0x1.494668f9b48dap+2")),
+    ], ids=["laplace", "laplace_capped", "laplace_defaults", "gaussian_b2", "uniform"])
+    def test_bits_of_the_stencil_path(self, b2, spec, dx, L, bits):
+        # (c_h, lam*, K) as read when the stencils came from a whole sweep
+        got = sw.discrete_linear_speed(rx.wnv(1.0, 1.0, 0.5, b2, 1.0, 1.0), make_kernel(spec),
+                                       dx, L)
+        assert tuple(v.hex() for v in got) == bits
+
     def test_heavy_tail_infinite(self, model):
         c_h, lam, K = sw.discrete_linear_speed(model, make_kernel(KernelSpec.powerlaw(2.5, 1.0)),
                                                0.25, 50.0)
@@ -259,7 +277,8 @@ class TestEstimateCstar:
         assert 0.0 <= up_mid < 0.5 <= down_mid <= 1.0 + 1e-12
         assert up == pytest.approx(1.01 * c_h, rel=1e-15)
         assert down == pytest.approx(c_h - K / 50.0 ** 2 - 0.01 * c_h, rel=1e-15)
-        assert threshold.stops == ("dead", "tol")
+        # the alive probe is certified from below (``solve_profile``, ``below``)
+        assert threshold.stops == ("dead", "alive")
         assert threshold.bracket == (threshold.trace[1][0], threshold.trace[0][0])
         assert (threshold.fallbacks, threshold.note) == (0, "")
 
@@ -356,13 +375,17 @@ class TestThresholdProbes:
         res = sw.estimate_cstar(model, laplace1, **CHEAP)
         (up, _, up_mid), (down, _, down_mid) = res.trace
         assert res.value == sw.discrete_linear_speed(model, laplace1, 0.25, 40.0)[0]
-        assert res.bracket == (down, up) and res.stops == ("dead", "tol")
+        assert res.bracket == (down, up) and res.stops == ("dead", "alive")
         assert res.fallbacks == 0
         kw = dict(dx=0.25, tol=sw.CSTAR_TOL, strict=False)
         cold_dead = sw.solve_profile(up, model, laplace1, 40.0, **kw)
         cold_alive = sw.solve_profile(down, model, laplace1, 40.0, **kw)
-        # the alive probe is the cold run; the dead one stopped on its way down
-        assert cold_alive.converged and down_mid == cold_alive.mid_saturation >= 0.5
+        # the alive probe rose from below to half saturation, under the
+        # maximal profile the cold run converges to; the dead one stopped
+        # on its way down
+        floor = 8.0 * np.finfo(float).eps * float(np.max(cold_alive.u_star))
+        assert cold_alive.converged and cold_alive.mid_saturation >= 0.5
+        assert 0.5 <= down_mid <= cold_alive.mid_saturation + floor
         assert cold_dead.converged and cold_dead.mid_saturation < 0.5 and up_mid < 0.5
 
     def test_pushed_front_brackets_above_the_linear_speed(self, pushed, laplace1,
@@ -387,8 +410,10 @@ class TestThresholdProbes:
         assert res.fallbacks > 0
         assert res.bracket == pushed_threshold.bracket
         assert _verdicts(res) == _verdicts(pushed_threshold)
-        # every probe that got a warm start was re-run cold from saturation
-        assert all(start == "saturated" for _, start in seen)
+        # every probe that got a warm start was re-run cold from saturation;
+        # the alive confirmation probe, second, rose from its subsolution
+        starts = [start for _, start in seen]
+        assert starts[1] == "below" and set(starts[:1] + starts[2:]) == {"saturated"}
 
     def test_dead_stop_is_final(self, model, laplace1):
         dead = sw.solve_profile(3.0, model, laplace1, 50.0, stop_dead=True)
@@ -447,6 +472,150 @@ class TestMonotoneRelaxation:
         with pytest.raises(sw.NotMonotone):
             sw.solve_profile(c_lo + 0.1, model, kern, L, dx=dx, tol=TOL,
                              start=replace(low, phi=phi))
+
+
+# ----------------------------------------------------------------------
+# alive verdicts certified from below: a checked subsolution and the
+# iterates that rise from it stay under the maximal profile
+
+class _RecordingSweep:
+    """A sweep that keeps a copy of each call's input and output."""
+
+    def __init__(self, sweep):
+        self.sweep, self.calls = sweep, []
+
+    def __getattr__(self, name):
+        return getattr(self.sweep, name)
+
+    def __call__(self, phi):
+        psi = phi.copy()
+        new = self.sweep(phi)
+        self.calls.append((psi, new.copy()))
+        return new
+
+
+@st.composite
+def certificate_problems(draw, above=False):
+    """(model, kernels, dx, L, c, lam*): wnv with a drawn b2 or the pushed cubic.
+
+    c lies below the sweep's linear speed c_h, or at and above it with ``above``.
+    """
+    if draw(st.booleans()):
+        model = rx.wnv(1.0, 1.0, 0.5, draw(st.floats(0.3, 0.9)), 1.0, 1.0)
+    else:
+        model = rx.custom(["u1*(1 - u1)*(1 + 8*u1)"], {})
+    dx = draw(st.sampled_from((0.25, 0.5)))
+    family = draw(st.sampled_from(("laplace", "gaussian")))
+    kern = make_kernel(FAMILIES[family](4.0 * dx))
+    L = dx * round(draw(st.floats(40.0, 100.0)) / dx)
+    c_h, lam, _ = sw.discrete_linear_speed(model, kern, dx, L)
+    frac = draw(st.floats(1.0, 1.5) if above else st.floats(0.3, 0.999))
+    return model, kern, dx, L, frac * c_h, lam
+
+
+class TestCertificateFromBelow:
+    @settings(max_examples=12, deadline=None)
+    @given(certificate_problems())
+    def test_certified_alive_is_under_the_cold_run(self, problem):
+        model, kern, dx, L, c, lam = problem
+        sweeps, real = [], sw._rise_to_alive
+
+        def recording(sweep, *args):
+            sweeps.append(_RecordingSweep(sweep))
+            return real(sweeps[-1], *args)
+
+        with patch.object(sw, "_rise_to_alive", recording):
+            try:
+                sol = sw.solve_profile(c, model, kern, L, dx=dx, tol=TOL, below=lam)
+            except sw.NoCertificate:
+                assume(False)
+        assert (sol.stop, sol.start, sol.converged) == ("alive", "below", False)
+        calls = sweeps[0].calls
+        assert sol.iterations == len(calls)
+        # the first call whose output is not below its input starts the chain
+        k = next(i for i, (psi, new) in enumerate(calls) if np.all(new >= psi))
+        psi = calls[k][0]
+        u_star = sol.u_star[:, None]
+        assert np.all(psi[:, 0] == sol.u_star) and np.all(psi[:, -1] == 0.0)
+        assert np.all((0.0 <= psi) & (psi <= u_star))
+        floor = 8.0 * np.finfo(float).eps * float(np.max(sol.u_star))
+        for (_, prev), (nxt, new) in zip(calls[k:], calls[k + 1:]):
+            assert _bits(nxt) == _bits(prev) and np.all(new >= nxt - floor)
+        assert _bits(calls[-1][1]) == _bits(sol.phi)
+        assert sol.mid_saturation >= 0.5
+        # every iterate from saturation lies above the maximal profile, so
+        # above the certified iterate, and reads alive too
+        cold = sw.solve_profile(c, model, kern, L, dx=dx, tol=TOL, max_iter=20_000,
+                                strict=False)
+        assert cold.mid_saturation >= 0.5
+        assert np.all(sol.phi <= cold.phi + floor)
+
+    @settings(max_examples=8, deadline=None)
+    @given(certificate_problems(above=True), st.sampled_from(("speed", "kernels", "rates")))
+    def test_declines_leave_the_probe_as_it_was(self, problem, why):
+        model, kern, dx, L, c, lam = problem
+        kerns = (kern,) * model.m0
+        if why == "kernels":
+            assume(model.m0 == 2)
+            other = "gaussian" if kern.spec.family == "laplace" else "laplace"
+            kerns = (kern, make_kernel(FAMILIES[other](4.0 * dx)))
+            c *= 0.5
+        elif why == "rates":
+            assume(model.m0 == 2)
+            model = replace(model, d=np.array([1.0, 0.5]))
+            c *= 0.5
+        with pytest.raises(sw.NoCertificate):
+            sw.solve_profile(c, model, kerns, L, dx=dx, tol=TOL, below=lam)
+
+        def probe(**below):
+            probes = sw._Probes(model, kerns, L, dx, TOL, {}, strict=False)
+            return probes(c, stop_dead=True, max_iter=4000, **below), probes.fallbacks
+
+        (got, got_falls), (want, want_falls) = probe(below=lam), probe()
+        assert _bits(got.phi) == _bits(want.phi) and got_falls == want_falls
+        assert (got.stop, got.start, got.iterations) == (want.stop, want.start, want.iterations)
+
+    def test_alive_entries_answer_their_speed_and_are_never_resumed(self, model, laplace1):
+        c_h, lam, K = sw.discrete_linear_speed(model, laplace1, 0.25, 40.0)
+        c = c_h - K / 20.0 ** 2 - 0.05 * c_h
+        probes = sw._Probes(model, (laplace1, laplace1), 40.0, 0.25, TOL, {}, strict=False)
+        sol = probes(c, stop_dead=True, below=lam)
+        assert (sol.stop, sol.start) == ("alive", "below")
+        assert probes(c, stop_dead=True) is sol
+        # not a warm start for a higher speed: only converged entries are
+        assert probes(c + 0.01, stop_dead=True).start == "saturated"
+        with pytest.raises(ValueError):
+            sw.solve_profile(c, model, laplace1, 40.0, dx=0.25, start=sol)
+        with pytest.raises(ValueError):
+            sw.solve_profile(c, model, laplace1, 40.0, dx=0.25, below=lam, stop_dead=True)
+
+    def test_a_fall_from_below_falls_back_to_the_cold_run(self, model, laplace1, monkeypatch):
+        c_h, lam, K = sw.discrete_linear_speed(model, laplace1, 0.25, 40.0)
+        c = c_h - K / 20.0 ** 2 - 0.05 * c_h
+        real = sw._rise_to_alive
+
+        def dented(sweep, shape, *args):
+            return real(_DentedSweep(sweep), shape, *args)
+
+        monkeypatch.setattr(sw, "_rise_to_alive", dented)
+        with pytest.raises(sw.NotMonotone):
+            sw.solve_profile(c, model, laplace1, 40.0, dx=0.25, tol=TOL, below=lam)
+        probes = sw._Probes(model, (laplace1, laplace1), 40.0, 0.25, TOL, {}, strict=False)
+        sol = probes(c, stop_dead=True, below=lam)
+        cold = sw.solve_profile(c, model, laplace1, 40.0, dx=0.25, tol=TOL, strict=False)
+        assert probes.fallbacks == 1 and (sol.stop, sol.start) == ("tol", "saturated")
+        assert _bits(sol.phi) == _bits(cold.phi)
+
+
+class _DentedSweep(_RecordingSweep):
+    """A sweep whose third call halves the midpoint of its result."""
+
+    def __call__(self, phi):
+        new = super().__call__(phi)
+        if len(self.calls) == 3:
+            new[:, new.shape[1] // 2] *= 0.5
+            self.step[:] = new - phi
+        return new
 
 
 # ----------------------------------------------------------------------
