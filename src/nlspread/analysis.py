@@ -87,13 +87,8 @@ def fit_front(series: tuple, law: str = "linear", window: tuple | None = None) -
         raise InsufficientData(
             f"{tw.size} usable samples in window [{lo:g}, {hi:g}] for law {law!r}; need 20")
 
-    if law == "linear":
-        coef = np.polyfit(tw, yw, 1)
-        a, b = float(coef[0]), float(coef[1])
-        pred = a * tw + b
-        coefficient, exponent, intercept = a, None, b
-    elif law == "tlogt":
-        xw = tw * np.log(tw)
+    if law != "power":          # affine in x = t or x = t ln t
+        xw = tw if law == "linear" else tw * np.log(tw)
         coef = np.polyfit(xw, yw, 1)
         a, b = float(coef[0]), float(coef[1])
         pred = a * xw + b

@@ -74,8 +74,7 @@ def _write_json(path: Path, obj) -> None:
 def _snapshot_parts(snapshots):
     """(t, x, u_1..u_m) rows, with each snapshot's time as the lead."""
     for t, gf in snapshots:
-        xs = (gf.k_lo + np.arange(gf.values.shape[1])) * gf.dx
-        yield from _blocks((t,), xs, gf.values.T)
+        yield from _blocks((t,), gf.x, gf.values.T)
 
 
 def _numerics_echo(cfg) -> dict:

@@ -37,12 +37,13 @@ changes, so the transforms write into kept buffers, not fresh arrays
 on every step.  A call zeroes the part of the pad tail that an earlier,
 wider window at the same L left data in, and only that part, row by
 row: a call uses the first rows of the workspace it needs.  pocketfft
-releases the GIL, so the rows of a group are transformed on plain threads
-started and joined within the call, one chunk of rows per usable CPU;
-each row's transform is the same computation on any thread, so a block
-gives bitwise the per-row results.  A call with one row transforms it
-on the calling thread.  No thread outlives a call, which keeps the
-process safe to fork.
+releases the GIL, so the rows of a group are transformed one chunk per
+usable CPU: the calling thread takes the first chunk and a thread pool
+made for the call the others.  Each row's transform is the same
+computation on any thread, so a block gives bitwise the per-row
+results.  A call with one row transforms it on the calling thread.  The
+pool joins its threads before the call returns, so no thread outlives a
+call, which keeps the process safe to fork.
 
 Symmetry note: simulations must preserve mirror symmetry of symmetric
 data to roundoff over thousands of steps.  The direct path returns
@@ -325,7 +326,9 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
     an ``_FFTWorkspace`` of at least as many rows at L = ``_fft_length(n,
     W)`` when the caller keeps them; otherwise they are made here.  The
     result is a view of the workspace's inverse output, valid until its
-    next use.
+    next use.  The first chunk of rows is transformed on the calling
+    thread and the others on a pool that joins its threads before the
+    call returns; a failure on any chunk is raised here.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
@@ -348,33 +351,19 @@ def _convolve_fft(values: np.ndarray, weights: np.ndarray,
         product[chunk] *= spectrum
         np.fft.irfft(product[chunk], L, out=full[chunk])
 
-    # pocketfft releases the GIL, so the rows are transformed on threads
-    # started for this call, one chunk of rows per usable CPU
+    # pocketfft releases the GIL, so the rows are transformed one chunk
+    # per usable CPU, on the calling thread and a pool made for this call
     k = min(m, _cpus())
     chunks = [slice(i * m // k, (i + 1) * m // k) for i in range(k)]
     if k == 1:
         transform(chunks[0])
     else:
-        import threading
-        failures = []
-
-        def transform_reporting(chunk: slice) -> None:
-            try:
-                transform(chunk)
-            except Exception as e:      # raised again in the calling thread
-                failures.append(e)
-
-        threads = [threading.Thread(target=transform_reporting, args=(c,))
-                   for c in chunks[1:]]
-        for t in threads:
-            t.start()
-        try:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(k - 1) as pool:
+            futures = [pool.submit(transform, c) for c in chunks[1:]]
             transform(chunks[0])
-        finally:
-            for t in threads:
-                t.join()
-        if failures:
-            raise failures[0]
+            for f in futures:
+                f.result()
     return full[:, :n].reshape(values.shape)
 
 

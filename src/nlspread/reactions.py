@@ -458,22 +458,15 @@ def _state_box(model: ReactionModel, u_star: np.ndarray | None) -> np.ndarray:
 
 
 def _strongly_connected(A: np.ndarray, tol: float) -> bool:
-    m = A.shape[0]
-    pattern = np.abs(A) > tol
-    np.fill_diagonal(pattern, True)
+    """Whether the pattern |A| > tol is irreducible: every node reaches every other.
 
-    def reach(adj):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(m):
-                if adj[i, j] and j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == m
-
-    return reach(pattern) and reach(pattern.T)
+    Each squaring of R = (|A| > tol) | I doubles the path length R
+    covers, so ceil(log2 m) squarings cover the m - 1 steps of every path.
+    """
+    reach = (np.abs(A) > tol) | np.eye(A.shape[0], dtype=bool)
+    for _ in range((A.shape[0] - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def verify_assumptions(model: ReactionModel, n_samples: int = 256,
@@ -626,7 +619,7 @@ def verify_assumptions(model: ReactionModel, n_samples: int = 256,
         results["positive_ray_drift"] = CheckResult(
             "not_checked", "needs the positive state, which was not found")
     else:
-        J0u = jacobian(model, np.zeros(model.m)) @ u_star
+        J0u = J0 @ u_star
         Jsu = jacobian(model, u_star) @ u_star
         etas = np.linspace(0.02, 0.98, 49)
         ray = eval_F(model, etas[None, :] * u_star[:, None], validate=False)

@@ -199,8 +199,8 @@ def _upwind_scan(passes) -> None:
         np.add(target, product, out=target)
 
 
-def _stencils(kerns, n: int, dx: float) -> list[tuple[np.ndarray, int]]:
-    """(weights, half width) of each kernel's stencil in the sweep on n nodes.
+def _stencils(kerns, n: int, dx: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, offsets j dx) of each kernel's stencil in the sweep on n nodes.
 
     Heavy tails are capped at a window that already carries all but ~1e-4
     of the mass: the larger of the grid and 64 core scales.
@@ -209,7 +209,8 @@ def _stencils(kerns, n: int, dx: float) -> list[tuple[np.ndarray, int]]:
     for k in kerns:
         cap = max(n - 1, int(math.ceil(64.0 * k.core_scale / dx)))
         w = kernel_weights(k, dx, max_half_width=cap)
-        out.append((w, (w.size - 1) // 2))
+        half = (w.size - 1) // 2
+        out.append((w, dx * np.arange(-half, half + 1)))
     return out
 
 
@@ -245,25 +246,26 @@ class _Sweep:
         self.repeats = [i > 0 and k.spec == kerns[i - 1].spec
                         and u_star[i].tobytes() == u_star[i - 1].tobytes()
                         for i, k in enumerate(kerns)]
-        # extended buffers: saturated to the left of -L, empty to the right of 0
+        # (weights, offsets, extended buffer, its window on [-L, 0]); the buffer
+        # is saturated to the left of -L and empty to the right of 0
         self.stencils = []
-        for i, (w, half) in enumerate(_stencils(kerns, n, dx)):
+        for i, (w, offsets) in enumerate(_stencils(kerns, n, dx)):
+            half = offsets.size // 2
             ext = np.zeros(n + 2 * half)
             ext[:half] = u_star[i]
-            self.stencils.append((w, half, ext))
+            self.stencils.append((w, offsets, ext, ext[half:half + n]))
         self.conv = np.zeros((model.m, n))
         self.a = np.empty((model.m, n))
         self.passes = _scan_passes(self.a, _scan_powers(s / bs, n), np.empty((model.m, n)))
         self.step = np.empty((model.m, n))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
-        n = u.shape[1]
         # the stencils are symmetric, so the correlation is the convolution
-        for i, (w, half, ext) in enumerate(self.stencils):
+        for i, (w, _, ext, core) in enumerate(self.stencils):
             if self.repeats[i] and _equal_rows(u[i - 1:i + 1]):
                 self.conv[i] = self.conv[i - 1]
                 continue
-            ext[half:half + n] = u[i]
+            core[:] = u[i]
             self.conv[i] = np.correlate(ext, w, "valid")
         return self.conv
 
@@ -479,14 +481,14 @@ def _hump(sweep: _Sweep, kerns, lam0: float, c: float, x: np.ndarray,
           dx: float) -> np.ndarray:
     """The shape of the subsolution from below: psi = eps * shape, peak ratio 1 to u*.
 
-    With one kernel and one dispersal rate the linearization at zero is
-    J0 + (d (M(lam) - 1) - c rho(lam)) I on the sweep's stencil, M its
-    moment and rho(lam) = (1 - e^(-lam dx)) / dx the upwind symbol, so its
-    eigenvector is J0's Perron vector v at every lam.  The symbol
-    P(lam) = s(J0) - delta + d (M(lam) - 1) - c rho(lam) with margin
-    delta = CERT_MARGIN P(lam0) is positive at lam0 = lam* for c < c_h;
-    complex Newton from lam0 + i sqrt(2 P(lam0) / P''(lam0)) finds its
-    root alpha + i beta.  The shape is v times the hump
+    With one kernel and one dispersal rate the matrix of the sweep's
+    symbol (``_minimal_speed``) is J0 + d (M(lam) - 1) I, so its
+    eigenvector is J0's Perron vector v at every lam and its growth is
+    s(J0) + d (M(lam) - 1).  With margin delta = CERT_MARGIN P(lam0),
+    P(lam) = s(J0) - delta + d (M(lam) - 1) - c rho(lam) is positive at
+    lam0 = lam* for c < c_h; complex Newton from
+    lam0 + i sqrt(2 P(lam0) / P''(lam0)) finds its root alpha + i beta.
+    The shape is v times the hump
     e^(-alpha t) cos(beta t), t = x - x_c, on |beta t| < pi/2 with its
     right zero at x = 0, flattened to its peak value on the left.
     Raises ``NoCertificate`` when the eigenvector depends on lam (unequal
@@ -502,8 +504,7 @@ def _hump(sweep: _Sweep, kerns, lam0: float, c: float, x: np.ndarray,
     j = int(np.argmax(vals.real))
     v = np.abs(vecs[:, j].real)
     v /= np.max(v / sweep.u_star)
-    w, half, _ = sweep.stencils[0]
-    offsets = dx * np.arange(-half, half + 1)
+    w, offsets = sweep.stencils[0][:2]
     d, grow = float(model.d[0]), float(vals.real[j])
 
     def symbol(lam, k):
@@ -776,28 +777,38 @@ class MinimalSpeedResult:
     stops: tuple[str, ...] = ()
 
 
-def _minimal_speed(model: ReactionModel, kerns, moment, rate, lam_max: float = INFINITE):
+def _minimal_speed(model: ReactionModel, kerns, stencils=None, dx: float | None = None):
     """(min, argmin, speed) of the linearization at the empty state.
 
-    The mode exp(-lam x) grows at s(lam), the spectral bound of
-    J0 + diag(d_i (moment(i, lam) - 1)) with J0 the rate jacobian at
-    zero, and travels at speed(lam) = s(lam) / rate(lam).  Its minimum
-    over the rates from 1e-4 core scales to the exponential abscissa
-    (200 core scales without one), the overflow rate and ``lam_max`` is
-    read on a 600-point geometric grid and zoomed: the cells around the
-    argmin are rescanned on 65 points until they span 1e-10 of lam.  Each
-    grid is one stacked eigenvalue call, and ``speed`` reads one rate
-    through the same arithmetic, so it returns the grid's bits.  The
-    minimum is INFINITE when some kernel has no finite exponential moment.
+    The symbol: the mode exp(-lam x) grows at s(lam), the spectral bound
+    of J0 + diag(d_i (M_i(lam) - 1)) with J0 the rate jacobian at zero,
+    and travels at speed(lam) = s(lam) / rho(lam).  On the continuum
+    (``stencils`` None) M_i is kernel i's two-sided moment and
+    rho(lam) = lam.  On the sweep's lattice, with ``_stencils`` of
+    spacing ``dx``, M_i(lam) = sum_j w_j e^(lam j dx) over stencil i and
+    rho(lam) = (1 - e^(-lam dx)) / dx, the symbol of the upwind difference.
+    Its minimum over the rates from 1e-4 core scales to the exponential
+    abscissa (200 core scales without one), the overflow rate and, on
+    the lattice, 700 / (the widest stencil's reach), where e^(lam j dx)
+    stays finite, is read on a 600-point geometric grid and zoomed: the
+    cells around the argmin are rescanned on 65 points until they span
+    1e-10 of lam.  Each grid is one stacked eigenvalue call, and
+    ``speed`` reads one rate through the same arithmetic, so it returns
+    the grid's bits.  The minimum is INFINITE when some kernel has no
+    finite exponential moment.
     """
     J0 = jacobian(model, np.zeros(model.m))
+    lattice = stencils is not None
 
     def speeds(lams: np.ndarray) -> np.ndarray:
         A = np.repeat(J0[None], lams.size, axis=0)
         for i in range(model.m0):
-            A[:, i, i] += model.d[i] * (np.array([moment(i, lam) for lam in lams]) - 1.0)
+            M = [float(np.dot(stencils[i][0], np.exp(lam * stencils[i][1]))) if lattice
+                 else two_sided_exp_moment(kerns[i], lam) for lam in lams]
+            A[:, i, i] += model.d[i] * (np.array(M) - 1.0)
         growth = np.linalg.eigvals(A).real.max(axis=1)
-        return growth / np.array([rate(lam) for lam in lams])
+        return growth / np.array([-math.expm1(-lam * dx) / dx if lattice else lam
+                                  for lam in lams])
 
     def speed(lam: float) -> float:
         return float(speeds(np.array([lam]))[0])
@@ -807,7 +818,9 @@ def _minimal_speed(model: ReactionModel, kerns, moment, rate, lam_max: float = I
         return INFINITE, math.nan, speed
     core = min(k.core_scale for k in kerns)
     hi = lam_hi * (1.0 - 1e-9) if math.isfinite(lam_hi) else 200.0 / core
-    hi = min(hi, lam_max, *(k.overflow_rate for k in kerns))
+    if lattice:
+        hi = min(hi, 700.0 / max(offsets[-1] for _, offsets in stencils))
+    hi = min(hi, *(k.overflow_rate for k in kerns))
     grid, best, arg = np.geomspace(1e-4 / core, hi, 600), math.inf, math.nan
     while True:
         vals = speeds(grid)
@@ -824,20 +837,18 @@ def linearized_front_speed(model: ReactionModel, kernels) -> float:
     """Decay-rate optimized speed of the linearization at the empty state.
 
     The minimum of s(lam) / lam with the kernels' two-sided moments
-    (``_minimal_speed``); INFINITE without a finite exponential moment.
+    (``_minimal_speed`` on the continuum); INFINITE without a finite
+    exponential moment.
     """
-    kerns = _component_kernels(kernels, model.m0)
-    return _minimal_speed(model, kerns, lambda i, lam: two_sided_exp_moment(kerns[i], lam),
-                          lambda lam: lam)[0]
+    return _minimal_speed(model, _component_kernels(kernels, model.m0))[0]
 
 
 def discrete_linear_speed(model: ReactionModel, kernels, dx: float | None,
                           L: float) -> tuple[float, float, float]:
     """(c_h, lam*, K): the linear threshold speed of the profile sweep.
 
-    c_h is the minimum over lam, at lam*, of s_h(lam) dx / (1 - exp(-lam dx)):
-    s_h takes the moments of the stencils ``_Sweep`` builds on an L window,
-    and (1 - exp(-lam dx)) / dx is the symbol of its upwind difference.
+    c_h is the minimum over lam, at lam*, of the symbol of the stencils
+    ``_Sweep`` builds on an L window (``_stencils``, ``_minimal_speed``).
     c_h tends to ``linearized_front_speed`` to first order in dx.  The
     window lowers the threshold the midpoint verdict reads to about
     c_h - K / (L/2)^2, K = (pi^2 / 2) c_h''(lam*) by a central difference:
@@ -847,12 +858,7 @@ def discrete_linear_speed(model: ReactionModel, kernels, dx: float | None,
     """
     kerns = _component_kernels(kernels, model.m0)
     n, h = _mesh(kerns, L, dx)
-    stencils = _stencils(kerns, n, h)
-    offsets = [h * np.arange(-half, half + 1) for _, half in stencils]
-    # exp(lam * offset) stays below exp(700) on every stencil
-    c_h, lam, speed = _minimal_speed(
-        model, kerns, lambda i, lam: float(np.dot(stencils[i][0], np.exp(lam * offsets[i]))),
-        lambda lam: -math.expm1(-lam * h) / h, 700.0 / max(o[-1] for o in offsets))
+    c_h, lam, speed = _minimal_speed(model, kerns, _stencils(kerns, n, h), h)
     if not math.isfinite(c_h):
         return c_h, math.nan, math.nan
     step = 1e-3 * lam

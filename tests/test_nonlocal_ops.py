@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from unittest.mock import patch
 
 import numpy as np
@@ -709,6 +710,35 @@ class TestFFTWorkspace:
         w = kernel_weights(kern, 0.25, max_half_width=n - 1)
         got = DispersalOperator((kern, kern), 0.25).convolve(vals)
         assert np.array_equal(got, scipy_fft_convolve(vals, w))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_fan_out_joins_its_threads_and_raises_their_failures(self, cpus, failing):
+        # the rows of a call are split into one chunk per CPU, the first on
+        # the calling thread; no thread may outlive the call, and a chunk
+        # that fails on any thread must fail the call
+        class ChunkFailed(Exception):
+            pass
+
+        kern = make_kernel(KernelSpec.laplace(1.0))
+        vals = np.random.default_rng(cpus).uniform(0.0, 1.0, size=(4, 40))
+        w = kernel_weights(kern, 0.25, max_half_width=39)
+        real_rfft = np.fft.rfft
+        caller = threading.get_ident()
+
+        def rfft(a, *args, **kwargs):
+            on_caller = threading.get_ident() == caller
+            if np.ndim(a) == 2 and on_caller == (failing == "caller"):
+                raise ChunkFailed(f"chunk of {a.shape[0]} rows")
+            return real_rfft(a, *args, **kwargs)
+
+        before = threading.active_count()
+        with patch.object(nonlocal_ops, "_cpus", lambda: cpus):
+            assert np.array_equal(_convolve_fft(vals, w), scipy_fft_convolve(vals, w))
+            assert threading.active_count() == before
+            with patch.object(np.fft, "rfft", rfft), pytest.raises(ChunkFailed):
+                _convolve_fft(vals, w)
+            assert threading.active_count() == before
 
 
 def family_kernel(family: str, scale: float):

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from nlspread import reactions as rx
@@ -335,6 +337,57 @@ class TestAssumptionChecks:
         for key in r1.results:
             assert r1.results[key].status == r2.results[key].status
             assert r1.results[key].detail == r2.results[key].detail
+
+
+def _two_walk_strongly_connected(A, tol):
+    """Strong connectivity as first written: a walk from node 0 on the pattern and its transpose."""
+    m = A.shape[0]
+    pattern = np.abs(A) > tol
+    np.fill_diagonal(pattern, True)
+
+    def reach(adj):
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            i = frontier.pop()
+            for j in range(m):
+                if adj[i, j] and j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        return len(seen) == m
+
+    return reach(pattern) and reach(pattern.T)
+
+
+ENTRIES = (0.0, 1e-13, 1e-12, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def sign_patterns(draw):
+    """(A, tol): signed entries of a few magnitudes on m = 1-6 nodes, and a
+    tolerance at, just above or just below one of them, or zero."""
+    m = draw(st.integers(1, 6))
+    mags = draw(st.lists(st.sampled_from(ENTRIES), min_size=m * m, max_size=m * m))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=m * m, max_size=m * m))
+    A = (np.array(mags) * np.array(signs)).reshape(m, m)
+    tol = draw(st.sampled_from(ENTRIES))
+    tol = draw(st.sampled_from((tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0))))
+    return A, float(tol)
+
+
+def _cycle(m):
+    """The directed cycle 0 -> 1 -> ... -> m - 1 -> 0: its longest shortest path is m - 1."""
+    return np.roll(np.eye(m), 1, axis=1), 0.0
+
+
+class TestStronglyConnected:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(sign_patterns())
+    @example(_cycle(6))
+    @example(_cycle(5))
+    def test_closure_is_the_two_walk_reference(self, case):
+        A, tol = case
+        assert rx._strongly_connected(A, tol) is _two_walk_strongly_connected(A, tol)
 
 
 class TestLipschitzBound:
